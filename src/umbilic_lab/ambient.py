@@ -49,7 +49,7 @@ class AmbientSpace:
     region; leaving it is an error, never an extrapolation.
     """
 
-    def __init__(self, signature, metric, metric_derivative=None, flat=False,
+    def __init__(self, signature, metric, metric_derivative=None,
                  fd_step=1e-5, box=None, sample_box=None, name=""):
         self.signature = signature
         n = signature.dimension
@@ -60,7 +60,6 @@ class AmbientSpace:
         else:
             self._metric_fn = metric
         self.metric_derivative = metric_derivative
-        self.flat = flat
         self.fd_step = float(fd_step)
         if box is None:
             box = np.array([[-50.0, 50.0]] * n)
@@ -73,6 +72,11 @@ class AmbientSpace:
     @property
     def dimension(self):
         return self.signature.dimension
+
+    @property
+    def is_constant(self):
+        """True when the metric is one constant matrix (a flat chart)."""
+        return self._const_g is not None
 
     @property
     def has_analytic_derivative(self):
@@ -134,13 +138,6 @@ class CurvatureSample:
             "first_bianchi": float(np.max(np.abs(
                 r + r.transpose(0, 2, 3, 1) + r.transpose(0, 3, 1, 2)))),
         }
-
-    def check(self, tol):
-        scale = max(1.0, float(np.max(np.abs(self.riemann_lowered))))
-        worst = max(self.symmetry_violations().values())
-        if worst > tol * scale:
-            raise InvalidMetric("curvature tensor violates symmetries",
-                                worst=worst, tol=tol)
 
 
 @dataclass

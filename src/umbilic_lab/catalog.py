@@ -55,25 +55,13 @@ class CatalogEntry:
 
 
 def euclidean_space(n):
-    return AmbientSpace(MetricSignature(n, 0), np.eye(n), flat=True,
-                        name=f"euclidean:{n}")
+    return AmbientSpace(MetricSignature(n, 0), np.eye(n), name=f"euclidean:{n}")
 
 
 def minkowski_space(n):
     g = np.eye(n)
     g[-1, -1] = -1.0
-    return AmbientSpace(MetricSignature(n, 1), g, flat=True,
-                        name=f"minkowski:{n}")
-
-
-def _prefix_sin_products(x, upto):
-    """prod_{j<k} sin^2(x_j) for k = 0..upto-1."""
-    out = np.empty(upto)
-    prod = 1.0
-    for k in range(upto):
-        out[k] = prod
-        prod *= np.sin(x[k]) ** 2
-    return out
+    return AmbientSpace(MetricSignature(n, 1), g, name=f"minkowski:{n}")
 
 
 def sphere_metric(r, dim=3):
@@ -380,10 +368,6 @@ class _GraphChart:
         return np.concatenate([zeros, self.hess(u)[..., None, :, :]], axis=-3)
 
 
-def _poly_graph(m, f, grad, hess):
-    return _GraphChart(m, f, grad, hess)
-
-
 def _expression_graph(expr_text, m=None):
     node = parse(expr_text)
     used = free_vars(node)
@@ -603,7 +587,7 @@ def _build_immersion(family, arg, id_text):
         return im, {"semiaxes": semi, "param_dim": m}, truth, closed
     if family == "hyperbolic-paraboloid":
         _require(arg == "", "takes no parameters", id_text)
-        chart = _poly_graph(
+        chart = _GraphChart(
             2, lambda u: u[..., 0] ** 2 - u[..., 1] ** 2,
             lambda u: np.stack([2 * u[..., 0], -2 * u[..., 1]], axis=-1),
             lambda u: np.broadcast_to(np.diag([2.0, -2.0]),
@@ -622,7 +606,7 @@ def _build_immersion(family, arg, id_text):
         def f(u):
             return a * u[..., 0] ** 2 + b * u[..., 1] ** 2
 
-        chart = _poly_graph(
+        chart = _GraphChart(
             2, f,
             lambda u: np.stack([2 * a * u[..., 0], 2 * b * u[..., 1]], axis=-1),
             lambda u: np.broadcast_to(np.diag([2.0 * a, 2.0 * b]),

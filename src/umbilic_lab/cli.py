@@ -8,7 +8,6 @@ stderr before exiting.
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -60,8 +59,7 @@ def _parse_grid(text, dims):
     return counts
 
 
-def _resolve_dirs(im, q, dirs_text, s, seed):
-    rep = shape_report(im, q)
+def _resolve_dirs(im, rep, dirs_text, s, seed):
     if dirs_text.startswith("angles:"):
         angles = [np.radians(float(a)) for a in dirs_text[7:].split(",")]
         if im.param_dim != 2:
@@ -133,14 +131,15 @@ def cmd_slice(args):
     im = entry.obj
     q = _parse_point(args.point) if args.point else im.domain.mean(axis=1)
     s = args.s or 1
-    dirs = _resolve_dirs(im, q, args.dirs, s, args.seed)
-    spec = make_slice_spec(im, q, dirs)
+    rep = shape_report(im, q)
+    dirs = _resolve_dirs(im, rep, args.dirs, s, args.seed)
+    spec = make_slice_spec(im, rep, dirs)
     if args.radius is not None:
         radius = args.radius
     elif args.taylor:
-        radius = taylor_trace_radius(im, q)
+        radius = taylor_trace_radius(rep)
     else:
-        radius = default_trace_radius(im, q)
+        radius = default_trace_radius(rep)
     res = trace_slice(im, spec, radius=radius,
                       samples_per_dim=args.samples or 8)
     slice_shape(res)
@@ -264,8 +263,6 @@ def _apply_config(args):
                 setattr(args, attr, value)
     if getattr(args, "seed", None) is None:
         args.seed = 42
-    threads = os.environ.get("UMB_THREADS")
-    args.threads = int(threads) if threads else 1
     return args
 
 

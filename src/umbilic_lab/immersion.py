@@ -98,7 +98,6 @@ class ShapeReport:
     tangent_frame: np.ndarray        # (m, N) ambient vectors, g-orthonormal
     normal_frame: np.ndarray         # (n, N) ambient vectors, g-orthonormal
     normal_signs: list               # causal characters of the normals
-    first_form: np.ndarray           # identity in the orthonormal frame
     induced_metric: np.ndarray       # raw coordinate first fundamental form
     second_form: np.ndarray          # (m, m, n) coefficients vs normal frame
     mean_curvature_vector: np.ndarray
@@ -219,7 +218,7 @@ def shape_report(im, u):
     m, n = im.param_dim, im.codim
 
     hess = im.hessian_at(u)
-    if im.ambient._const_g is None:
+    if not im.ambient.is_constant:
         gamma = christoffel(im.ambient, p)
         hess = hess + np.einsum("cab,ai,bj->cij", gamma, jac, jac)
 
@@ -248,7 +247,7 @@ def shape_report(im, u):
     return ShapeReport(
         u=u, p=p,
         tangent_frame=tangent, normal_frame=normal, normal_signs=normal_signs,
-        first_form=np.eye(m), induced_metric=jac.T @ g @ jac,
+        induced_metric=jac.T @ g @ jac,
         second_form=ii_on, mean_curvature_vector=h_vec,
         shape_operator=shape_op,
         principal_curvatures=principal, principal_directions=principal_dirs,

@@ -1,7 +1,7 @@
 """Central finite-difference derivatives of array-valued maps.
 
 The derivative index is always appended last: for f with output shape S,
-``central_diff`` returns shape S + (n,) and ``central_second`` S + (n, n).
+``central_diff`` returns shape S + (n,).
 """
 
 import numpy as np
@@ -45,32 +45,6 @@ def central_diff4(f, x, step, scale_steps=False):
         f4 = np.asarray(f(x - 2 * e), dtype=float)
         cols.append((-f2 + 8.0 * f1 - 8.0 * f3 + f4) / (12.0 * h))
     return np.stack(cols, axis=-1)
-
-
-def central_second(f, x, step):
-    """Symmetric second-derivative table of f at x, shape S + (n, n)."""
-    x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-    f0 = np.asarray(f(x), dtype=float)
-    out = np.empty(f0.shape + (n, n))
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = step
-        out[..., i, i] = (np.asarray(f(x + ei), dtype=float) - 2.0 * f0
-                          + np.asarray(f(x - ei), dtype=float)) / step ** 2
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = step
-        for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = step
-            val = (np.asarray(f(x + ei + ej), dtype=float)
-                   - np.asarray(f(x + ei - ej), dtype=float)
-                   - np.asarray(f(x - ei + ej), dtype=float)
-                   + np.asarray(f(x - ei - ej), dtype=float)) / (4.0 * step ** 2)
-            out[..., i, j] = val
-            out[..., j, i] = val
-    return out
 
 
 def jacobian_fd(f, u, step):

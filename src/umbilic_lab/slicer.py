@@ -19,7 +19,7 @@ import numpy as np
 from .errors import (DegenerateFit, DegenerateSubspace, IllConditionedFit,
                      NewtonDiverged, UnsupportedAmbient, WrongCausalType)
 from .frames import complement_basis
-from .immersion import shape_report
+from .immersion import ShapeReport
 
 FLAT_AFFINE = "flat-affine"
 QUADRIC_CENTRAL = "quadric-central-section"
@@ -32,13 +32,23 @@ MAX_FAIL_FRACTION = 0.20
 
 @dataclass
 class SliceSpec:
-    """A normal slice request at q: tangent directions plus the normals."""
+    """A normal slice request at q: tangent directions plus the normals.
 
-    q_param: np.ndarray
-    q: np.ndarray
+    ``report`` is the ShapeReport at q; its frames and II are the ones the
+    slice is built from and compared against.
+    """
+
+    report: ShapeReport
     tangent_directions: np.ndarray      # (s, N), g-orthonormal, tangent at q
-    include_normals: bool = True
     ambient_mode: str = FLAT_AFFINE
+
+    @property
+    def q_param(self):
+        return self.report.u
+
+    @property
+    def q(self):
+        return self.report.p
 
     @property
     def s(self):
@@ -49,7 +59,6 @@ class SliceSpec:
             "q_param": [float(c) for c in self.q_param],
             "q": [float(c) for c in self.q],
             "tangent_directions": self.tangent_directions.tolist(),
-            "include_normals": self.include_normals,
             "ambient_mode": self.ambient_mode,
         }
 
@@ -127,45 +136,34 @@ class SliceResult:
         return "\n".join(lines) + "\n"
 
 
-def make_slice_spec(im, q_param, directions, include_normals=True,
-                    mode=FLAT_AFFINE):
-    """Validated SliceSpec from ambient tangent directions at q."""
-    q_param = np.atleast_1d(np.asarray(q_param, dtype=float))
-    q = im.point(q_param)
-    g = im.ambient.metric_at(q)
+def make_slice_spec(im, rep, directions, mode=FLAT_AFFINE):
+    """Validated SliceSpec from ambient tangent directions at the point of
+    ``rep``, the immersion's ShapeReport there."""
+    g = im.ambient.metric_at(rep.p)
     dirs = np.atleast_2d(np.asarray(directions, dtype=float))
     gram = dirs @ g @ dirs.T
     if np.max(np.abs(gram - np.eye(dirs.shape[0]))) > 1e-10:
         raise DegenerateSubspace("tangent directions are not g-orthonormal")
-    rep_tangent, rep_normal, _ = _immersion_frames(im, q_param)
     for d in dirs:
-        for nu in rep_normal:
+        for nu in rep.normal_frame:
             if abs(float(d @ g @ nu)) > 1e-8:
                 raise DegenerateSubspace(
                     "direction is not tangent to the immersion at q")
     s = dirs.shape[0]
-    if not include_normals:
-        raise ValueError("slices must contain the normal space")
     if s > im.param_dim:
         raise ValueError("more tangent directions than tangent dimensions")
-    if s == im.param_dim and im.ambient._const_g is None:
+    if s == im.param_dim and not im.ambient.is_constant:
         raise UnsupportedAmbient("s = m slices require a flat ambient")
-    return SliceSpec(q_param=q_param, q=q, tangent_directions=dirs,
-                     include_normals=include_normals, ambient_mode=mode)
-
-
-def _immersion_frames(im, q_param):
-    from .immersion import frames
-    return frames(im, q_param)
+    return SliceSpec(report=rep, tangent_directions=dirs, ambient_mode=mode)
 
 
 def build_slice(im, spec):
     """Orthonormal plane description for the slice; flat ambients only."""
-    if im.ambient._const_g is None:
+    if not im.ambient.is_constant:
         raise UnsupportedAmbient(
             "slice tracing is implemented for flat ambients")
     g = im.ambient.metric_at(spec.q)
-    tangent, normal, normal_signs = _immersion_frames(im, spec.q_param)
+    normal, normal_signs = spec.report.normal_frame, spec.report.normal_signs
     span = np.concatenate([spec.tangent_directions, normal], axis=0)
     if spec.ambient_mode == QUADRIC_CENTRAL:
         # central sections must contain the ray through the center
@@ -249,12 +247,12 @@ def _newton_trace(im, plane, targets, seeds):
     return u, x, fnorm, good
 
 
-def default_trace_radius(im, q_param):
+def default_trace_radius(rep):
     """Ledger default: 0.5 min(1, 1/max|kappa|) from the local shape."""
-    return 0.5 * min(1.0, 1.0 / _kappa_scale(im, q_param))
+    return 0.5 * min(1.0, 1.0 / _kappa_scale(rep))
 
 
-def taylor_trace_radius(im, q_param):
+def taylor_trace_radius(rep):
     """Small window for Taylor-accurate quadric fits.
 
     The quadratic+cubic model has an O(radius^2) even-order bias (the
@@ -262,15 +260,15 @@ def taylor_trace_radius(im, q_param):
     comparisons against analytic second fundamental forms at 1e-5
     tolerance need a window of order 1e-3.
     """
-    return 1e-3 * min(1.0, 1.0 / _kappa_scale(im, q_param))
+    return 1e-3 * min(1.0, 1.0 / _kappa_scale(rep))
 
 
-def _kappa_scale(im, q_param):
-    rep = shape_report(im, q_param)
+def _kappa_scale(rep):
     if rep.principal_curvatures is not None:
         scale = float(np.max(np.abs(rep.principal_curvatures)))
     else:
-        scale = float(np.max(np.abs(rep.second_form))) * im.param_dim
+        m = rep.second_form.shape[0]
+        scale = float(np.max(np.abs(rep.second_form))) * m
     return max(scale, 1e-12)
 
 
@@ -282,7 +280,7 @@ def trace_slice(im, spec, radius=None, samples_per_dim=8):
     """
     plane = build_slice(im, spec)
     if radius is None:
-        radius = default_trace_radius(im, spec.q_param)
+        radius = default_trace_radius(spec.report)
     g = im.ambient.metric_at(spec.q)
     jac_q = im.jacobian_at(spec.q_param)
     pull, *_ = np.linalg.lstsq(jac_q, spec.tangent_directions.T, rcond=None)
@@ -373,8 +371,8 @@ def identity_check(im, result):
     ambient-surface II at q (the Gauss-formula comparison, run as a test)."""
     if result.slice_II is None:
         slice_shape(result)
-    rep = shape_report(im, result.spec.q_param)
-    g = im.ambient.metric_at(result.spec.q)
+    rep = result.spec.report
+    g = im.ambient.metric_at(rep.p)
     # coordinates of the slice tangent directions in the surface frame
     a = result.spec.tangent_directions @ g @ rep.tangent_frame.T   # (s, m)
     restricted = np.einsum("ip,pqa,jq->ija", a, rep.second_form, a)

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .catalog import resolve
-from .errors import DegenerateFit, UmbilicLabError, WrongCausalType
+from .errors import UmbilicLabError
+from .frames import pseudo_gram_schmidt, unit_design
 from .immersion import shape_report
 from .slicer import (fit_hyperbolic, fit_sphere, identity_check,
                      make_slice_spec, slice_shape, taylor_trace_radius,
@@ -87,7 +88,6 @@ def _random_tangent_dirs(rep, rng, s):
 
 def _slice_defect(slice_ii):
     """Umbilicity defect of a fitted slice second fundamental form."""
-    from .frames import unit_design
     s, _, n = slice_ii.shape
     h = np.array([np.trace(slice_ii[:, :, a]) / s for a in range(n)])
     if n == 1:
@@ -100,13 +100,14 @@ def _slice_defect(slice_ii):
     return worst
 
 
-def _traced_shapes(im, q, dir_sets, radius):
-    """Trace and fit each direction set; returns results plus the defect
-    threshold calibrated from the observed identity residuals."""
+def _traced_shapes(im, rep, dir_sets, radius):
+    """Trace and fit each direction set at the point of ``rep``; returns
+    results plus the defect threshold calibrated from the observed
+    identity residuals."""
     results = []
     worst_identity = 0.0
     for dirs in dir_sets:
-        spec = make_slice_spec(im, q, dirs)
+        spec = make_slice_spec(im, rep, dirs)
         res = trace_slice(im, spec, radius=radius)
         slice_shape(res)
         worst_identity = max(worst_identity, identity_check(im, res))
@@ -133,10 +134,10 @@ def verify_theorem2(im, q, s=1, n_subspace_draws=10, tol=1e-5, radius=None,
         raise ValueError("need 1 <= s <= m-1")
     rep = shape_report(im, q)
     if radius is None:
-        radius = taylor_trace_radius(im, q)
+        radius = taylor_trace_radius(rep)
     rng = np.random.default_rng([seed, 0])
     dir_sets = [_random_tangent_dirs(rep, rng, s) for _ in range(n_subspace_draws)]
-    results, tol_prime = _traced_shapes(im, q, dir_sets, radius)
+    results, tol_prime = _traced_shapes(im, rep, dir_sets, radius)
     spread = _h_spread(results)
     slice_umbilic = spread <= tol
     umbilic = rep.umbilicity_defect <= tol_prime
@@ -170,10 +171,10 @@ def verify_corollary3(im, q, s=1, tol=1e-5, radius=None, seed=0, surface_id=""):
     rep = shape_report(im, q)
     m = im.param_dim
     if radius is None:
-        radius = taylor_trace_radius(im, q)
+        radius = taylor_trace_radius(rep)
     dir_sets = [rep.principal_directions[list(subset)]
                 for subset in itertools.combinations(range(m), s)]
-    results, tol_prime = _traced_shapes(im, q, dir_sets, radius)
+    results, tol_prime = _traced_shapes(im, rep, dir_sets, radius)
     values = np.array([float(r.slice_H_coeff[0]) for r in results])
     all_equal = float(values.max() - values.min()) <= tol
     umbilic = rep.umbilicity_defect <= tol_prime
@@ -211,13 +212,13 @@ def verify_remark4(im, tol=1e-6, radius=None, surface_id="", q=None):
     q = np.atleast_1d(np.asarray(q, dtype=float))
     rep = shape_report(im, q)
     if radius is None:
-        radius = taylor_trace_radius(im, q)
+        radius = taylor_trace_radius(rep)
     e1, e2 = rep.tangent_frame
     dirs = [np.array([(e1 + e2) / np.sqrt(2.0)]),
             np.array([(e1 - e2) / np.sqrt(2.0)])]
     curvatures = []
     for d in dirs:
-        spec = make_slice_spec(im, q, d)
+        spec = make_slice_spec(im, rep, d)
         res = trace_slice(im, spec, radius=radius)
         slice_shape(res)
         curvatures.append(float(res.slice_H_coeff[0]))
@@ -250,14 +251,14 @@ def verify_corollary5(im, q, s=1, n_basis_draws=10, tol=1e-5, radius=None,
     rep = shape_report(im, q)
     m = im.param_dim
     if radius is None:
-        radius = taylor_trace_radius(im, q)
+        radius = taylor_trace_radius(rep)
     gaps = []
     for b in range(n_basis_draws):
         rng = np.random.default_rng([seed, b])
         basis = _random_tangent_dirs(rep, rng, m)
         dir_sets = [basis[list(subset)]
                     for subset in itertools.combinations(range(m), s)]
-        results, _ = _traced_shapes(im, q, dir_sets, radius)
+        results, _ = _traced_shapes(im, rep, dir_sets, radius)
         mean_val = float(np.mean([r.slice_H_coeff[0] for r in results]))
         gaps.append(abs(mean_val - rep.mean_curvature))
     worst = max(gaps)
@@ -285,7 +286,7 @@ def verify_theorem8(im, q, s=2, n_subspace_draws=10, tol=1e-5, radius=None,
         raise ValueError("theorem 8 needs m >= 3 and 2 <= s <= m-1")
     rep = shape_report(im, q)
     if radius is None:
-        radius = taylor_trace_radius(im, q)
+        radius = taylor_trace_radius(rep)
     rng = np.random.default_rng([seed, 0])
     if mode == "random":
         dir_sets = [_random_tangent_dirs(rep, rng, s)
@@ -300,13 +301,12 @@ def verify_theorem8(im, q, s=2, n_subspace_draws=10, tol=1e-5, radius=None,
         vectors = raw @ rep.tangent_frame
         dir_sets = []
         g = im.ambient.metric_at(rep.p)
-        from .frames import pseudo_gram_schmidt
         for subset in itertools.combinations(range(m), s):
             basis, _ = pseudo_gram_schmidt(list(vectors[list(subset)]), g)
             dir_sets.append(np.stack(basis))
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    results, tol_prime = _traced_shapes(im, q, dir_sets, radius)
+    results, tol_prime = _traced_shapes(im, rep, dir_sets, radius)
     slice_defects = [_slice_defect(r.slice_II) for r in results]
     spread = _h_spread(results)
     all_umbilic = max(slice_defects) <= tol_prime and spread <= tol
@@ -343,15 +343,14 @@ def verify_theorem10(im, q, tol=1e-5, n_pairs=10, radius=None, seed=0,
         raise ValueError("theorem 10 needs a hypersurface with m >= 3")
     rep = shape_report(im, q)
     if radius is None:
-        radius = taylor_trace_radius(im, q)
+        radius = taylor_trace_radius(rep)
     s = m - 1
     pair_records = []
-    worst_identity = 0.0
     tol_prime = DEFECT_TOL_FLOOR
     for k in range(n_pairs):
         rng = np.random.default_rng([seed, k])
         dir_sets = [_random_tangent_dirs(rep, rng, s) for _ in range(2)]
-        results, tp = _traced_shapes(im, q, dir_sets, radius)
+        results, tp = _traced_shapes(im, rep, dir_sets, radius)
         tol_prime = max(tol_prime, tp)
         pair_records.append([_slice_defect(r.slice_II) for r in results])
     umbilic = rep.umbilicity_defect <= tol_prime
@@ -409,7 +408,7 @@ def _characterization(im, grid, fitter, tol_fit, radius, seed, expect,
         for draw in range(2):
             dirs = _random_tangent_dirs(rep, rng, im.param_dim - 1)
             try:
-                spec = make_slice_spec(im, q, dirs)
+                spec = make_slice_spec(im, rep, dirs)
                 res = trace_slice(im, spec, radius=radius)
                 _c, fitted_r, rms = fitter(res.points)
                 residuals[f"fit_rms_{draw}"] = rms
@@ -420,7 +419,7 @@ def _characterization(im, grid, fitter, tol_fit, radius, seed, expect,
                 if expect_radius is not None and abs(fitted_r - expect_radius) > tol_radius:
                     point_ok = False
                     residuals[f"radius_gap_{draw}"] = abs(fitted_r - expect_radius)
-            except (DegenerateFit, WrongCausalType, UmbilicLabError) as exc:
+            except UmbilicLabError as exc:
                 point_ok = False
                 note = f"{type(exc).__name__}: {exc}"
                 residuals[f"fit_rms_{draw}"] = float("inf")

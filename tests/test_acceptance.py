@@ -69,9 +69,9 @@ def test_criterion_1_eq3_identity_suite():
                 rep = shape_report(im, u)
                 for s in s_values:
                     dirs = random_dirs(rep, rng, s)
-                    spec = make_slice_spec(im, u, dirs)
+                    spec = make_slice_spec(im, rep, dirs)
                     res = trace_slice(im, spec,
-                                      radius=taylor_trace_radius(im, u))
+                                      radius=taylor_trace_radius(rep))
                     slice_shape(res)
                     assert identity_check(im, res) <= 1e-5, (sid, u, s)
 
@@ -88,9 +88,9 @@ def test_criterion_2_corollary5_mean_of_means():
                  -np.sin(th) * e1 + np.cos(th) * e2]
         vals = []
         for d in basis:
-            spec = make_slice_spec(im, [0.0, 0.0], np.array([d]))
+            spec = make_slice_spec(im, rep, np.array([d]))
             res = trace_slice(im, spec,
-                              radius=taylor_trace_radius(im, [0.0, 0.0]))
+                              radius=taylor_trace_radius(rep))
             slice_shape(res)
             vals.append(float(res.slice_H_coeff[0]))
         np.testing.assert_allclose(sorted(vals), [3.0, 5.0], atol=1e-6)

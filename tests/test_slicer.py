@@ -41,7 +41,7 @@ def test_build_slice_sphere_plane():
     im = surface("sphere:1")
     u = np.array([np.pi / 2, np.pi / 2])  # ambient (1, 0, 0)
     rep = shape_report(im, u)
-    spec = make_slice_spec(im, u, rep.tangent_frame[:1])
+    spec = make_slice_spec(im, rep, rep.tangent_frame[:1])
     plane = build_slice(im, spec)
     # the plane through q spanned by the normal and one tangent direction
     assert plane.normal.shape == (1, 3)
@@ -56,7 +56,7 @@ def test_build_slice_hyperboloid_vertex_timelike_plane():
     im = surface("hyperboloid-sheet:1")
     u = np.zeros(2)
     rep = shape_report(im, u)
-    spec = make_slice_spec(im, u, rep.tangent_frame[:1])
+    spec = make_slice_spec(im, rep, rep.tangent_frame[:1])
     plane = build_slice(im, spec)
     # span{e_x, e_t}: the vertex offset q = (0,0,1) lies inside the plane
     span = np.concatenate([plane.tangent, plane.normal])
@@ -68,11 +68,11 @@ def test_build_slice_quadric_central_mode():
     im = surface("sphere:1")
     u = np.array([1.0, 0.5])
     rep = shape_report(im, u)
-    spec = make_slice_spec(im, u, rep.tangent_frame[:1], mode=QUADRIC_CENTRAL)
+    spec = make_slice_spec(im, rep, rep.tangent_frame[:1], mode=QUADRIC_CENTRAL)
     build_slice(im, spec)  # sphere slices pass through the center
     saddle = surface("hyperbolic-paraboloid")
     rep2 = shape_report(saddle, [0.3, 0.2])
-    spec2 = make_slice_spec(saddle, [0.3, 0.2], rep2.tangent_frame[:1],
+    spec2 = make_slice_spec(saddle, rep2, rep2.tangent_frame[:1],
                             mode=QUADRIC_CENTRAL)
     with pytest.raises(UnsupportedAmbient):
         build_slice(saddle, spec2)
@@ -88,7 +88,7 @@ def test_build_slice_requires_flat_ambient():
 
     im = Immersion(2, sp3, coord_sheet, domain=[[0.5, 2.5], [0.5, 2.5]])
     rep = shape_report(im, [1.0, 1.0])
-    spec = make_slice_spec(im, [1.0, 1.0], rep.tangent_frame[:1])
+    spec = make_slice_spec(im, rep, rep.tangent_frame[:1])
     with pytest.raises(UnsupportedAmbient):
         build_slice(im, spec)
 
@@ -98,9 +98,9 @@ def test_make_slice_spec_validates_directions():
     u = np.array([1.0, 0.5])
     rep = shape_report(im, u)
     with pytest.raises(DegenerateSubspace):
-        make_slice_spec(im, u, 2.0 * rep.tangent_frame[:1])  # not unit
+        make_slice_spec(im, rep, 2.0 * rep.tangent_frame[:1])  # not unit
     with pytest.raises(DegenerateSubspace):
-        make_slice_spec(im, u, rep.normal_frame[:1])  # not tangent
+        make_slice_spec(im, rep, rep.normal_frame[:1])  # not tangent
 
 
 # --- trace_slice ---
@@ -109,7 +109,7 @@ def test_trace_sphere_great_circle_fidelity():
     im = surface("sphere:1")
     u = np.array([np.pi / 2, 0.4])
     rep = shape_report(im, u)
-    spec = make_slice_spec(im, u, rep.tangent_frame[:1])
+    spec = make_slice_spec(im, rep, rep.tangent_frame[:1])
     res = trace_slice(im, spec, radius=0.5)
     assert res.failures == 0
     assert np.max(res.residuals) <= 1e-10
@@ -119,7 +119,7 @@ def test_trace_sphere_great_circle_fidelity():
 def test_trace_saddle_asymptotic_line():
     im = surface("hyperbolic-paraboloid")
     d = np.array([[1.0, 1.0, 0.0]]) / np.sqrt(2.0)
-    spec = make_slice_spec(im, [0.0, 0.0], d)
+    spec = make_slice_spec(im, shape_report(im, [0.0, 0.0]), d)
     res = trace_slice(im, spec, radius=0.5)
     # the slice is the straight line z = 0, x = y
     assert np.max(np.abs(res.points[:, 2])) <= 1e-10
@@ -129,7 +129,7 @@ def test_trace_saddle_asymptotic_line():
 def test_trace_hyperboloid_vertex_hyperbola():
     im = surface("hyperboloid-sheet:1")
     rep = shape_report(im, np.zeros(2))
-    spec = make_slice_spec(im, np.zeros(2), rep.tangent_frame[:1])
+    spec = make_slice_spec(im, rep, rep.tangent_frame[:1])
     res = trace_slice(im, spec, radius=0.7)
     assert np.max(np.abs(res.points[:, 1])) <= 1e-10
     lhs = res.points[:, 0] ** 2 - res.points[:, 2] ** 2
@@ -142,7 +142,7 @@ def test_trace_sample_plane_membership():
         rng = np.random.default_rng(8)
         for u in random_params(im, 3, seed=13):
             rep, dirs = tangent_dirs(im, u, rng, 1)
-            spec = make_slice_spec(im, u, dirs)
+            spec = make_slice_spec(im, rep, dirs)
             res = trace_slice(im, spec)
             d = res.points - spec.q
             g = im.ambient.metric_at(spec.q)
@@ -156,8 +156,8 @@ def test_slice_curvature_sphere_unit():
     im = surface("sphere:1")
     u = np.array([1.2, 0.6])
     rep = shape_report(im, u)
-    spec = make_slice_spec(im, u, rep.tangent_frame[:1])
-    res = trace_slice(im, spec, radius=taylor_trace_radius(im, u))
+    spec = make_slice_spec(im, rep, rep.tangent_frame[:1])
+    res = trace_slice(im, spec, radius=taylor_trace_radius(rep))
     slice_shape(res)
     assert res.slice_H_coeff[0] == pytest.approx(1.0, abs=1e-6)
     # normal points inward like the surface mean curvature vector
@@ -170,8 +170,8 @@ def test_slice_curvature_euler_30_degrees():
     rep = shape_report(im, [0.0, 0.0])
     th = np.radians(30.0)
     d = np.cos(th) * rep.tangent_frame[0] + np.sin(th) * rep.tangent_frame[1]
-    spec = make_slice_spec(im, [0.0, 0.0], np.array([d]))
-    res = trace_slice(im, spec, radius=taylor_trace_radius(im, [0.0, 0.0]))
+    spec = make_slice_spec(im, rep, np.array([d]))
+    res = trace_slice(im, spec, radius=taylor_trace_radius(rep))
     slice_shape(res)
     assert res.slice_H_coeff[0] == pytest.approx(3.0, abs=1e-6)
 
@@ -179,15 +179,16 @@ def test_slice_curvature_euler_30_degrees():
 def test_slice_curvature_hyperboloid_vertex():
     im = surface("hyperboloid-sheet:1")
     rep = shape_report(im, np.zeros(2))
-    spec = make_slice_spec(im, np.zeros(2), rep.tangent_frame[:1])
-    res = trace_slice(im, spec, radius=taylor_trace_radius(im, np.zeros(2)))
+    spec = make_slice_spec(im, rep, rep.tangent_frame[:1])
+    res = trace_slice(im, spec, radius=taylor_trace_radius(rep))
     slice_shape(res)
     assert res.slice_H_coeff[0] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_identity_check_plane_exact():
     im = catalog.resolve("graph:0*x0").obj
-    spec = make_slice_spec(im, [0.0, 0.0], np.array([[1.0, 0.0, 0.0]]))
+    spec = make_slice_spec(im, shape_report(im, [0.0, 0.0]),
+                           np.array([[1.0, 0.0, 0.0]]))
     res = trace_slice(im, spec, radius=0.5)
     slice_shape(res)
     assert identity_check(im, res) == 0.0
@@ -201,8 +202,8 @@ def test_identity_check_eq3_across_catalog():
         im = surface(sid)
         for u in random_params(im, 10, seed=17):
             rep, dirs = tangent_dirs(im, u, rng, 1)
-            spec = make_slice_spec(im, u, dirs)
-            res = trace_slice(im, spec, radius=taylor_trace_radius(im, u))
+            spec = make_slice_spec(im, rep, dirs)
+            res = trace_slice(im, spec, radius=taylor_trace_radius(rep))
             slice_shape(res)
             assert identity_check(im, res) <= 1e-5, (sid, u)
 
@@ -214,8 +215,8 @@ def test_identity_check_eq4_weingarten_restriction():
     rng = np.random.default_rng(3)
     u = random_params(im, 1, seed=23)[0]
     rep, dirs = tangent_dirs(im, u, rng, 2)
-    spec = make_slice_spec(im, u, dirs)
-    res = trace_slice(im, spec, radius=taylor_trace_radius(im, u))
+    spec = make_slice_spec(im, rep, dirs)
+    res = trace_slice(im, spec, radius=taylor_trace_radius(rep))
     slice_shape(res)
     assert identity_check(im, res) <= 1e-5
     g = im.ambient.metric_at(spec.q)
@@ -230,7 +231,7 @@ def test_radius_monotonicity_of_fit_bias():
         im = surface(sid)
         u = im.domain.mean(axis=1) + 0.1
         rep = shape_report(im, u)
-        spec = make_slice_spec(im, u, rep.tangent_frame[:1])
+        spec = make_slice_spec(im, rep, rep.tangent_frame[:1])
         residuals = []
         for radius in (0.04, 0.02):
             res = trace_slice(im, spec, radius=radius)
@@ -251,8 +252,8 @@ def test_slice_mean_curvature_consistency_at_umbilics():
         rep = shape_report(im, u)
         for _ in range(5):
             _, dirs = tangent_dirs(im, u, rng, 1)
-            spec = make_slice_spec(im, u, dirs)
-            res = trace_slice(im, spec, radius=taylor_trace_radius(im, u))
+            spec = make_slice_spec(im, rep, dirs)
+            res = trace_slice(im, spec, radius=taylor_trace_radius(rep))
             slice_shape(res)
             assert res.slice_H_coeff[0] == pytest.approx(
                 rep.mean_curvature, abs=1e-5), sid
@@ -262,7 +263,7 @@ def test_trace_newton_diverged_on_impossible_radius():
     # targets far beyond the chart: every retry keeps failing
     im = surface("hyperbolic-paraboloid")
     rep = shape_report(im, [0.0, 0.0])
-    spec = make_slice_spec(im, [0.0, 0.0], rep.tangent_frame[:1])
+    spec = make_slice_spec(im, rep, rep.tangent_frame[:1])
     from umbilic_lab.errors import NewtonDiverged
     with pytest.raises(NewtonDiverged):
         trace_slice(im, spec, radius=200.0)
@@ -273,7 +274,7 @@ def test_slice_shape_ill_conditioned_fit():
     im = surface("sphere:1")
     u = np.array([1.2, 0.6])
     rep = shape_report(im, u)
-    spec = make_slice_spec(im, u, rep.tangent_frame[:1])
+    spec = make_slice_spec(im, rep, rep.tangent_frame[:1])
     res = trace_slice(im, spec, radius=0.3)
     res.t = np.zeros_like(res.t) + 1e-16
     from umbilic_lab.errors import IllConditionedFit
@@ -285,7 +286,7 @@ def test_slice_shape_needs_enough_samples():
     im = surface("sphere:1")
     u = np.array([1.2, 0.6])
     rep = shape_report(im, u)
-    spec = make_slice_spec(im, u, rep.tangent_frame[:1])
+    spec = make_slice_spec(im, rep, rep.tangent_frame[:1])
     res = trace_slice(im, spec, radius=0.3, samples_per_dim=8)
     res.points = res.points[:3]
     res.t, res.w = res.t[:3], res.w[:3]
@@ -297,7 +298,7 @@ def test_slice_result_serialization():
     im = surface("sphere:1")
     u = np.array([1.0, 0.5])
     rep = shape_report(im, u)
-    spec = make_slice_spec(im, u, rep.tangent_frame[:1])
+    spec = make_slice_spec(im, rep, rep.tangent_frame[:1])
     res = trace_slice(im, spec, radius=0.3)
     slice_shape(res)
     identity_check(im, res)
@@ -329,7 +330,7 @@ def test_fit_sphere_great_circle_samples():
     im = surface("sphere:1")
     u = np.array([np.pi / 2, 0.4])
     rep = shape_report(im, u)
-    spec = make_slice_spec(im, u, rep.tangent_frame[:1])
+    spec = make_slice_spec(im, rep, rep.tangent_frame[:1])
     res = trace_slice(im, spec, radius=0.5)
     c, r, rms = fit_sphere(res.points)
     assert r == pytest.approx(1.0, abs=1e-8)
@@ -400,7 +401,7 @@ def test_fit_hyperbolic_exact_unit_hyperbola():
 def test_fit_hyperbolic_vertex_slice():
     im = surface("hyperboloid-sheet:1")
     rep = shape_report(im, np.zeros(2))
-    spec = make_slice_spec(im, np.zeros(2), rep.tangent_frame[:1])
+    spec = make_slice_spec(im, rep, rep.tangent_frame[:1])
     res = trace_slice(im, spec, radius=0.7)
     c, r, rms = fit_hyperbolic(res.points)
     assert r == pytest.approx(1.0, abs=1e-8)

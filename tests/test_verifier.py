@@ -97,9 +97,9 @@ def test_remark4_principal_slices_recover_eigenvalues():
     rep = shape_report(im, [0.0, 0.0])
     vals = []
     for d in rep.tangent_frame:
-        spec = make_slice_spec(im, [0.0, 0.0], np.array([d]))
+        spec = make_slice_spec(im, rep, np.array([d]))
         res = trace_slice(im, spec,
-                          radius=taylor_trace_radius(im, [0.0, 0.0]))
+                          radius=taylor_trace_radius(rep))
         slice_shape(res)
         vals.append(res.slice_H_coeff[0])
     np.testing.assert_allclose(sorted(vals), [-2.0, 2.0], atol=1e-6)
@@ -124,9 +124,9 @@ def test_corollary5_hand_checkable_instance():
              -np.sin(th) * e1 + np.cos(th) * e2]
     vals = []
     for d in basis:
-        spec = make_slice_spec(im, [0.0, 0.0], np.array([d]))
+        spec = make_slice_spec(im, rep, np.array([d]))
         res = trace_slice(im, spec,
-                          radius=taylor_trace_radius(im, [0.0, 0.0]))
+                          radius=taylor_trace_radius(rep))
         slice_shape(res)
         vals.append(float(res.slice_H_coeff[0]))
     np.testing.assert_allclose(sorted(vals), [3.0, 5.0], atol=1e-6)
@@ -321,3 +321,20 @@ def test_report_json_schema():
     p = d["per_point"][0]
     assert set(p) >= {"parameter", "residuals", "pass", "directions"}
     assert all(v >= 0 for v in p["residuals"].values())
+
+
+def test_suites_compute_frames_once_per_point(monkeypatch):
+    # slicing reads the point's ShapeReport, so no frame is recomputed
+    from umbilic_lab import immersion
+    seen = []
+    original = immersion.frames
+
+    def recording(im, u):
+        seen.append(np.atleast_1d(np.asarray(u, dtype=float)).tobytes())
+        return original(im, u)
+
+    monkeypatch.setattr(immersion, "frames", recording)
+    run_suite("theorem2", "ellipsoid:1,2,3", n_points=2)
+    run_suite("sphere-characterization", "sphere:1", grid=(2, 2))
+    assert seen
+    assert len(seen) == len(set(seen))
