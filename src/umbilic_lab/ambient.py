@@ -171,7 +171,7 @@ def christoffel(space, x):
     if abs(det) < DET_TOL:
         raise SingularMetric("metric determinant below threshold",
                              det=float(det), point=list(x))
-    if space._const_g is not None:
+    if space.is_constant:
         n = space.dimension
         return np.zeros((n, n, n))
     dg = space.metric_derivative_at(x)
@@ -194,7 +194,7 @@ def riemann(space, x):
     g = space.metric_at(x)
     gamma = christoffel(space, x)
     n = space.dimension
-    if space._const_g is not None:
+    if space.is_constant:
         low = np.zeros((n, n, n, n))
     else:
         if space.has_analytic_derivative:
@@ -250,7 +250,7 @@ def geodesic(space, p, v, t_end, steps=256):
     if not space.in_box(p):
         raise LeftDomain("initial point outside coordinate box", point=list(p))
 
-    constant = space._const_g is not None
+    constant = space.is_constant
 
     def accel(x, xdot):
         if constant:

@@ -52,11 +52,14 @@ def _parse_point(text):
     return np.asarray(parts, dtype=float)
 
 
-def _parse_grid(text, dims):
+def _parse_grid(text, dims=None):
+    """Positive counts from "AxB...": one for every axis, or one per axis
+    (``dims`` of them; any number when dims is None)."""
     counts = [int(t) for t in text.lower().split("x")]
-    if len(counts) == 1:
-        counts = counts * dims
-    return counts
+    if min(counts) < 1 or dims is not None and len(counts) not in (1, dims):
+        raise ValueError(f"grid {text!r} needs 1 or {dims or 'more'} "
+                         "positive integer counts")
+    return counts * dims if dims and len(counts) == 1 else counts
 
 
 def _resolve_dirs(im, rep, dirs_text, s, seed):
@@ -78,12 +81,7 @@ def cmd_analyze(args):
     entry = resolve(args.surface)
     im = entry.obj
     counts = _parse_grid(args.grid or "10x10", im.param_dim)
-    lo, hi = im.domain[:, 0], im.domain[:, 1]
-    pad = 0.02 * (hi - lo)
-    axes = [np.linspace(lo[d] + pad[d], hi[d] - pad[d], counts[d])
-            for d in range(im.param_dim)]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    grid = grid.reshape(-1, im.param_dim)
+    grid = verifier._grid_points(im, counts, margin=0.02)
     tol = args.tol if args.tol is not None else 1e-6
     rows = []
     for u in grid:
@@ -165,7 +163,7 @@ def cmd_verify(args):
             kwargs["tol_fit"] = args.tol
         else:
             kwargs["tol"] = args.tol
-    grid = tuple(_parse_grid(args.grid, 2)) if args.grid else (5, 5)
+    grid = tuple(_parse_grid(args.grid)) if args.grid else (5, 5)
     surfaces = [args.surface] if args.surface else \
         verifier.SUITE_TARGETS.get(args.suite, [None])
     reports = []
@@ -202,7 +200,6 @@ def _add_common(p):
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("json", "csv"), default=None)
     p.add_argument("--config", default=None,
                    help="JSON file with defaults for any flag")
 
@@ -216,6 +213,7 @@ def build_parser():
     p = sub.add_parser("analyze", help="umbilicity report over a parameter grid")
     p.add_argument("--surface", required=True)
     p.add_argument("--grid", default=None, help="AxB, default 10x10")
+    p.add_argument("--format", choices=("json", "csv"), default=None)
     _add_common(p)
 
     p = sub.add_parser("slice", help="trace one normal slice and fit models")
@@ -228,6 +226,7 @@ def build_parser():
     p.add_argument("--radius", type=float, default=None)
     p.add_argument("--taylor", action="store_true",
                    help="use the small Taylor-window trace radius")
+    p.add_argument("--format", choices=("json", "csv"), default=None)
     _add_common(p)
 
     p = sub.add_parser("verify", help="run a theorem verification suite")

@@ -10,6 +10,7 @@ import numpy as np
 from .errors import DegenerateSubspace, SamplingExhausted
 
 LIGHTLIKE_TOL = 1e-10
+DESIGN_SIZE = 32
 
 
 def inner(g, u, v):
@@ -95,14 +96,15 @@ def draw_pseudo_orthonormal(rng, g, signs_wanted, max_tries=500):
     return basis
 
 
-def unit_design(m, count=32):
-    """Deterministic unit directions in R^m used for the umbilicity defect."""
+def unit_design(m):
+    """DESIGN_SIZE deterministic unit directions in R^m (one when m = 1),
+    over which the umbilicity defect is sampled in higher codimension."""
     if m == 1:
         return np.array([[1.0]])
     if m == 2:
-        ang = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
+        ang = np.linspace(0.0, 2.0 * np.pi, DESIGN_SIZE, endpoint=False)
         return np.stack([np.cos(ang), np.sin(ang)], axis=1)
     rng = np.random.default_rng(987654321)
-    pts = rng.standard_normal((count, m))
+    pts = rng.standard_normal((DESIGN_SIZE, m))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     return pts

@@ -60,9 +60,10 @@ class Immersion:
         return "fd"
 
     def in_domain(self, u):
+        """Domain test of one point (m,) or of each row of a (K, m) batch."""
         u = np.asarray(u, dtype=float)
-        return bool(np.all(u >= self.domain[:, 0] - 1e-9)
-                    and np.all(u <= self.domain[:, 1] + 1e-9))
+        return np.all((u >= self.domain[:, 0] - 1e-9)
+                      & (u <= self.domain[:, 1] + 1e-9), axis=-1)
 
     def require_in_domain(self, u):
         if not self.in_domain(u):
@@ -194,18 +195,22 @@ def second_fundamental_form(im, u):
     return shape_report(im, u).second_form
 
 
-def _defect(second_form, m, n, principal_vecs=None):
-    """Max deviation of II(X,X) from H over unit tangent directions."""
+def umbilicity_defect(second_form, eigenvalues=None):
+    """(defect, h_coeff) of an (m, m, n) second fundamental form.
+
+    The defect is the max over unit tangent X of |II(X,X) - H|.  With one
+    normal it is exactly max|kappa_i - H| over the eigenvalues (pass them
+    in when already computed); otherwise it is sampled over unit_design.
+    """
+    m, _, n = second_form.shape
     h_coeff = np.array([np.trace(second_form[:, :, a]) / m for a in range(n)])
-    dirs = [unit_design(m)]
-    if principal_vecs is not None:
-        dirs.append(principal_vecs.T)
-    xs = np.concatenate(dirs, axis=0)
-    worst = 0.0
-    for x in xs:
-        vals = np.array([x @ second_form[:, :, a] @ x for a in range(n)])
-        worst = max(worst, float(np.linalg.norm(vals - h_coeff)))
-    return worst, h_coeff
+    if n == 1:
+        if eigenvalues is None:
+            eigenvalues = np.linalg.eigvalsh(second_form[:, :, 0])
+        return float(np.max(np.abs(eigenvalues - h_coeff[0]))), h_coeff
+    xs = unit_design(m)
+    vals = np.einsum("ki,ija,kj->ka", xs, second_form, xs)
+    return float(np.max(np.linalg.norm(vals - h_coeff, axis=1))), h_coeff
 
 
 def shape_report(im, u):
@@ -215,7 +220,7 @@ def shape_report(im, u):
     p = im.point(u)
     g = im.ambient.metric_at(p)
     jac = im.jacobian_at(u)
-    m, n = im.param_dim, im.codim
+    n = im.codim
 
     hess = im.hessian_at(u)
     if not im.ambient.is_constant:
@@ -231,17 +236,13 @@ def shape_report(im, u):
     ii_on = np.einsum("ip,aij,jq->pqa", coeff, ii_coord, coeff)
     ii_on = 0.5 * (ii_on + ii_on.transpose(1, 0, 2))
 
-    shape_op = None
-    principal = None
-    principal_dirs = None
+    shape_op = principal = principal_dirs = None
     if n == 1:
         shape_op = ii_on[:, :, 0]
-        vals, vecs = np.linalg.eigh(shape_op)
-        principal = vals
+        principal, vecs = np.linalg.eigh(shape_op)
         principal_dirs = (tangent.T @ vecs).T
 
-    defect, h_coeff = _defect(
-        ii_on, m, n, principal_vecs=vecs if n == 1 else None)
+    defect, h_coeff = umbilicity_defect(ii_on, eigenvalues=principal)
     h_vec = np.einsum("a,an->n", h_coeff, normal)
 
     return ShapeReport(

@@ -6,6 +6,26 @@ The derivative index is always appended last: for f with output shape S,
 
 import numpy as np
 
+# (offset, weight) terms and divisor d of a first-derivative stencil:
+# f'(x) ~ sum(w * f(x + o h)) / (d h).
+_SECOND_ORDER = (((1, 1.0), (-1, -1.0)), 2.0)
+_FOURTH_ORDER = (((2, -1.0), (1, 8.0), (-1, -8.0), (-2, 1.0)), 12.0)
+
+
+def _columns(f, x, steps, stencil):
+    """One stencil column per coordinate of x (its last axis), stacked last."""
+    terms, divisor = stencil
+    cols = []
+    for k, h in enumerate(steps):
+        e = np.zeros(x.shape[-1])
+        e[k] = h
+        (o, w), *rest = terms
+        acc = w * np.asarray(f(x + o * e), dtype=float)
+        for o, w in rest:
+            acc = acc + w * np.asarray(f(x + o * e), dtype=float)
+        cols.append(acc / (divisor * h))
+    return np.stack(cols, axis=-1)
+
 
 def central_diff(f, x, step, scale_steps=False):
     """First derivatives of f at x by symmetric differences.
@@ -14,18 +34,11 @@ def central_diff(f, x, step, scale_steps=False):
     which keeps truncation error relative at large coordinates.
     """
     x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-    cols = []
-    for k in range(n):
-        h = step * max(1.0, abs(x[k])) if scale_steps else step
-        e = np.zeros(n)
-        e[k] = h
-        cols.append((np.asarray(f(x + e), dtype=float)
-                     - np.asarray(f(x - e), dtype=float)) / (2.0 * h))
-    return np.stack(cols, axis=-1)
+    steps = [step * max(1.0, abs(xk)) if scale_steps else step for xk in x]
+    return _columns(f, x, steps, _SECOND_ORDER)
 
 
-def central_diff4(f, x, step, scale_steps=False):
+def central_diff4(f, x, step):
     """Fourth-order five-point first derivatives; same layout as central_diff.
 
     With exactly-evaluable f this reaches ~1e-11 absolute error at step
@@ -33,30 +46,13 @@ def central_diff4(f, x, step, scale_steps=False):
     curvature contractions against weakly scaled metrics need that margin.
     """
     x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-    cols = []
-    for k in range(n):
-        h = step * max(1.0, abs(x[k])) if scale_steps else step
-        e = np.zeros(n)
-        e[k] = h
-        f1 = np.asarray(f(x + e), dtype=float)
-        f2 = np.asarray(f(x + 2 * e), dtype=float)
-        f3 = np.asarray(f(x - e), dtype=float)
-        f4 = np.asarray(f(x - 2 * e), dtype=float)
-        cols.append((-f2 + 8.0 * f1 - 8.0 * f3 + f4) / (12.0 * h))
-    return np.stack(cols, axis=-1)
+    return _columns(f, x, [step] * x.shape[0], _FOURTH_ORDER)
 
 
 def jacobian_fd(f, u, step):
     """Jacobian of a batched map f: (..., m) -> (..., N), shape (..., N, m)."""
     u = np.asarray(u, dtype=float)
-    m = u.shape[-1]
-    cols = []
-    for k in range(m):
-        e = np.zeros(m)
-        e[k] = step
-        cols.append((np.asarray(f(u + e)) - np.asarray(f(u - e))) / (2.0 * step))
-    return np.stack(cols, axis=-1)
+    return _columns(f, u, [step] * u.shape[-1], _SECOND_ORDER)
 
 
 def hessian_fd(f, u, step):

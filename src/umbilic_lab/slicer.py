@@ -210,7 +210,7 @@ def _newton_trace(im, plane, targets, seeds):
     u = seeds.copy()
     f, x = residual(u, targets)
     fnorm = np.max(np.abs(f), axis=1)
-    active = np.array([im.in_domain(ui) for ui in u])
+    active = im.in_domain(u)
     for _ in range(NEWTON_MAX_ITER):
         live = active & (fnorm > NEWTON_CONVERGED)
         if not np.any(live):
@@ -239,8 +239,7 @@ def _newton_trace(im, plane, targets, seeds):
             nf, _ = residual(new_u, tgt)
             n_norm = np.max(np.abs(nf), axis=1)
         u[idx] = new_u
-        in_dom = np.array([im.in_domain(ui) for ui in new_u])
-        active[idx[~in_dom]] = False
+        active[idx[~im.in_domain(new_u)]] = False
         f, x = residual(u, targets)
         fnorm = np.max(np.abs(f), axis=1)
     good = active & (fnorm <= NEWTON_ACCEPT)
@@ -381,83 +380,25 @@ def identity_check(im, result):
     return residual
 
 
-def _affine_hull(points, svtol=1e-8):
+def _affine_hull(points):
     pts = np.asarray(points, dtype=float)
     mean = pts.mean(axis=0)
     x = pts - mean
     _, sv, vt = np.linalg.svd(x, full_matrices=False)
     scale = max(1.0, float(sv[0]) if sv.size else 1.0)
-    dim = int(np.sum(sv > svtol * scale))
+    dim = int(np.sum(sv > 1e-8 * scale))
     basis = vt[:dim]
     off = x - (x @ basis.T) @ basis
     return mean, basis, x @ basis.T, np.linalg.norm(off, axis=1)
 
 
-def fit_sphere(points, signature=None):
-    """Best-fit hypersphere: algebraic fit plus one geometric refinement.
-
-    Points lying in a proper affine subspace are fitted inside their hull
-    (a slice sample cloud always is); off-hull deviation enters the rms.
-    Returns (center, radius, rms_residual).
-    """
-    if signature is not None and signature.index != 0:
-        raise ValueError("fit_sphere expects a Euclidean signature")
-    pts = np.asarray(points, dtype=float)
-    if pts.shape[0] < 5:
-        raise DegenerateFit("sphere fit needs at least 5 points",
-                            got=int(pts.shape[0]))
-    mean, basis, y, off = _affine_hull(pts)
-    k = basis.shape[0]
-    if k < 2:
-        raise DegenerateFit("points are affinely dependent", hull_dim=k)
-    a = np.concatenate([2.0 * y, np.ones((y.shape[0], 1))], axis=1)
-    rhs = np.sum(y * y, axis=1)
-    sol, _res, rank, _sv = np.linalg.lstsq(a, rhs, rcond=None)
-    if rank < k + 1:
-        raise DegenerateFit("sphere design matrix is rank deficient")
-    c = sol[:k]
-    r2 = sol[k] + c @ c
-    if r2 <= 0:
-        raise DegenerateFit("algebraic sphere fit has nonpositive radius")
-    r = float(np.sqrt(r2))
-
-    # one Gauss-Newton pass on the geometric residual
-    d = y - c
-    dist = np.linalg.norm(d, axis=1)
-    if np.min(dist) > 1e-14:
-        res = dist - r
-        jac = np.concatenate([-d / dist[:, None], -np.ones((y.shape[0], 1))], axis=1)
-        upd, *_ = np.linalg.lstsq(jac, -res, rcond=None)
-        c = c + upd[:k]
-        r = r + float(upd[k])
-        dist = np.linalg.norm(y - c, axis=1)
-    if not np.isfinite(r) or abs(r) > 1e6:
-        raise DegenerateFit("sphere radius estimate diverged", radius=float(r))
-    rms = float(np.sqrt(np.mean((dist - r) ** 2 + off ** 2)))
-    center = mean + c @ basis
-    return center, float(r), rms
-
-
-def fit_hyperbolic(points, svtol=1e-8):
-    """Best-fit hyperbolic space <p - c, p - c>_L = -r^2 (timelike last).
-
-    Same algebraic-then-geometric scheme as the sphere fit, run inside
-    the samples' affine hull with the restricted Lorentz form; residuals
-    are measured in the Lorentz quadratic form.
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.shape[0] < 5:
-        raise DegenerateFit("hyperbolic fit needs at least 5 points",
-                            got=int(pts.shape[0]))
-    n_amb = pts.shape[1]
-    eta = np.ones(n_amb)
+def _lorentz_hull(x, basis, sig):
+    """Lorentz-orthonormal hull basis (timelike last, causal signs ``sig``)
+    and the coordinates of the centred points ``x`` in it; the hull must
+    be Lorentzian."""
+    eta = np.ones(x.shape[1])
     eta[-1] = -1.0
-    mean, basis, _ycoords, off = _affine_hull(pts, svtol=svtol)
-    k = basis.shape[0]
-    if k < 2:
-        raise DegenerateFit("points are affinely dependent", hull_dim=k)
-    gram = basis @ np.diag(eta) @ basis.T
-    vals, vecs = np.linalg.eigh(gram)
+    vals, vecs = np.linalg.eigh(basis @ np.diag(eta) @ basis.T)
     if np.min(np.abs(vals)) < 1e-10 * max(1.0, float(np.max(np.abs(vals)))):
         raise DegenerateSubspace("slice hull is a degenerate subspace")
     if int(np.sum(vals < 0)) != 1:
@@ -466,41 +407,81 @@ def fit_hyperbolic(points, svtol=1e-8):
             negatives=int(np.sum(vals < 0)))
     order = np.argsort(-vals)          # spacelike first, timelike last
     w_basis = (vecs[:, order] / np.sqrt(np.abs(vals[order]))[None, :]).T @ basis
-    signs = np.ones(k)
-    signs[-1] = -1.0
-    x = pts - mean
-    y = (x * eta[None, :]) @ w_basis.T * signs[None, :]
+    return w_basis, (x * eta[None, :]) @ w_basis.T * sig[None, :]
 
-    lor = lambda a, b: np.sum(a * signs * b, axis=-1)
-    a_mat = np.concatenate([2.0 * y * signs[None, :],
-                            np.ones((y.shape[0], 1))], axis=1)
-    rhs = lor(y, y)
-    sol, _res, rank, _sv = np.linalg.lstsq(a_mat, rhs, rcond=None)
+
+def _fit_quadric(points, lorentzian):
+    """Best-fit quadric eps <p - c, p - c> = r^2: a sphere (eps = +1,
+    Euclidean form) or a hyperbolic space (eps = -1, Lorentz form with the
+    timelike coordinate last).
+
+    The fit runs inside the points' affine hull (a slice sample cloud is
+    always in a proper one); off-hull deviation enters the rms.  An
+    algebraic fit, linear in (c, r^2 - eps <c, c>), is refined by one
+    Gauss-Newton pass on the geometric residual.  Returns
+    (center, radius, rms_residual).
+    """
+    kind = "hyperbolic" if lorentzian else "sphere"
+    pts = np.asarray(points, dtype=float)
+    if pts.shape[0] < 5:
+        raise DegenerateFit(f"{kind} fit needs at least 5 points",
+                            got=int(pts.shape[0]))
+    mean, basis, y, off = _affine_hull(pts)
+    k = basis.shape[0]
+    if k < 2:
+        raise DegenerateFit("points are affinely dependent", hull_dim=k)
+    sig, eps = np.ones(k), 1.0
+    if lorentzian:
+        sig[-1] = eps = -1.0
+        basis, y = _lorentz_hull(pts - mean, basis, sig)
+
+    def form(a, b):
+        return np.sum(a * sig * b, axis=-1)
+
+    a_mat = np.concatenate([2.0 * y * sig, np.ones((y.shape[0], 1))], axis=1)
+    sol, _res, rank, _sv = np.linalg.lstsq(a_mat, form(y, y), rcond=None)
     if rank < k + 1:
-        raise DegenerateFit("hyperbolic design matrix is rank deficient")
+        raise DegenerateFit(f"{kind} design matrix is rank deficient")
     c = sol[:k]
-    r2 = -float(c @ (signs * c)) - float(sol[k])
+    r2 = eps * (float(sol[k]) + float(c @ (sig * c)))
     if r2 <= 0:
-        raise WrongCausalType(
-            "best-fit quadric is de Sitter-like, not hyperbolic", r2=r2)
+        if lorentzian:
+            raise WrongCausalType(
+                "best-fit quadric is de Sitter-like, not hyperbolic", r2=r2)
+        raise DegenerateFit("algebraic sphere fit has nonpositive radius")
     r = float(np.sqrt(r2))
 
-    s_val = -lor(y - c, y - c)
-    if np.all(s_val > 1e-14):
-        res = np.sqrt(s_val) - r
-        jac_c = (y - c) * signs[None, :] / np.sqrt(s_val)[:, None]
-        jac = np.concatenate([jac_c, -np.ones((y.shape[0], 1))], axis=1)
-        upd, *_ = np.linalg.lstsq(jac, -res, rcond=None)
+    # one Gauss-Newton pass on the geometric residual sqrt(eps <y-c, y-c>) - r
+    d = y - c
+    sq = eps * form(d, d)
+    if np.all(sq > 1e-14):
+        dist = np.sqrt(sq)
+        jac = np.concatenate([-eps * sig * d / dist[:, None],
+                              -np.ones((y.shape[0], 1))], axis=1)
+        upd, *_ = np.linalg.lstsq(jac, r - dist, rcond=None)
         c = c + upd[:k]
         r = r + float(upd[k])
-        s_val = -lor(y - c, y - c)
+        sq = eps * form(y - c, y - c)
     if not np.isfinite(r) or abs(r) > 1e6:
-        raise DegenerateFit("hyperbolic radius estimate diverged", radius=float(r))
-    time_side = y[:, -1] - c[-1]
-    if not (np.all(time_side > 0) or np.all(time_side < 0)):
-        raise WrongCausalType("samples straddle both sheets of the quadric")
-    geo = np.where(s_val > 1e-14, np.sqrt(np.maximum(s_val, 0.0)) - r,
-                   np.abs(s_val - r * r) / (2.0 * max(r, 1e-14)))
+        raise DegenerateFit(f"{kind} radius estimate diverged", radius=float(r))
+    if lorentzian:
+        time_side = y[:, -1] - c[-1]
+        if not (np.all(time_side > 0) or np.all(time_side < 0)):
+            raise WrongCausalType("samples straddle both sheets of the quadric")
+    geo = np.where(sq > 1e-14, np.sqrt(np.maximum(sq, 0.0)) - r,
+                   np.abs(sq - r * r) / (2.0 * max(r, 1e-14)))
     rms = float(np.sqrt(np.mean(geo ** 2 + off ** 2)))
-    center = mean + c @ w_basis
-    return center, float(r), rms
+    return mean + c @ basis, float(r), rms
+
+
+def fit_sphere(points, signature=None):
+    """Best-fit hypersphere; see _fit_quadric."""
+    if signature is not None and signature.index != 0:
+        raise ValueError("fit_sphere expects a Euclidean signature")
+    return _fit_quadric(points, lorentzian=False)
+
+
+def fit_hyperbolic(points):
+    """Best-fit hyperbolic space <p - c, p - c>_L = -r^2 (timelike last);
+    see _fit_quadric."""
+    return _fit_quadric(points, lorentzian=True)

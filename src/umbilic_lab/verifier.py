@@ -20,8 +20,8 @@ import numpy as np
 
 from .catalog import resolve
 from .errors import UmbilicLabError
-from .frames import pseudo_gram_schmidt, unit_design
-from .immersion import shape_report
+from .frames import pseudo_gram_schmidt
+from .immersion import shape_report, umbilicity_defect
 from .slicer import (fit_hyperbolic, fit_sphere, identity_check,
                      make_slice_spec, slice_shape, taylor_trace_radius,
                      trace_slice)
@@ -84,20 +84,6 @@ def _random_tangent_dirs(rep, rng, s):
     coeff = rng.standard_normal((m, s))
     q_mat, _ = np.linalg.qr(coeff)
     return q_mat[:, :s].T @ rep.tangent_frame
-
-
-def _slice_defect(slice_ii):
-    """Umbilicity defect of a fitted slice second fundamental form."""
-    s, _, n = slice_ii.shape
-    h = np.array([np.trace(slice_ii[:, :, a]) / s for a in range(n)])
-    if n == 1:
-        vals = np.linalg.eigvalsh(slice_ii[:, :, 0])
-        return float(np.max(np.abs(vals - h[0])))
-    worst = 0.0
-    for x in unit_design(s):
-        vals = np.array([x @ slice_ii[:, :, a] @ x for a in range(n)])
-        worst = max(worst, float(np.linalg.norm(vals - h)))
-    return worst
 
 
 def _traced_shapes(im, rep, dir_sets, radius):
@@ -307,7 +293,7 @@ def verify_theorem8(im, q, s=2, n_subspace_draws=10, tol=1e-5, radius=None,
     else:
         raise ValueError(f"unknown mode {mode!r}")
     results, tol_prime = _traced_shapes(im, rep, dir_sets, radius)
-    slice_defects = [_slice_defect(r.slice_II) for r in results]
+    slice_defects = [umbilicity_defect(r.slice_II)[0] for r in results]
     spread = _h_spread(results)
     all_umbilic = max(slice_defects) <= tol_prime and spread <= tol
     umbilic = rep.umbilicity_defect <= tol_prime
@@ -352,7 +338,7 @@ def verify_theorem10(im, q, tol=1e-5, n_pairs=10, radius=None, seed=0,
         dir_sets = [_random_tangent_dirs(rep, rng, s) for _ in range(2)]
         results, tp = _traced_shapes(im, rep, dir_sets, radius)
         tol_prime = max(tol_prime, tp)
-        pair_records.append([_slice_defect(r.slice_II) for r in results])
+        pair_records.append([umbilicity_defect(r.slice_II)[0] for r in results])
     umbilic = rep.umbilicity_defect <= tol_prime
     forward_hits = [max(d) <= tol_prime for d in pair_records]
     if umbilic:

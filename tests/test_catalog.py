@@ -154,14 +154,19 @@ def test_load_metric_rejects_bad_shape():
 
 
 def test_load_immersion(tmp_path):
-    spec = {"param_dim": 2, "ambient": "euclidean:3",
-            "components": ["x0", "x1", "x0^2 - x1^2"],
-            "domain": [[-1, 1], [-1, 1]]}
-    path = tmp_path / "surf.json"
-    path.write_text(json.dumps(spec))
-    im = load_immersion(str(path))
-    rep = shape_report(im, [0.0, 0.0])
-    assert rep.umbilicity_defect == pytest.approx(2.0, abs=1e-10)
+    # a saddle, and the codimension-2 Clifford torus, whose |II(X,X) - H|
+    # peaks at 1/sqrt(2) along either circle
+    cases = [("euclidean:3", ["x0", "x1", "x0^2 - x1^2"], 2.0, 1e-10),
+             ("euclidean:4", ["cos(x0)", "sin(x0)", "cos(x1)", "sin(x1)"],
+              1.0 / np.sqrt(2.0), 1e-12)]
+    for ambient, components, defect, tol in cases:
+        spec = {"param_dim": 2, "ambient": ambient, "components": components,
+                "domain": [[-1, 1], [-1, 1]]}
+        path = tmp_path / "surf.json"
+        path.write_text(json.dumps(spec))
+        im = load_immersion(str(path))
+        rep = shape_report(im, [0.0, 0.0])
+        assert rep.umbilicity_defect == pytest.approx(defect, abs=tol)
 
 
 def test_load_immersion_component_count_mismatch():

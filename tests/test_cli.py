@@ -183,6 +183,32 @@ def test_malformed_point_exit_2(capsys):
     assert json.loads(err.strip().splitlines()[-1])["code"] == "invalid-input"
 
 
+@pytest.mark.parametrize("surface,grid", [
+    ("ellipsoid:1,2,3,4", "2x2"),   # 3 parameters, 2 counts
+    ("sphere:1", "3x3x3"),          # 2 parameters, 3 counts
+    ("sphere:1", "0x3"),
+    ("sphere:1", "-4"),
+    ("sphere:1", "2.5x2"),
+])
+def test_analyze_bad_grid_exit_2(capsys, surface, grid):
+    code, out, err = run_cli(capsys, "analyze", "--surface", surface,
+                             "--grid", grid)
+    assert code == 2
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["code"] == "invalid-input"
+
+
+@pytest.mark.parametrize("argv", [["verify", "remark4"],
+                                  ["audit-cartan", "--metric", "minkowski:4"],
+                                  ["catalog"]])
+def test_format_flag_only_on_analyze_and_slice(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--format", "csv"])
+    assert exc.value.code == 2
+
+
 def test_config_file_defaults(capsys, tmp_path):
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({"surface": "sphere:1", "grid": "3x3"}))

@@ -189,6 +189,9 @@ def test_shape_report_trace_identity():
             if im.codim == 1:
                 assert np.mean(rep.principal_curvatures) == pytest.approx(
                     rep.mean_curvature, abs=1e-8)
+                # the hypersurface defect is exact, not sampled
+                assert rep.umbilicity_defect == np.max(np.abs(
+                    rep.principal_curvatures - rep.mean_curvature))
 
 
 def test_shape_report_frame_invariance_under_rotation():
