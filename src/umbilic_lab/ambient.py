@@ -24,6 +24,7 @@ from .numdiff import central_diff, central_diff4
 
 DET_TOL = 1e-12
 PLANE_TOL = 1e-10
+FD_STEP = 1e-5          # central-difference step of a metric without dmetric
 
 
 @dataclass(frozen=True)
@@ -49,8 +50,8 @@ class AmbientSpace:
     region; leaving it is an error, never an extrapolation.
     """
 
-    def __init__(self, signature, metric, metric_derivative=None,
-                 fd_step=1e-5, box=None, sample_box=None, name=""):
+    def __init__(self, signature, metric, metric_derivative=None, box=None,
+                 sample_box=None, name=""):
         self.signature = signature
         n = signature.dimension
         self._const_g = None
@@ -60,7 +61,6 @@ class AmbientSpace:
         else:
             self._metric_fn = metric
         self.metric_derivative = metric_derivative
-        self.fd_step = float(fd_step)
         if box is None:
             box = np.array([[-50.0, 50.0]] * n)
         self.box = np.asarray(box, dtype=float)
@@ -109,7 +109,7 @@ class AmbientSpace:
         if self.metric_derivative is not None:
             dg = np.asarray(self.metric_derivative(np.asarray(x, dtype=float)), dtype=float)
         else:
-            dg = central_diff(self.metric_at, x, self.fd_step)
+            dg = central_diff(self.metric_at, x, FD_STEP)
         return 0.5 * (dg + dg.transpose(1, 0, 2))
 
     def inner(self, x, u, v):

@@ -226,76 +226,28 @@ def load_metric(source):
 # immersion charts
 
 
-class _TrigChart:
-    """Chart whose components are coefficient * products of sin/cos factors,
-    each parameter appearing at most once per component.  Derivatives come
-    from factor substitution, so Jacobian and Hessian are analytic."""
-
-    def __init__(self, coeffs, factor_table, m):
-        # factor_table[c] = dict {angle index: "sin" | "cos"}
-        self.coeffs = np.asarray(coeffs, dtype=float)
-        self.factors = factor_table
-        self.m = m
-
-    def _component(self, c, u, deriv=()):
-        out = np.full(u.shape[:-1], self.coeffs[c])
-        for angle, kind in self.factors[c].items():
-            order = sum(1 for d in deriv if d == angle)
-            val = u[..., angle]
-            if order % 2 == 0:
-                f = np.sin(val) if kind == "sin" else np.cos(val)
-                if order % 4 == 2:
-                    f = -f
-            else:
-                f = np.cos(val) if kind == "sin" else -np.sin(val)
-                if order % 4 == 3:
-                    f = -f
-            out = out * f
-        for d in deriv:
-            if d not in self.factors[c]:
-                return np.zeros(u.shape[:-1])
-        return out
-
-    def __call__(self, u):
-        u = np.asarray(u, dtype=float)
-        return np.stack([self._component(c, u) for c in range(len(self.coeffs))],
-                        axis=-1)
-
-    def jacobian(self, u):
-        u = np.asarray(u, dtype=float)
-        return np.stack([
-            np.stack([self._component(c, u, (a,)) for a in range(self.m)], axis=-1)
-            for c in range(len(self.coeffs))], axis=-2)
-
-    def hessian(self, u):
-        u = np.asarray(u, dtype=float)
-        comps = []
-        for c in range(len(self.coeffs)):
-            rows = [np.stack([self._component(c, u, (a, b)) for b in range(self.m)],
-                             axis=-1) for a in range(self.m)]
-            comps.append(np.stack(rows, axis=-2))
-        return np.stack(comps, axis=-3)
+def _coeff(value):
+    """A float as expression text that parses back to the same float."""
+    return repr(float(value))
 
 
-def _ellipsoid_chart(semiaxes):
-    """Nested polar chart with poles on the last axis.
-
-    Component k (for k < N-1) carries sin factors for all colatitudes
-    after its own longitude slot; concretely, with U the standard chart,
-    component i equals semiaxes[i] * U[N-1-i].
-    """
-    semi = np.asarray(semiaxes, dtype=float)
-    m = semi.shape[0] - 1
-    # standard chart: U_0 = cos x0, U_k = prod_{j<k} sin x_j cos x_k,
-    # U_m = prod_{j<m} sin x_j; reversed so the poles sit on the last axis
-    factor_table = []
-    for i in range(m + 1):
+def _ellipsoid(semiaxes, id_text):
+    """Ellipsoid in R^(m+1) from the nested polar chart, poles on the last
+    axis: component i is semiaxes[i] * U_(m-i), where U_0 = cos x0,
+    U_k = sin x0 ... sin x_(k-1) cos x_k and U_m = sin x0 ... sin x_(m-1)."""
+    m = len(semiaxes) - 1
+    comps = []
+    for i, a in enumerate(semiaxes):
         k = m - i
-        fac = {j: "sin" for j in range(k)}
+        factors = [f"sin(x{j})" for j in range(k)]
         if k < m:
-            fac[k] = "cos"
-        factor_table.append(fac)
-    return _TrigChart(semi, factor_table, m)
+            factors.append(f"cos(x{k})")
+        comps.append("*".join([_coeff(a)] + factors))
+    chart = ExpressionMap(comps, m)
+    return Immersion(m, euclidean_space(m + 1), chart, chart.jacobian,
+                     chart.hessian, domain=_ellipsoid_domain(m),
+                     orientation="inward", center=np.zeros(m + 1),
+                     name=id_text)
 
 
 def _ellipsoid_domain(m):
@@ -368,17 +320,20 @@ class _GraphChart:
         return np.concatenate([zeros, self.hess(u)[..., None, :, :]], axis=-3)
 
 
-def _expression_graph(expr_text, m=None):
+def _expression_graph(expr_text, space_of, orientation, id_text):
+    """Graph (x, f(x)) over [-1, 1]^m into space_of(m + 1), f an expression."""
     node = parse(expr_text)
     used = free_vars(node)
-    if m is None:
-        m = max(2, max(used) + 1 if used else 2)
+    m = max(2, max(used) + 1 if used else 2)
     emap = ExpressionMap([node], m)
-    return _GraphChart(
+    chart = _GraphChart(
         m,
         lambda u: emap(u)[..., 0],
         lambda u: emap.jacobian(u)[..., 0, :],
-        lambda u: emap.hessian(u)[..., 0, :, :]), m
+        lambda u: emap.hessian(u)[..., 0, :, :])
+    return Immersion(m, space_of(m + 1), chart, chart.jacobian, chart.hessian,
+                     domain=[[-1.0, 1.0]] * m, orientation=orientation,
+                     name=id_text)
 
 
 def _hyperboloid_chart(r, m):
@@ -395,72 +350,6 @@ def _hyperboloid_chart(r, m):
         return eye / t[..., None, None] - outer / (t ** 3)[..., None, None]
 
     return _GraphChart(m, f, grad, hess)
-
-
-class _TorusChart:
-    def __init__(self, big_r, small_r):
-        self.R = float(big_r)
-        self.r = float(small_r)
-
-    def __call__(self, u):
-        u = np.asarray(u, dtype=float)
-        th, ph = u[..., 0], u[..., 1]
-        w = self.R + self.r * np.cos(th)
-        return np.stack([w * np.cos(ph), w * np.sin(ph), self.r * np.sin(th)],
-                        axis=-1)
-
-    def jacobian(self, u):
-        u = np.asarray(u, dtype=float)
-        th, ph = u[..., 0], u[..., 1]
-        w = self.R + self.r * np.cos(th)
-        dth = np.stack([-self.r * np.sin(th) * np.cos(ph),
-                        -self.r * np.sin(th) * np.sin(ph),
-                        self.r * np.cos(th)], axis=-1)
-        dph = np.stack([-w * np.sin(ph), w * np.cos(ph), np.zeros_like(w)],
-                       axis=-1)
-        return np.stack([dth, dph], axis=-1)
-
-    def hessian(self, u):
-        u = np.asarray(u, dtype=float)
-        th, ph = u[..., 0], u[..., 1]
-        w = self.R + self.r * np.cos(th)
-        zero = np.zeros_like(w)
-        h_thth = np.stack([-self.r * np.cos(th) * np.cos(ph),
-                           -self.r * np.cos(th) * np.sin(ph),
-                           -self.r * np.sin(th)], axis=-1)
-        h_thph = np.stack([self.r * np.sin(th) * np.sin(ph),
-                           -self.r * np.sin(th) * np.cos(ph), zero], axis=-1)
-        h_phph = np.stack([-w * np.cos(ph), -w * np.sin(ph), zero], axis=-1)
-        row1 = np.stack([h_thth, h_thph], axis=-1)
-        row2 = np.stack([h_thph, h_phph], axis=-1)
-        return np.stack([row1, row2], axis=-1)
-
-
-class _CylinderChart:
-    def __init__(self, r):
-        self.r = float(r)
-
-    def __call__(self, u):
-        u = np.asarray(u, dtype=float)
-        th, z = u[..., 0], u[..., 1]
-        return np.stack([self.r * np.cos(th), self.r * np.sin(th), z], axis=-1)
-
-    def jacobian(self, u):
-        u = np.asarray(u, dtype=float)
-        th = u[..., 0]
-        zero = np.zeros_like(th)
-        one = np.ones_like(th)
-        dth = np.stack([-self.r * np.sin(th), self.r * np.cos(th), zero], axis=-1)
-        dz = np.stack([zero, zero, one], axis=-1)
-        return np.stack([dth, dz], axis=-1)
-
-    def hessian(self, u):
-        u = np.asarray(u, dtype=float)
-        th = u[..., 0]
-        h = np.zeros(u.shape[:-1] + (3, 2, 2))
-        h[..., 0, 0, 0] = -self.r * np.cos(th)
-        h[..., 1, 0, 0] = -self.r * np.sin(th)
-        return h
 
 
 # ---------------------------------------------------------------------------
@@ -490,10 +379,12 @@ def implicit_principal_curvatures(grad_f, hess_f, inward=True):
 
 def _parse_numbers(arg_text, id_text):
     try:
-        return [float(tok) for tok in arg_text.split(",") if tok != ""]
+        nums = [float(tok) for tok in arg_text.split(",") if tok != ""]
     except ValueError as exc:
         raise MalformedParameters(
             f"cannot parse parameters of {id_text!r}: {exc}") from exc
+    _require(all(np.isfinite(nums)), "parameters must be finite", id_text)
+    return nums
 
 
 def _require(cond, message, id_text):
@@ -549,11 +440,7 @@ def _build_immersion(family, arg, id_text):
         r = nums[0]
         m = int(nums[1]) if len(nums) == 2 else 2
         _require(m >= 2, "parameter dimension must be >= 2", id_text)
-        chart = _ellipsoid_chart([r] * (m + 1))
-        im = Immersion(m, euclidean_space(m + 1), chart, chart.jacobian,
-                       chart.hessian, domain=_ellipsoid_domain(m),
-                       orientation="inward", center=np.zeros(m + 1),
-                       name=id_text)
+        im = _ellipsoid([r] * (m + 1), id_text)
         truth = {"label": "umbilic-everywhere", "is_round_sphere": True,
                  "radius": r}
         closed = {"principal_curvatures": lambda u, _r=r, _m=m: np.full(_m, 1.0 / _r),
@@ -564,11 +451,7 @@ def _build_immersion(family, arg, id_text):
         _require(len(semi) >= 3 and all(s > 0 for s in semi),
                  "expected at least 3 positive semiaxes", id_text)
         m = len(semi) - 1
-        chart = _ellipsoid_chart(semi)
-        im = Immersion(m, euclidean_space(m + 1), chart, chart.jacobian,
-                       chart.hessian, domain=_ellipsoid_domain(m),
-                       orientation="inward", center=np.zeros(m + 1),
-                       name=id_text)
+        im = _ellipsoid(semi, id_text)
         if np.allclose(semi, semi[0]):
             truth = {"label": "umbilic-everywhere", "is_round_sphere": True,
                      "radius": semi[0]}
@@ -577,7 +460,7 @@ def _build_immersion(family, arg, id_text):
                      "umbilic_params": _ellipsoid_umbilic_params(semi)}
         semi_arr = np.asarray(semi, dtype=float)
 
-        def principal(u, _c=chart, _s=semi_arr):
+        def principal(u, _c=im.map_fn, _s=semi_arr):
             p = _c(np.asarray(u, dtype=float))
             grad = 2.0 * p / _s ** 2
             hess = np.diag(2.0 / _s ** 2)
@@ -587,14 +470,9 @@ def _build_immersion(family, arg, id_text):
         return im, {"semiaxes": semi, "param_dim": m}, truth, closed
     if family == "hyperbolic-paraboloid":
         _require(arg == "", "takes no parameters", id_text)
-        chart = _GraphChart(
-            2, lambda u: u[..., 0] ** 2 - u[..., 1] ** 2,
-            lambda u: np.stack([2 * u[..., 0], -2 * u[..., 1]], axis=-1),
-            lambda u: np.broadcast_to(np.diag([2.0, -2.0]),
-                                      u.shape[:-1] + (2, 2)))
-        im = Immersion(2, euclidean_space(3), chart, chart.jacobian,
-                       chart.hessian, domain=[[-1.0, 1.0]] * 2,
-                       orientation="upward", name=id_text)
+        # products, not x0^2: "^" evaluates as pow, which rounds differently
+        im = _expression_graph("x0*x0 - x1*x1", euclidean_space, "upward",
+                               id_text)
         truth = {"label": "nowhere-umbilic", "mean_curvature_zero_at": [[0.0, 0.0]]}
         closed = {"principal_curvatures_at_origin": lambda: np.array([-2.0, 2.0])}
         return im, {}, truth, closed
@@ -602,21 +480,10 @@ def _build_immersion(family, arg, id_text):
         nums = _parse_numbers(arg, id_text)
         _require(len(nums) == 2, "expected two coefficients a,b", id_text)
         a, b = nums
-
-        def f(u):
-            return a * u[..., 0] ** 2 + b * u[..., 1] ** 2
-
-        chart = _GraphChart(
-            2, f,
-            lambda u: np.stack([2 * a * u[..., 0], 2 * b * u[..., 1]], axis=-1),
-            lambda u: np.broadcast_to(np.diag([2.0 * a, 2.0 * b]),
-                                      u.shape[:-1] + (2, 2)))
-        im = Immersion(2, euclidean_space(3), chart, chart.jacobian,
-                       chart.hessian, domain=[[-1.0, 1.0]] * 2,
-                       orientation="upward", name=id_text)
-        label = "umbilic-points"
+        im = _expression_graph(f"{_coeff(a)}*(x0*x0) + {_coeff(b)}*(x1*x1)",
+                               euclidean_space, "upward", id_text)
         pts = [[0.0, 0.0]] if np.isclose(a, b) else []
-        truth = {"label": label, "umbilic_params": pts}
+        truth = {"label": "umbilic-points", "umbilic_params": pts}
         closed = {"principal_curvatures_at_origin":
                   lambda _a=a, _b=b: np.sort(np.array([2.0 * _a, 2.0 * _b]))}
         return im, {"a": a, "b": b}, truth, closed
@@ -624,7 +491,8 @@ def _build_immersion(family, arg, id_text):
         nums = _parse_numbers(arg, id_text)
         _require(len(nums) == 1 and nums[0] > 0, "expected a radius", id_text)
         r = nums[0]
-        chart = _CylinderChart(r)
+        rc = _coeff(r)
+        chart = ExpressionMap([f"{rc}*cos(x0)", f"{rc}*sin(x0)", "x1"], 2)
 
         def orient(u, p, nu, _r=r):
             axis_point = np.array([0.0, 0.0, p[2]])
@@ -643,7 +511,9 @@ def _build_immersion(family, arg, id_text):
         _require(len(nums) == 2 and nums[0] > nums[1] > 0,
                  "expected R,r with R > r > 0", id_text)
         big_r, small_r = nums
-        chart = _TorusChart(big_r, small_r)
+        w = f"({_coeff(big_r)} + {_coeff(small_r)}*cos(x0))"
+        chart = ExpressionMap([f"{w}*cos(x1)", f"{w}*sin(x1)",
+                               f"{_coeff(small_r)}*sin(x0)"], 2)
 
         def orient(u, p, nu, _R=big_r):
             phi = np.arctan2(p[1], p[0])
@@ -664,11 +534,9 @@ def _build_immersion(family, arg, id_text):
         return im, {"R": big_r, "r": small_r}, truth, closed
     if family == "graph":
         _require(arg != "", "expected an expression", id_text)
-        chart, m = _expression_graph(arg)
-        im = Immersion(m, euclidean_space(m + 1), chart, chart.jacobian,
-                       chart.hessian, domain=[[-1.0, 1.0]] * m,
-                       orientation="upward", name=id_text)
-        return im, {"expression": arg, "param_dim": m}, {"label": "unknown"}, {}
+        im = _expression_graph(arg, euclidean_space, "upward", id_text)
+        return (im, {"expression": arg, "param_dim": im.param_dim},
+                {"label": "unknown"}, {})
     if family == "hyperboloid-sheet":
         nums = _parse_numbers(arg, id_text)
         _require(1 <= len(nums) <= 2 and nums[0] > 0, "expected radius[,m]",
@@ -687,11 +555,9 @@ def _build_immersion(family, arg, id_text):
         return im, {"radius": r, "param_dim": m}, truth, closed
     if family == "minkowski-graph":
         _require(arg != "", "expected an expression", id_text)
-        chart, m = _expression_graph(arg)
-        im = Immersion(m, minkowski_space(m + 1), chart, chart.jacobian,
-                       chart.hessian, domain=[[-1.0, 1.0]] * m,
-                       orientation="future", name=id_text)
-        return im, {"expression": arg, "param_dim": m}, {"label": "unknown"}, {}
+        im = _expression_graph(arg, minkowski_space, "future", id_text)
+        return (im, {"expression": arg, "param_dim": im.param_dim},
+                {"label": "unknown"}, {})
     raise UnknownCatalogId(f"unknown immersion id {id_text!r}")
 
 

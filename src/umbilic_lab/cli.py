@@ -52,14 +52,21 @@ def _parse_point(text):
     return np.asarray(parts, dtype=float)
 
 
-def _parse_grid(text, dims=None):
-    """Positive counts from "AxB...": one for every axis, or one per axis
-    (``dims`` of them; any number when dims is None)."""
+def _parse_grid(text):
+    """Positive counts from "AxB..."; ``verifier._grid_points`` checks that
+    there is one for every axis or one per axis."""
     counts = [int(t) for t in text.lower().split("x")]
-    if min(counts) < 1 or dims is not None and len(counts) not in (1, dims):
-        raise ValueError(f"grid {text!r} needs 1 or {dims or 'more'} "
-                         "positive integer counts")
-    return counts * dims if dims and len(counts) == 1 else counts
+    if min(counts) < 1:
+        raise ValueError(f"grid {text!r} needs positive integer counts")
+    return counts
+
+
+def _count(args, flag, default):
+    """The positive integer given for ``--flag``, or ``default`` if omitted."""
+    value = getattr(args, flag)
+    if value is not None and (type(value) is not int or value < 1):
+        raise ValueError(f"--{flag} must be a positive integer, got {value!r}")
+    return default if value is None else value
 
 
 def _resolve_dirs(im, rep, dirs_text, s, seed):
@@ -80,8 +87,9 @@ def _resolve_dirs(im, rep, dirs_text, s, seed):
 def cmd_analyze(args):
     entry = resolve(args.surface)
     im = entry.obj
-    counts = _parse_grid(args.grid or "10x10", im.param_dim)
+    counts = _parse_grid(args.grid or "10")
     grid = verifier._grid_points(im, counts, margin=0.02)
+    counts = counts * im.param_dim if len(counts) == 1 else counts
     tol = args.tol if args.tol is not None else 1e-6
     rows = []
     for u in grid:
@@ -128,7 +136,7 @@ def cmd_slice(args):
     entry = resolve(args.surface)
     im = entry.obj
     q = _parse_point(args.point) if args.point else im.domain.mean(axis=1)
-    s = args.s or 1
+    s = _count(args, "s", 1)
     rep = shape_report(im, q)
     dirs = _resolve_dirs(im, rep, args.dirs, s, args.seed)
     spec = make_slice_spec(im, rep, dirs)
@@ -139,7 +147,7 @@ def cmd_slice(args):
     else:
         radius = default_trace_radius(rep)
     res = trace_slice(im, spec, radius=radius,
-                      samples_per_dim=args.samples or 8)
+                      samples_per_dim=_count(args, "samples", 8))
     slice_shape(res)
     identity_check(im, res)
     try:
@@ -163,13 +171,14 @@ def cmd_verify(args):
             kwargs["tol_fit"] = args.tol
         else:
             kwargs["tol"] = args.tol
-    grid = tuple(_parse_grid(args.grid)) if args.grid else (5, 5)
+    grid = _parse_grid(args.grid or "5")
+    n_points = _count(args, "samples", 20)
     surfaces = [args.surface] if args.surface else \
         verifier.SUITE_TARGETS.get(args.suite, [None])
     reports = []
     for surface in surfaces:
         reports.extend(verifier.run_suite(
-            args.suite, surface, n_points=args.samples or 20,
+            args.suite, surface, n_points=n_points,
             seed=args.seed, grid=grid, **kwargs))
     payload = {"schema_version": SCHEMA_VERSION,
                "reports": [r.to_dict() for r in reports]}
@@ -181,7 +190,8 @@ def cmd_audit_cartan(args):
     entry = resolve(args.metric, kind="ambient")
     space = entry.obj
     report = ambient_ops.cartan_audit(
-        space, args.points or 5, triples_per_point=args.samples or 10,
+        space, _count(args, "points", 5),
+        triples_per_point=_count(args, "samples", 10),
         seed=args.seed,
         tol_codazzi=args.tol, tol_spread=args.tol)
     payload = report.to_dict()
@@ -212,7 +222,7 @@ def build_parser():
 
     p = sub.add_parser("analyze", help="umbilicity report over a parameter grid")
     p.add_argument("--surface", required=True)
-    p.add_argument("--grid", default=None, help="AxB, default 10x10")
+    p.add_argument("--grid", default=None, help="AxB or A, default 10 per axis")
     p.add_argument("--format", choices=("json", "csv"), default=None)
     _add_common(p)
 
@@ -237,7 +247,7 @@ def build_parser():
     p.add_argument("--surface", default=None)
     p.add_argument("--samples", type=int, default=None,
                    help="points per surface")
-    p.add_argument("--grid", default=None)
+    p.add_argument("--grid", default=None, help="AxB or A, default 5 per axis")
     _add_common(p)
 
     p = sub.add_parser("audit-cartan", help="constant-curvature audit of a metric")
@@ -258,7 +268,10 @@ def _apply_config(args):
             conf = json.load(fh)
         for key, value in conf.items():
             attr = key.replace("-", "_")
-            if hasattr(args, attr) and getattr(args, attr) in (None, False):
+            if not hasattr(args, attr):
+                raise ValueError(f"config key {key!r} is not an option of "
+                                 f"{args.command}")
+            if getattr(args, attr) in (None, False):
                 setattr(args, attr, value)
     if getattr(args, "seed", None) is None:
         args.seed = 42

@@ -17,16 +17,6 @@ def inner(g, u, v):
     return float(u @ g @ v)
 
 
-def causal_character(g, v, tol=LIGHTLIKE_TOL):
-    """+1 spacelike, -1 timelike, 0 light-like (within tol)."""
-    q = inner(g, v, v)
-    if q > tol:
-        return 1
-    if q < -tol:
-        return -1
-    return 0
-
-
 def pseudo_gram_schmidt(vectors, g, tol=LIGHTLIKE_TOL):
     """g-orthonormalize ``vectors``; returns (basis, signs).
 

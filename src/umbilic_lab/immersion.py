@@ -17,6 +17,8 @@ from .frames import complement_basis, pseudo_gram_schmidt, unit_design
 from .numdiff import hessian_fd, jacobian_fd
 
 RANK_TOL = 1e-10
+FD_STEP = 1e-5             # central-difference step of the Jacobian rungs
+FD_HESSIAN_STEP = 3e-4     # second-difference step of the "fd" rung
 
 
 class Immersion:
@@ -30,8 +32,8 @@ class Immersion:
     """
 
     def __init__(self, param_dim, ambient, map_fn, jacobian=None, hessian=None,
-                 domain=None, fd_step=1e-5, fd_hessian_step=3e-4,
-                 allow_timelike=False, orientation=None, center=None, name=""):
+                 domain=None, allow_timelike=False, orientation=None,
+                 center=None, name=""):
         self.param_dim = int(param_dim)
         self.ambient = ambient
         self.map_fn = map_fn
@@ -40,8 +42,6 @@ class Immersion:
         if domain is None:
             domain = np.array([[-1.0, 1.0]] * self.param_dim)
         self.domain = np.asarray(domain, dtype=float)
-        self.fd_step = float(fd_step)
-        self.fd_hessian_step = float(fd_hessian_step)
         self.allow_timelike = allow_timelike
         self.orientation = orientation
         self.center = None if center is None else np.asarray(center, dtype=float)
@@ -77,16 +77,16 @@ class Immersion:
         u = np.asarray(u, dtype=float)
         if self._jacobian is not None:
             return np.asarray(self._jacobian(u), dtype=float)
-        return jacobian_fd(self.point, u, self.fd_step)
+        return jacobian_fd(self.point, u, FD_STEP)
 
     def hessian_at(self, u):
         u = np.asarray(u, dtype=float)
         if self._hessian is not None:
             h = np.asarray(self._hessian(u), dtype=float)
         elif self._jacobian is not None:
-            h = jacobian_fd(self.jacobian_at, u, self.fd_step)
+            h = jacobian_fd(self.jacobian_at, u, FD_STEP)
         else:
-            h = hessian_fd(self.point, u, self.fd_hessian_step)
+            h = hessian_fd(self.point, u, FD_HESSIAN_STEP)
         return 0.5 * (h + np.swapaxes(h, -1, -2))
 
 

@@ -223,8 +223,17 @@ def _newton_trace(im, plane, targets, seeds):
         try:
             du = np.linalg.solve(jf, -f[idx][..., None])[..., 0]
         except np.linalg.LinAlgError:
-            active[idx] = False
-            break
+            # a singular system must not sink the batch: solve each sample
+            # alone and retire only the singular ones
+            du = np.zeros((idx.size, jf.shape[-1]))
+            for k, i in enumerate(idx):
+                try:
+                    du[k] = np.linalg.solve(jf[k], -f[i])
+                except np.linalg.LinAlgError:
+                    active[i] = False
+            if not active[idx].any():
+                break
+            idx, du = idx[active[idx]], du[active[idx]]
         step = np.ones(idx.size)
         u_live, f_live, tgt = u[idx], fnorm[idx], targets[idx]
         new_u = u_live + du

@@ -366,12 +366,18 @@ def verify_theorem10(im, q, tol=1e-5, n_pairs=10, radius=None, seed=0,
 
 
 def _grid_points(im, grid, margin=0.15):
+    """Grid over the padded domain; ``grid`` holds one count for every
+    axis or one per axis."""
+    m = im.param_dim
+    if len(grid) not in (1, m):
+        raise ValueError(f"grid {'x'.join(map(str, grid))} needs 1 or {m} "
+                         f"counts for {m} parameters")
     lo, hi = im.domain[:, 0], im.domain[:, 1]
     pad = margin * (hi - lo)
     axes = [np.linspace(lo[d] + pad[d], hi[d] - pad[d],
-                        grid[d] if d < len(grid) else grid[-1])
-            for d in range(im.param_dim)]
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, im.param_dim)
+                        grid[d] if d < len(grid) else grid[0])
+            for d in range(m)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, m)
 
 
 def _characterization(im, grid, fitter, tol_fit, radius, seed, expect,
@@ -429,7 +435,7 @@ def _characterization(im, grid, fitter, tol_fit, radius, seed, expect,
     return _finish(report, started)
 
 
-def verify_characterization_sphere(im, grid=(5, 5), tol_fit=1e-6, radius=0.5,
+def verify_characterization_sphere(im, grid=(5,), tol_fit=1e-6, radius=0.5,
                                    seed=0, expect=None, expect_radius=None,
                                    tol_radius=1e-6, surface_id=""):
     """Two random normal hyperplane slices per grid point must be spheres;
@@ -441,7 +447,7 @@ def verify_characterization_sphere(im, grid=(5, 5), tol_fit=1e-6, radius=0.5,
                              "sphere-characterization", surface_id)
 
 
-def verify_characterization_hyperbolic(im, grid=(5, 5), tol_fit=1e-6,
+def verify_characterization_hyperbolic(im, grid=(5,), tol_fit=1e-6,
                                        radius=0.7, seed=0, expect=None,
                                        expect_radius=None, tol_radius=1e-6,
                                        surface_id="", margin=0.3):
@@ -475,7 +481,7 @@ def expected_umbilic(entry, u):
     return None
 
 
-def _suite_points(entry, n_points, seed, avoid_listed=True):
+def _suite_points(entry, n_points, seed):
     """Random interior points, pushed away from listed umbilic points so
     the ground-truth expectation at each drawn point is unambiguous."""
     im = entry.obj
@@ -487,8 +493,7 @@ def _suite_points(entry, n_points, seed, avoid_listed=True):
     pts = []
     while len(pts) < n_points:
         u = lo2 + rng.random(im.param_dim) * (hi2 - lo2)
-        if avoid_listed and any(np.linalg.norm(u - p) < 3 * UMBILIC_POINT_BALL
-                                for p in listed):
+        if any(np.linalg.norm(u - p) < 3 * UMBILIC_POINT_BALL for p in listed):
             continue
         pts.append(u)
     return pts
@@ -503,18 +508,16 @@ POINT_SUITES = {
 }
 
 
-def run_point_suite(suite_id, surface_id, n_points=20, seed=42, include_listed=True,
-                    **kwargs):
+def run_point_suite(suite_id, surface_id, n_points=20, seed=42, **kwargs):
     """Run a per-point suite over random surface points (plus any listed
     umbilic points) and cross-check verdicts against the catalog truth."""
     started = time.perf_counter()
     entry = resolve(surface_id)
     im = entry.obj
     fn = POINT_SUITES[suite_id]
-    points = _suite_points(entry, n_points, seed)
-    if include_listed:
-        points = [np.asarray(p, dtype=float)
-                  for p in entry.ground_truth.get("umbilic_params", [])] + points
+    points = [np.asarray(p, dtype=float)
+              for p in entry.ground_truth.get("umbilic_params", [])]
+    points += _suite_points(entry, n_points, seed)
     per_point = []
     tolerances = {}
     for i, q in enumerate(points):
@@ -551,7 +554,7 @@ SUITE_TARGETS = {
 }
 
 
-def run_suite(suite_id, surface_id=None, n_points=20, seed=42, grid=(5, 5),
+def run_suite(suite_id, surface_id=None, n_points=20, seed=42, grid=(5,),
               **kwargs):
     """Entry point used by the CLI; returns a list of VerdictReports."""
     if suite_id == "all":

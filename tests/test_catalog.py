@@ -58,10 +58,12 @@ def test_unknown_id_suggests_near_matches():
 
 @pytest.mark.parametrize("bad", ["sphere:", "sphere:a", "ellipsoid:1,2",
                                  "torus:0.5,2", "elliptic-paraboloid:1",
-                                 "cylinder:-1"])
+                                 "cylinder:-1", "sphere:inf", "torus:inf,1",
+                                 "elliptic-paraboloid:nan,1"])
 def test_malformed_parameters(bad):
-    with pytest.raises(MalformedParameters):
+    with pytest.raises(MalformedParameters) as exc:
         resolve(bad)
+    assert exc.value.code == "malformed-parameters"
 
 
 def test_malformed_ambient_dimension():
@@ -83,7 +85,8 @@ def test_ambient_and_immersion_grammars_are_separate():
 @pytest.mark.parametrize("sid", ["sphere:1", "sphere:2.5", "ellipsoid:1,2,3",
                                  "ellipsoid:2,1,1", "cylinder:1",
                                  "cylinder:0.5", "torus:2,0.5",
-                                 "hyperboloid-sheet:1", "hyperboloid-sheet:2"])
+                                 "hyperboloid-sheet:1", "hyperboloid-sheet:2",
+                                 "sphere:1,3", "ellipsoid:1,1.3,1.7,2.1"])
 def test_closed_form_oracle_agreement(sid):
     ent = resolve(sid)
     fn = ent.closed_form.get("principal_curvatures")

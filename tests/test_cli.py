@@ -183,6 +183,17 @@ def test_malformed_point_exit_2(capsys):
     assert json.loads(err.strip().splitlines()[-1])["code"] == "invalid-input"
 
 
+def test_analyze_default_grid_covers_every_parameter(capsys, tmp_path):
+    # the default was "10x10", which a 3-parameter surface rejected
+    out = tmp_path / "a.json"
+    code, _, _ = run_cli(capsys, "analyze", "--surface", "sphere:1,3",
+                         "--out", str(out))
+    assert code == 0
+    d = json.loads(out.read_text())
+    assert d["grid"] == [10, 10, 10]
+    assert len(d["rows"]) == 1000
+
+
 @pytest.mark.parametrize("surface,grid", [
     ("ellipsoid:1,2,3,4", "2x2"),   # 3 parameters, 2 counts
     ("sphere:1", "3x3x3"),          # 2 parameters, 3 counts
@@ -193,6 +204,26 @@ def test_malformed_point_exit_2(capsys):
 def test_analyze_bad_grid_exit_2(capsys, surface, grid):
     code, out, err = run_cli(capsys, "analyze", "--surface", surface,
                              "--grid", grid)
+    assert code == 2
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["code"] == "invalid-input"
+
+
+@pytest.mark.parametrize("argv", [
+    # 2 parameters, 3 counts: was cut to the first two, 4 points tested
+    ["verify", "sphere-characterization", "--surface", "sphere:1",
+     "--grid", "2x2x9"],
+    # zero counts were replaced by the defaults
+    ["audit-cartan", "--metric", "minkowski:4", "--points", "0"],
+    ["audit-cartan", "--metric", "minkowski:4", "--samples", "0"],
+    ["verify", "theorem2", "--surface", "sphere:1", "--samples", "0"],
+    ["slice", "--surface", "sphere:1", "--samples", "0"],
+    ["slice", "--surface", "sphere:1", "--s", "0"],
+])
+def test_bad_counts_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     lines = err.strip().splitlines()
@@ -219,6 +250,20 @@ def test_config_file_defaults(capsys, tmp_path):
     d = json.loads(out.read_text())
     assert d["surface"] == "sphere:2"   # flag wins over config
     assert d["grid"] == [3, 3]          # config fills the gap
+
+
+def test_config_unknown_key_exit_2(capsys, tmp_path):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"grdi": "2x2"}))
+    code, out, err = run_cli(capsys, "analyze", "--surface", "sphere:1",
+                             "--config", str(conf))
+    assert code == 2
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    diag = json.loads(lines[0])
+    assert diag["code"] == "invalid-input"
+    assert "grdi" in diag["message"]
 
 
 def test_cli_deterministic_reports(capsys, tmp_path):

@@ -217,7 +217,7 @@ def test_shape_report_frame_invariance_under_rotation():
 
 
 def test_derivative_rung_recorded():
-    chart = catalog._TorusChart(2.0, 0.5)
+    chart = catalog.resolve("torus:2,0.5").obj.map_fn
     amb = catalog.euclidean_space(3)
     dom = [[-3, 3], [-3, 3]]
     u = np.array([0.7, -1.2])
@@ -243,7 +243,7 @@ def test_is_umbilic_cases():
 
 
 def test_is_umbilic_fd_tolerance_default():
-    chart = catalog._TorusChart(2.0, 0.5)
+    chart = catalog.resolve("torus:2,0.5").obj.map_fn
     im_fd = Immersion(2, catalog.euclidean_space(3), chart,
                       domain=[[-3, 3], [-3, 3]])
     # the default tolerance loosens to 1e-4 on the fd rung

@@ -7,10 +7,11 @@ from scipy.optimize import minimize
 from umbilic_lab import catalog
 from umbilic_lab.errors import (DegenerateFit, DegenerateSubspace,
                                 UnsupportedAmbient, WrongCausalType)
-from umbilic_lab.immersion import shape_report
-from umbilic_lab.slicer import (QUADRIC_CENTRAL, build_slice, fit_hyperbolic,
-                                fit_sphere, identity_check, make_slice_spec,
-                                slice_shape, taylor_trace_radius, trace_slice)
+from umbilic_lab.immersion import Immersion, shape_report
+from umbilic_lab.slicer import (QUADRIC_CENTRAL, _ball_grid, _newton_trace,
+                                build_slice, fit_hyperbolic, fit_sphere,
+                                identity_check, make_slice_spec, slice_shape,
+                                taylor_trace_radius, trace_slice)
 
 ANALYTIC_SURFACES = ["sphere:1", "ellipsoid:1,2,3", "hyperbolic-paraboloid",
                      "torus:2,0.5", "hyperboloid-sheet:1"]
@@ -267,6 +268,29 @@ def test_trace_newton_diverged_on_impossible_radius():
     from umbilic_lab.errors import NewtonDiverged
     with pytest.raises(NewtonDiverged):
         trace_slice(im, spec, radius=200.0)
+
+
+def test_newton_singular_sample_spares_the_batch():
+    # a Jacobian that is exactly singular at one seed retires that sample
+    # alone; the rest of the batch still converges
+    base = surface("sphere:1")
+    q = np.array([1.0, 0.7])
+    rep, dirs = tangent_dirs(base, q, np.random.default_rng(3), 1)
+    spec = make_slice_spec(base, rep, dirs)
+    targets = _ball_grid(1, 0.2, 4)
+    pull, *_ = np.linalg.lstsq(base.jacobian_at(q), dirs.T, rcond=None)
+    seeds = q + targets @ pull.T
+    bad = 0                              # target -0.2: needs a Newton step
+
+    def jacobian(u):
+        jac = base.jacobian_at(u)
+        jac[np.all(u == seeds[bad], axis=-1)] = 0.0
+        return jac
+
+    im = Immersion(2, base.ambient, base.map_fn, jacobian, domain=base.domain)
+    *_, good = _newton_trace(im, build_slice(im, spec), targets, seeds)
+    assert not good[bad]
+    assert np.delete(good, bad).all()
 
 
 def test_slice_shape_ill_conditioned_fit():
