@@ -12,13 +12,14 @@ Curvature conventions, fixed once against the round sphere:
 so the unit sphere has K = +1 and the hyperboloid model K = -1.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (CausalCharacterMismatch, DegeneratePlane,
                      DegenerateSubspace, InvalidMetric, LeftDomain,
-                     SingularMetric)
+                     NonFiniteValue, SingularMetric)
 from .frames import draw_pseudo_orthonormal
 from .numdiff import central_diff, central_diff4
 
@@ -85,7 +86,10 @@ class AmbientSpace:
     def _validate(self, g, x):
         if g.shape != (self.dimension, self.dimension):
             raise InvalidMetric("metric has wrong shape", shape=g.shape)
-        if np.max(np.abs(g - g.T)) > 1e-12 * max(1.0, float(np.max(np.abs(g)))):
+        scale = float(np.max(np.abs(g)))
+        if not math.isfinite(scale):        # an inf or a NaN entry
+            raise NonFiniteValue("metric is not finite", point=list(x))
+        if np.max(np.abs(g - g.T)) > 1e-12 * max(1.0, scale):
             raise InvalidMetric("metric not symmetric", point=list(x))
         eig = np.linalg.eigvalsh(g)
         if np.min(np.abs(eig)) < DET_TOL * max(1.0, float(np.max(np.abs(eig)))):

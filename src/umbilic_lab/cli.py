@@ -8,6 +8,7 @@ stderr before exiting.
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -24,9 +25,21 @@ from .slicer import (default_trace_radius, fit_hyperbolic, fit_sphere,
 SCHEMA_VERSION = 1
 
 
+def _strict(value):
+    """``value`` with every non-finite float written as a string, so that
+    the diagnostic is strict JSON."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    return value
+
+
 def _diagnostic(code, message, offending=None):
     line = json.dumps({"code": code, "message": str(message),
-                       "input": offending}, sort_keys=True)
+                       "input": _strict(offending)}, sort_keys=True)
     print(line, file=sys.stderr)
 
 
@@ -49,6 +62,8 @@ def _parse_point(text):
         if "=" in tok:
             tok = tok.split("=", 1)[1]
         parts.append(float(tok))
+    if not all(map(math.isfinite, parts)):
+        raise ValueError(f"--point {text!r} needs finite coordinates")
     return np.asarray(parts, dtype=float)
 
 
@@ -165,21 +180,10 @@ def cmd_slice(args):
 
 
 def cmd_verify(args):
-    kwargs = {}
-    if args.tol is not None:
-        if args.suite in ("sphere-characterization", "hyperbolic-characterization"):
-            kwargs["tol_fit"] = args.tol
-        else:
-            kwargs["tol"] = args.tol
-    grid = _parse_grid(args.grid or "5")
-    n_points = _count(args, "samples", 20)
-    surfaces = [args.surface] if args.surface else \
-        verifier.SUITE_TARGETS.get(args.suite, [None])
-    reports = []
-    for surface in surfaces:
-        reports.extend(verifier.run_suite(
-            args.suite, surface, n_points=n_points,
-            seed=args.seed, grid=grid, **kwargs))
+    reports = verifier.run_suite(
+        args.suite, args.surface, n_points=_count(args, "samples", 20),
+        seed=args.seed, grid=_parse_grid(args.grid or "5"),
+        **({} if args.tol is None else {"tol": args.tol}))
     payload = {"schema_version": SCHEMA_VERSION,
                "reports": [r.to_dict() for r in reports]}
     _emit(payload, args.out)
@@ -241,9 +245,7 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run a theorem verification suite")
     p.add_argument("suite", choices=sorted(
-        list(verifier.POINT_SUITES) +
-        ["remark4", "sphere-characterization", "hyperbolic-characterization",
-         "all"]))
+        [*verifier.POINT_SUITES, "remark4", *verifier.CHARACTERIZATIONS, "all"]))
     p.add_argument("--surface", default=None)
     p.add_argument("--samples", type=int, default=None,
                    help="points per surface")
@@ -291,8 +293,10 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _apply_config(args)
-        return COMMANDS[args.command](args)
+        # a non-finite value is reported as one error, not as numpy warnings
+        with np.errstate(all="ignore"):
+            args = _apply_config(args)
+            return COMMANDS[args.command](args)
     except UmbilicLabError as exc:
         _diagnostic(exc.code, exc, offending=getattr(exc, "context", None) or None)
         return 2

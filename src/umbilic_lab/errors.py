@@ -4,6 +4,8 @@ Every error carries a short machine-readable ``code`` used by the CLI
 diagnostics and a human-readable message.
 """
 
+import numpy as np
+
 
 class UmbilicLabError(Exception):
     """Base class for all package errors."""
@@ -13,6 +15,19 @@ class UmbilicLabError(Exception):
     def __init__(self, message: str, **context):
         super().__init__(message)
         self.context = context
+
+
+class NonFiniteValue(UmbilicLabError):
+    """A point, derivative or metric holds an inf or a NaN."""
+
+    code = "non-finite-value"
+
+    @classmethod
+    def check(cls, value, what, **context):
+        """``value`` unchanged, or this error when any entry is not finite."""
+        if not np.isfinite(value).all():
+            raise cls(f"{what} is not finite", **context)
+        return value
 
 
 # --- metric / curvature ---

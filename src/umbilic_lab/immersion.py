@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ambient import christoffel
-from .errors import (DegenerateInducedMetric, LeftDomain, NonUnitDirection,
-                     RankDeficient)
+from .errors import (DegenerateInducedMetric, LeftDomain, NonFiniteValue,
+                     NonUnitDirection, RankDeficient)
 from .frames import complement_basis, pseudo_gram_schmidt, unit_design
 from .numdiff import hessian_fd, jacobian_fd
 
@@ -99,7 +99,6 @@ class ShapeReport:
     tangent_frame: np.ndarray        # (m, N) ambient vectors, g-orthonormal
     normal_frame: np.ndarray         # (n, N) ambient vectors, g-orthonormal
     normal_signs: list               # causal characters of the normals
-    induced_metric: np.ndarray       # raw coordinate first fundamental form
     second_form: np.ndarray          # (m, m, n) coefficients vs normal frame
     mean_curvature_vector: np.ndarray
     shape_operator: np.ndarray | None
@@ -161,15 +160,15 @@ def frames(im, u):
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     im.require_in_domain(u)
-    p = im.point(u)
-    jac = im.jacobian_at(u)
-    m = im.param_dim
+    where = {"parameter": list(u)}
+    p = NonFiniteValue.check(im.point(u), "point", **where)
+    jac = NonFiniteValue.check(im.jacobian_at(u), "Jacobian", **where)
     s = np.linalg.svd(jac, compute_uv=False)
     if s[-1] < RANK_TOL * max(1.0, s[0]):
         raise RankDeficient("Jacobian is rank deficient", parameter=list(u))
 
     g = im.ambient.metric_at(p)
-    induced = jac.T @ g @ jac
+    induced = NonFiniteValue.check(jac.T @ g @ jac, "induced metric", **where)
     eig = np.linalg.eigvalsh(induced)
     if eig[0] <= 1e-12 * max(1.0, abs(eig[-1])):
         if not (im.allow_timelike and eig[0] < 0):
@@ -226,6 +225,7 @@ def shape_report(im, u):
     if not im.ambient.is_constant:
         gamma = christoffel(im.ambient, p)
         hess = hess + np.einsum("cab,ai,bj->cij", gamma, jac, jac)
+    NonFiniteValue.check(hess, "Hessian", parameter=list(u))
 
     # coefficients of the normal part: eps_a * g(nu_a, D_ij)
     ii_coord = np.einsum("an,nb,bij->aij", normal, g, hess)
@@ -248,15 +248,12 @@ def shape_report(im, u):
     return ShapeReport(
         u=u, p=p,
         tangent_frame=tangent, normal_frame=normal, normal_signs=normal_signs,
-        induced_metric=jac.T @ g @ jac,
         second_form=ii_on, mean_curvature_vector=h_vec,
         shape_operator=shape_op,
         principal_curvatures=principal, principal_directions=principal_dirs,
         umbilicity_defect=defect,
         derivative_rung=im.derivative_rung,
-        scalars={"h_norm_abs": float(np.linalg.norm(h_coeff)),
-                 "orientation": (im.orientation if isinstance(im.orientation, str)
-                                 else "custom" if im.orientation else "sign-fixed")})
+        scalars={"h_norm_abs": float(np.linalg.norm(h_coeff))})
 
 
 def default_umbilic_tol(im):

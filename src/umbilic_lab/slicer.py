@@ -72,7 +72,6 @@ class SlicePlane:
     normal: np.ndarray         # (n, N)
     normal_signs: list
     complement: np.ndarray     # (m - s, N): g-orthocomplement of the plane
-    complement_signs: list
 
 
 @dataclass
@@ -178,14 +177,13 @@ def build_slice(im, spec):
                 "point is not on a central quadric with radial normal")
     m_minus_s = im.param_dim - spec.s
     if m_minus_s > 0:
-        comp, comp_signs = complement_basis(span, g, dim=m_minus_s)
-        comp = np.stack(comp)
+        basis, _signs = complement_basis(span, g, dim=m_minus_s)
+        comp = np.stack(basis)
     else:
         comp = np.zeros((0, im.ambient.dimension))
-        comp_signs = []
     return SlicePlane(point=spec.q, tangent=spec.tangent_directions,
                       normal=normal, normal_signs=list(normal_signs),
-                      complement=comp, complement_signs=list(comp_signs))
+                      complement=comp)
 
 
 def _ball_grid(s, radius, samples_per_dim):

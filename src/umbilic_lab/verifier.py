@@ -9,7 +9,7 @@ are recorded in the report.
 
 Implication directions that a surface cannot exercise (e.g. the
 umbilic-implies-... direction at a non-umbilic point) are recorded as
-"not exercised", never as passes.
+"not exercised", never as passes; a slice draw that raised is an "error".
 """
 
 import itertools
@@ -73,9 +73,37 @@ class VerdictReport:
         }
 
 
-def _finish(report, started):
-    report.runtime_ms = int((time.perf_counter() - started) * 1000)
-    return report
+def _report(started, suite_id, surface_id, per_point, overall, tolerances,
+            seed, extras=None):
+    """VerdictReport over ``per_point``, timed from ``started``."""
+    return VerdictReport(
+        suite_id=suite_id, surface_id=surface_id, points_tested=len(per_point),
+        per_point=per_point, overall=overall, tolerances=tolerances, seed=seed,
+        runtime_ms=int((time.perf_counter() - started) * 1000),
+        extras={} if extras is None else extras)
+
+
+def _at_point(im, q, radius):
+    """(q, ShapeReport at q, trace radius) with the Taylor radius as default."""
+    q = np.atleast_1d(np.asarray(q, dtype=float))
+    rep = shape_report(im, q)
+    return q, rep, taylor_trace_radius(rep) if radius is None else radius
+
+
+def _implies(a, b):
+    """Verdict of the direction "a implies b"; unexercised unless a holds."""
+    return ("pass" if b else "fail") if a else "not exercised"
+
+
+def _one_point(started, suite_id, im, surface_id, q, seed, tol, radius,
+               residuals, directions, passed, extras):
+    """One-point report; it holds ``tol_prime`` when the residuals do."""
+    point = PointVerdict(parameter=[float(c) for c in q], residuals=residuals,
+                         passed=passed, directions=directions)
+    calibrated = ({"tol_prime": residuals["tol_prime"]}
+                  if "tol_prime" in residuals else {})
+    return _report(started, suite_id, surface_id or im.name, [point], passed,
+                   {"tol": tol, **calibrated, "radius": radius}, seed, extras)
 
 
 def _random_tangent_dirs(rep, rng, s):
@@ -86,104 +114,75 @@ def _random_tangent_dirs(rep, rng, s):
     return q_mat[:, :s].T @ rep.tangent_frame
 
 
-def _traced_shapes(im, rep, dir_sets, radius):
+def _traced_shapes(im, rep, dir_sets, radius, calibrate=True):
     """Trace and fit each direction set at the point of ``rep``; returns
     results plus the defect threshold calibrated from the observed
-    identity residuals."""
+    identity residuals (the floor when ``calibrate`` is false)."""
     results = []
     worst_identity = 0.0
     for dirs in dir_sets:
         spec = make_slice_spec(im, rep, dirs)
         res = trace_slice(im, spec, radius=radius)
         slice_shape(res)
-        worst_identity = max(worst_identity, identity_check(im, res))
+        if calibrate:
+            worst_identity = max(worst_identity, identity_check(im, res))
         results.append(res)
     tol_prime = max(DEFECT_TOL_FLOOR, 10.0 * worst_identity)
     return results, tol_prime
 
 
 def _h_spread(results):
-    coeffs = np.stack([r.slice_H_coeff for r in results])
-    spread = 0.0
-    for i in range(len(results)):
-        for j in range(i + 1, len(results)):
-            spread = max(spread, float(np.linalg.norm(coeffs[i] - coeffs[j])))
-    return spread
+    pairs = itertools.combinations([r.slice_H_coeff for r in results], 2)
+    return max((float(np.linalg.norm(a - b)) for a, b in pairs), default=0.0)
 
 
 def verify_theorem2(im, q, s=1, n_subspace_draws=10, tol=1e-5, radius=None,
                     seed=0, surface_id=""):
     """Same slice mean curvature across normal slices iff q is umbilic."""
     started = time.perf_counter()
-    q = np.atleast_1d(np.asarray(q, dtype=float))
     if not 1 <= s <= im.param_dim - 1 and not (s == 1 and im.param_dim == 1):
         raise ValueError("need 1 <= s <= m-1")
-    rep = shape_report(im, q)
-    if radius is None:
-        radius = taylor_trace_radius(rep)
+    q, rep, radius = _at_point(im, q, radius)
     rng = np.random.default_rng([seed, 0])
     dir_sets = [_random_tangent_dirs(rep, rng, s) for _ in range(n_subspace_draws)]
     results, tol_prime = _traced_shapes(im, rep, dir_sets, radius)
     spread = _h_spread(results)
     slice_umbilic = spread <= tol
     umbilic = rep.umbilicity_defect <= tol_prime
-
-    directions = {
-        "slice-umbilic-implies-umbilic":
-            ("pass" if umbilic else "fail") if slice_umbilic else "not exercised",
-        "umbilic-implies-slice-umbilic":
-            ("pass" if slice_umbilic else "fail") if umbilic else "not exercised",
-    }
-    passed = slice_umbilic == umbilic
-    point = PointVerdict(
-        parameter=[float(c) for c in q],
-        residuals={"slice_h_spread": spread, "defect": rep.umbilicity_defect,
-                   "tol_prime": tol_prime},
-        passed=passed, directions=directions)
-    return _finish(VerdictReport(
-        suite_id="theorem2", surface_id=surface_id or im.name,
-        points_tested=1, per_point=[point], overall=passed,
-        tolerances={"tol": tol, "tol_prime": tol_prime, "radius": radius},
-        seed=seed, extras={"s": s, "draws": n_subspace_draws}), started)
+    return _one_point(
+        started, "theorem2", im, surface_id, q, seed, tol, radius,
+        {"slice_h_spread": spread, "defect": rep.umbilicity_defect,
+         "tol_prime": tol_prime},
+        {"slice-umbilic-implies-umbilic": _implies(slice_umbilic, umbilic),
+         "umbilic-implies-slice-umbilic": _implies(umbilic, slice_umbilic)},
+        slice_umbilic == umbilic,
+        {"s": s, "draws": n_subspace_draws})
 
 
 def verify_corollary3(im, q, s=1, tol=1e-5, radius=None, seed=0, surface_id=""):
     """Principal-basis slice family: equal mean curvatures iff umbilic,
     and at umbilic points the common value is the surface mean curvature."""
     started = time.perf_counter()
-    q = np.atleast_1d(np.asarray(q, dtype=float))
     if im.codim != 1:
         raise ValueError("corollary 3 applies to hypersurfaces")
-    rep = shape_report(im, q)
-    m = im.param_dim
-    if radius is None:
-        radius = taylor_trace_radius(rep)
+    q, rep, radius = _at_point(im, q, radius)
     dir_sets = [rep.principal_directions[list(subset)]
-                for subset in itertools.combinations(range(m), s)]
+                for subset in itertools.combinations(range(im.param_dim), s)]
     results, tol_prime = _traced_shapes(im, rep, dir_sets, radius)
     values = np.array([float(r.slice_H_coeff[0]) for r in results])
     all_equal = float(values.max() - values.min()) <= tol
     umbilic = rep.umbilicity_defect <= tol_prime
     mean_gap = abs(float(values.mean()) - rep.mean_curvature)
-    passed = (all_equal == umbilic) and (not umbilic or mean_gap <= tol)
-    directions = {
-        "equal-implies-umbilic":
-            ("pass" if umbilic else "fail") if all_equal else "not exercised",
-        "umbilic-implies-equal-and-same-mean":
-            (("pass" if all_equal and mean_gap <= tol else "fail")
-             if umbilic else "not exercised"),
-    }
-    point = PointVerdict(
-        parameter=[float(c) for c in q],
-        residuals={"value_spread": float(values.max() - values.min()),
-                   "defect": rep.umbilicity_defect, "tol_prime": tol_prime,
-                   "mean_gap": mean_gap},
-        passed=passed, directions=directions)
-    return _finish(VerdictReport(
-        suite_id="corollary3", surface_id=surface_id or im.name,
-        points_tested=1, per_point=[point], overall=passed,
-        tolerances={"tol": tol, "tol_prime": tol_prime, "radius": radius},
-        seed=seed, extras={"s": s, "slice_values": values.tolist()}), started)
+    return _one_point(
+        started, "corollary3", im, surface_id, q, seed, tol, radius,
+        {"value_spread": float(values.max() - values.min()),
+         "defect": rep.umbilicity_defect, "tol_prime": tol_prime,
+         "mean_gap": mean_gap},
+        {"equal-implies-umbilic": _implies(all_equal, umbilic),
+         "umbilic-implies-equal-and-same-mean":
+             _implies(umbilic, all_equal and mean_gap <= tol)},
+        (all_equal == umbilic) and (not umbilic or mean_gap <= tol),
+        {"s": s, "slice_values": values.tolist()})
 
 
 def verify_remark4(im, tol=1e-6, radius=None, surface_id="", q=None):
@@ -193,37 +192,23 @@ def verify_remark4(im, tol=1e-6, radius=None, surface_id="", q=None):
     Default point is the chart midpoint (the origin for graph charts), so
     the suite also runs as a negative control on non-saddle surfaces."""
     started = time.perf_counter()
-    if q is None:
-        q = im.domain.mean(axis=1)
-    q = np.atleast_1d(np.asarray(q, dtype=float))
-    rep = shape_report(im, q)
-    if radius is None:
-        radius = taylor_trace_radius(rep)
+    q, rep, radius = _at_point(im, im.domain.mean(axis=1) if q is None else q,
+                               radius)
     e1, e2 = rep.tangent_frame
     dirs = [np.array([(e1 + e2) / np.sqrt(2.0)]),
             np.array([(e1 - e2) / np.sqrt(2.0)])]
-    curvatures = []
-    for d in dirs:
-        spec = make_slice_spec(im, rep, d)
-        res = trace_slice(im, spec, radius=radius)
-        slice_shape(res)
-        curvatures.append(float(res.slice_H_coeff[0]))
+    results, _ = _traced_shapes(im, rep, dirs, radius, calibrate=False)
+    curvatures = [float(r.slice_H_coeff[0]) for r in results]
     max_asymptotic = max(abs(c) for c in curvatures)
     h_abs = abs(rep.mean_curvature)
     defect = rep.umbilicity_defect
     passed = max_asymptotic <= tol and defect >= 1.0 and h_abs <= tol
-    point = PointVerdict(
-        parameter=[float(c) for c in q],
-        residuals={"max_asymptotic_slice_curvature": max_asymptotic,
-                   "mean_curvature_abs": h_abs, "defect": defect},
-        passed=passed,
-        directions={"zero-normal-sections-but-not-umbilic":
-                    "pass" if passed else "fail"})
-    return _finish(VerdictReport(
-        suite_id="remark4", surface_id=surface_id or im.name, points_tested=1,
-        per_point=[point], overall=passed,
-        tolerances={"tol": tol, "radius": radius}, seed=0,
-        extras={"asymptotic_slice_curvatures": curvatures}), started)
+    return _one_point(
+        started, "remark4", im, surface_id, q, 0, tol, radius,
+        {"max_asymptotic_slice_curvature": max_asymptotic,
+         "mean_curvature_abs": h_abs, "defect": defect},
+        {"zero-normal-sections-but-not-umbilic": _implies(True, passed)},
+        passed, {"asymptotic_slice_curvatures": curvatures})
 
 
 def verify_corollary5(im, q, s=1, n_basis_draws=10, tol=1e-5, radius=None,
@@ -231,13 +216,10 @@ def verify_corollary5(im, q, s=1, n_basis_draws=10, tol=1e-5, radius=None,
     """Mean of the slice mean curvatures equals the surface mean curvature
     for every orthonormal basis, umbilic or not."""
     started = time.perf_counter()
-    q = np.atleast_1d(np.asarray(q, dtype=float))
     if im.codim != 1:
         raise ValueError("corollary 5 applies to hypersurfaces")
-    rep = shape_report(im, q)
+    q, rep, radius = _at_point(im, q, radius)
     m = im.param_dim
-    if radius is None:
-        radius = taylor_trace_radius(rep)
     gaps = []
     for b in range(n_basis_draws):
         rng = np.random.default_rng([seed, b])
@@ -249,16 +231,11 @@ def verify_corollary5(im, q, s=1, n_basis_draws=10, tol=1e-5, radius=None,
         gaps.append(abs(mean_val - rep.mean_curvature))
     worst = max(gaps)
     passed = worst <= tol
-    point = PointVerdict(
-        parameter=[float(c) for c in q],
-        residuals={"max_mean_gap": worst},
-        passed=passed,
-        directions={"mean-of-means-identity": "pass" if passed else "fail"})
-    return _finish(VerdictReport(
-        suite_id="corollary5", surface_id=surface_id or im.name,
-        points_tested=1, per_point=[point], overall=passed,
-        tolerances={"tol": tol, "radius": radius}, seed=seed,
-        extras={"s": s, "basis_draws": n_basis_draws}), started)
+    return _one_point(
+        started, "corollary5", im, surface_id, q, seed, tol, radius,
+        {"max_mean_gap": worst},
+        {"mean-of-means-identity": _implies(True, passed)},
+        passed, {"s": s, "basis_draws": n_basis_draws})
 
 
 def verify_theorem8(im, q, s=2, n_subspace_draws=10, tol=1e-5, radius=None,
@@ -266,13 +243,10 @@ def verify_theorem8(im, q, s=2, n_subspace_draws=10, tol=1e-5, radius=None,
     """Umbilic in every s-dimensional normal slice iff umbilic in the
     surface; mode "basis" uses subsets of one fixed (non-orthogonal) basis."""
     started = time.perf_counter()
-    q = np.atleast_1d(np.asarray(q, dtype=float))
     m = im.param_dim
     if not (m >= 3 and 2 <= s <= m - 1):
         raise ValueError("theorem 8 needs m >= 3 and 2 <= s <= m-1")
-    rep = shape_report(im, q)
-    if radius is None:
-        radius = taylor_trace_radius(rep)
+    q, rep, radius = _at_point(im, q, radius)
     rng = np.random.default_rng([seed, 0])
     if mode == "random":
         dir_sets = [_random_tangent_dirs(rep, rng, s)
@@ -297,25 +271,14 @@ def verify_theorem8(im, q, s=2, n_subspace_draws=10, tol=1e-5, radius=None,
     spread = _h_spread(results)
     all_umbilic = max(slice_defects) <= tol_prime and spread <= tol
     umbilic = rep.umbilicity_defect <= tol_prime
-    passed = all_umbilic == umbilic
-    directions = {
-        "slices-umbilic-implies-umbilic":
-            ("pass" if umbilic else "fail") if all_umbilic else "not exercised",
-        "umbilic-implies-slices-umbilic":
-            ("pass" if all_umbilic else "fail") if umbilic else "not exercised",
-    }
-    point = PointVerdict(
-        parameter=[float(c) for c in q],
-        residuals={"max_slice_defect": max(slice_defects),
-                   "slice_h_spread": spread,
-                   "defect": rep.umbilicity_defect, "tol_prime": tol_prime},
-        passed=passed, directions=directions)
-    return _finish(VerdictReport(
-        suite_id="theorem8", surface_id=surface_id or im.name, points_tested=1,
-        per_point=[point], overall=passed,
-        tolerances={"tol": tol, "tol_prime": tol_prime, "radius": radius},
-        seed=seed, extras={"s": s, "mode": mode,
-                           "draws": len(dir_sets)}), started)
+    return _one_point(
+        started, "theorem8", im, surface_id, q, seed, tol, radius,
+        {"max_slice_defect": max(slice_defects), "slice_h_spread": spread,
+         "defect": rep.umbilicity_defect, "tol_prime": tol_prime},
+        {"slices-umbilic-implies-umbilic": _implies(all_umbilic, umbilic),
+         "umbilic-implies-slices-umbilic": _implies(umbilic, all_umbilic)},
+        all_umbilic == umbilic,
+        {"s": s, "mode": mode, "draws": len(dir_sets)})
 
 
 def verify_theorem10(im, q, tol=1e-5, n_pairs=10, radius=None, seed=0,
@@ -323,46 +286,31 @@ def verify_theorem10(im, q, tol=1e-5, n_pairs=10, radius=None, seed=0,
     """Two umbilic normal hypersurface slices force an umbilic point; at
     non-umbilic points every drawn pair contains a non-umbilic slice."""
     started = time.perf_counter()
-    q = np.atleast_1d(np.asarray(q, dtype=float))
     m = im.param_dim
     if im.codim != 1 or m < 3:
         raise ValueError("theorem 10 needs a hypersurface with m >= 3")
-    rep = shape_report(im, q)
-    if radius is None:
-        radius = taylor_trace_radius(rep)
-    s = m - 1
+    q, rep, radius = _at_point(im, q, radius)
     pair_records = []
     tol_prime = DEFECT_TOL_FLOOR
     for k in range(n_pairs):
         rng = np.random.default_rng([seed, k])
-        dir_sets = [_random_tangent_dirs(rep, rng, s) for _ in range(2)]
+        dir_sets = [_random_tangent_dirs(rep, rng, m - 1) for _ in range(2)]
         results, tp = _traced_shapes(im, rep, dir_sets, radius)
         tol_prime = max(tol_prime, tp)
         pair_records.append([umbilicity_defect(r.slice_II)[0] for r in results])
     umbilic = rep.umbilicity_defect <= tol_prime
     forward_hits = [max(d) <= tol_prime for d in pair_records]
-    if umbilic:
-        # converse holds trivially; every slice should be umbilic
-        passed = all(forward_hits)
-        directions = {"two-umbilic-slices-implies-umbilic":
-                      "pass" if passed else "fail",
-                      "non-umbilic-pair-witness": "not exercised"}
-    else:
-        passed = not any(forward_hits)
-        directions = {"two-umbilic-slices-implies-umbilic": "not exercised",
-                      "non-umbilic-pair-witness":
-                      "pass" if passed else "fail"}
-    point = PointVerdict(
-        parameter=[float(c) for c in q],
-        residuals={"defect": rep.umbilicity_defect, "tol_prime": tol_prime,
-                   "max_pair_min_defect": max(min(d) for d in pair_records),
-                   "max_slice_defect": max(max(d) for d in pair_records)},
-        passed=passed, directions=directions)
-    return _finish(VerdictReport(
-        suite_id="theorem10", surface_id=surface_id or im.name,
-        points_tested=1, per_point=[point], overall=passed,
-        tolerances={"tol": tol, "tol_prime": tol_prime, "radius": radius},
-        seed=seed, extras={"pairs": n_pairs}), started)
+    # umbilic: every slice should be umbilic; else every pair needs a non-umbilic one
+    all_hit, no_hit = all(forward_hits), not any(forward_hits)
+    return _one_point(
+        started, "theorem10", im, surface_id, q, seed, tol, radius,
+        {"defect": rep.umbilicity_defect, "tol_prime": tol_prime,
+         "max_pair_min_defect": max(min(d) for d in pair_records),
+         "max_slice_defect": max(max(d) for d in pair_records)},
+        {"two-umbilic-slices-implies-umbilic": _implies(umbilic, all_hit),
+         "non-umbilic-pair-witness": _implies(not umbilic, no_hit)},
+        all_hit if umbilic else no_hit,
+        {"pairs": n_pairs})
 
 
 def _grid_points(im, grid, margin=0.15):
@@ -380,15 +328,19 @@ def _grid_points(im, grid, margin=0.15):
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, m)
 
 
-def _characterization(im, grid, fitter, tol_fit, radius, seed, expect,
-                      expect_radius, tol_radius, suite_id, surface_id,
-                      margin=0.15):
+def _characterization(suite_id, im, grid, tol_fit, radius, seed, expect,
+                      expect_radius, tol_radius, surface_id, margin):
+    """Two random normal hyperplane slices per grid point, each fitted by
+    the suite's model; an "error" point fails the report whatever ``expect``."""
     started = time.perf_counter()
+    index, ambient, fitter, _verify, _flag = CHARACTERIZATIONS[suite_id]
+    if im.ambient.signature.index != index:
+        raise ValueError(f"{suite_id.split('-')[0]} characterization runs in "
+                         f"{ambient} ambients")
     if im.codim != 1:
         raise ValueError("characterization suites apply to hypersurfaces")
     pts = _grid_points(im, grid, margin=margin)
     per_point = []
-    all_ok = True
     max_residual = 0.0
     radii = []
     for i, q in enumerate(pts):
@@ -418,21 +370,18 @@ def _characterization(im, grid, fitter, tol_fit, radius, seed, expect,
         per_point.append(PointVerdict(
             parameter=[float(c) for c in q], residuals=residuals,
             passed=point_ok, note=note,
-            directions={"slice-model-fit": "pass" if point_ok else "fail"}))
-        all_ok = all_ok and point_ok
+            directions={"slice-model-fit":
+                        "error" if note else "pass" if point_ok else "fail"}))
+    all_ok = all(p.passed for p in per_point)
     overall = all_ok == expect if expect is not None else all_ok
-    report = VerdictReport(
-        suite_id=suite_id, surface_id=surface_id or im.name,
-        points_tested=len(pts), per_point=per_point, overall=overall,
-        tolerances={"tol_fit": tol_fit, "radius": radius,
-                    "tol_radius": tol_radius},
-        seed=seed,
-        extras={"passes_slice_test": all_ok,
-                "expected_to_pass": expect,
-                "max_fit_residual": max_residual,
-                "fitted_radii_range": [float(min(radii)), float(max(radii))]
-                if radii else None})
-    return _finish(report, started)
+    return _report(
+        started, suite_id, surface_id or im.name, per_point,
+        overall and not any(p.note for p in per_point),
+        {"tol_fit": tol_fit, "radius": radius, "tol_radius": tol_radius}, seed,
+        {"passes_slice_test": all_ok, "expected_to_pass": expect,
+         "max_fit_residual": max_residual,
+         "fitted_radii_range": [float(min(radii)), float(max(radii))]
+         if radii else None})
 
 
 def verify_characterization_sphere(im, grid=(5,), tol_fit=1e-6, radius=0.5,
@@ -440,11 +389,9 @@ def verify_characterization_sphere(im, grid=(5,), tol_fit=1e-6, radius=0.5,
                                    tol_radius=1e-6, surface_id=""):
     """Two random normal hyperplane slices per grid point must be spheres;
     in radius mode the fitted radii must agree with the expected one."""
-    if im.ambient.signature.index != 0:
-        raise ValueError("sphere characterization runs in Euclidean ambients")
-    return _characterization(im, grid, fit_sphere, tol_fit, radius, seed,
-                             expect, expect_radius, tol_radius,
-                             "sphere-characterization", surface_id)
+    return _characterization("sphere-characterization", im, grid, tol_fit,
+                             radius, seed, expect, expect_radius, tol_radius,
+                             surface_id, margin=0.15)
 
 
 def verify_characterization_hyperbolic(im, grid=(5,), tol_fit=1e-6,
@@ -452,12 +399,21 @@ def verify_characterization_hyperbolic(im, grid=(5,), tol_fit=1e-6,
                                        expect_radius=None, tol_radius=1e-6,
                                        surface_id="", margin=0.3):
     """Mirror suite in the Minkowski ambient with hyperbolic-space fits."""
-    if im.ambient.signature.index != 1:
-        raise ValueError("hyperbolic characterization runs in Minkowski ambients")
-    return _characterization(im, grid, fit_hyperbolic, tol_fit, radius, seed,
-                             expect, expect_radius, tol_radius,
-                             "hyperbolic-characterization", surface_id,
-                             margin=margin)
+    return _characterization("hyperbolic-characterization", im, grid, tol_fit,
+                             radius, seed, expect, expect_radius, tol_radius,
+                             surface_id, margin=margin)
+
+
+# suite id -> (ambient signature index and name, fitter (looked up when
+# called), entry point, ground-truth flag of the surfaces it characterizes)
+CHARACTERIZATIONS = {
+    "sphere-characterization":
+        (0, "Euclidean", lambda pts: fit_sphere(pts),
+         verify_characterization_sphere, "is_round_sphere"),
+    "hyperbolic-characterization":
+        (1, "Minkowski", lambda pts: fit_hyperbolic(pts),
+         verify_characterization_hyperbolic, "is_hyperbolic_space"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -467,31 +423,25 @@ def verify_characterization_hyperbolic(im, grid=(5,), tol_fit=1e-6,
 def expected_umbilic(entry, u):
     """Ground-truth umbilicity at parameter u, or None when unknown."""
     label = entry.ground_truth.get("label")
-    if label == "umbilic-everywhere":
-        return True
-    if label == "nowhere-umbilic":
-        return False
     if label == "umbilic-points":
-        pts = entry.ground_truth.get("umbilic_params", [])
         u = np.asarray(u, dtype=float)
-        for p in pts:
-            if np.linalg.norm(u - np.asarray(p)) <= UMBILIC_POINT_BALL:
-                return True
-        return False
-    return None
+        return any(np.linalg.norm(u - np.asarray(p)) <= UMBILIC_POINT_BALL
+                   for p in entry.ground_truth.get("umbilic_params", []))
+    return {"umbilic-everywhere": True, "nowhere-umbilic": False}.get(label)
 
 
 def _suite_points(entry, n_points, seed):
-    """Random interior points, pushed away from listed umbilic points so
-    the ground-truth expectation at each drawn point is unambiguous."""
+    """The listed umbilic points, then ``n_points`` random interior points
+    pushed away from them so the ground truth at each is unambiguous."""
     im = entry.obj
     rng = np.random.default_rng([seed, 999])
     lo, hi = im.domain[:, 0], im.domain[:, 1]
     lo2 = lo + 0.15 * (hi - lo)
     hi2 = hi - 0.15 * (hi - lo)
-    listed = [np.asarray(p) for p in entry.ground_truth.get("umbilic_params", [])]
-    pts = []
-    while len(pts) < n_points:
+    listed = [np.asarray(p, dtype=float)
+              for p in entry.ground_truth.get("umbilic_params", [])]
+    pts = list(listed)
+    while len(pts) < len(listed) + n_points:
         u = lo2 + rng.random(im.param_dim) * (hi2 - lo2)
         if any(np.linalg.norm(u - p) < 3 * UMBILIC_POINT_BALL for p in listed):
             continue
@@ -513,15 +463,12 @@ def run_point_suite(suite_id, surface_id, n_points=20, seed=42, **kwargs):
     umbilic points) and cross-check verdicts against the catalog truth."""
     started = time.perf_counter()
     entry = resolve(surface_id)
-    im = entry.obj
-    fn = POINT_SUITES[suite_id]
-    points = [np.asarray(p, dtype=float)
-              for p in entry.ground_truth.get("umbilic_params", [])]
-    points += _suite_points(entry, n_points, seed)
+    points = _suite_points(entry, n_points, seed)
     per_point = []
     tolerances = {}
     for i, q in enumerate(points):
-        sub = fn(im, q, seed=seed + i, surface_id=surface_id, **kwargs)
+        sub = POINT_SUITES[suite_id](entry.obj, q, seed=seed + i,
+                                     surface_id=surface_id, **kwargs)
         verdict = sub.per_point[0]
         tolerances = sub.tolerances
         truth = expected_umbilic(entry, q)
@@ -532,11 +479,8 @@ def run_point_suite(suite_id, surface_id, n_points=20, seed=42, **kwargs):
                 verdict.passed = False
                 verdict.note = (verdict.note + " ground-truth disagreement").strip()
         per_point.append(verdict)
-    overall = all(p.passed for p in per_point)
-    return _finish(VerdictReport(
-        suite_id=suite_id, surface_id=surface_id, points_tested=len(points),
-        per_point=per_point, overall=overall, tolerances=tolerances,
-        seed=seed), started)
+    return _report(started, suite_id, surface_id, per_point,
+                   all(p.passed for p in per_point), tolerances, seed)
 
 
 SUITE_TARGETS = {
@@ -556,34 +500,36 @@ SUITE_TARGETS = {
 
 def run_suite(suite_id, surface_id=None, n_points=20, seed=42, grid=(5,),
               **kwargs):
-    """Entry point used by the CLI; returns a list of VerdictReports."""
-    if suite_id == "all":
-        reports = []
-        for sid, targets in SUITE_TARGETS.items():
-            for target in targets:
-                reports.extend(run_suite(sid, target, n_points=min(n_points, 5),
-                                         seed=seed, grid=grid))
-        return reports
-    if suite_id in POINT_SUITES:
-        if suite_id == "theorem8":
-            kwargs.setdefault("s", 2)
-        return [run_point_suite(suite_id, surface_id, n_points=n_points,
-                                seed=seed, **kwargs)]
-    if suite_id == "remark4":
-        entry = resolve(surface_id or "hyperbolic-paraboloid")
-        return [verify_remark4(entry.obj, surface_id=entry.id, **kwargs)]
-    if suite_id == "sphere-characterization":
-        entry = resolve(surface_id)
-        expect = bool(entry.ground_truth.get("is_round_sphere"))
-        expect_radius = entry.ground_truth.get("radius") if expect else None
-        return [verify_characterization_sphere(
-            entry.obj, grid=grid, seed=seed, expect=expect,
-            expect_radius=expect_radius, surface_id=entry.id, **kwargs)]
-    if suite_id == "hyperbolic-characterization":
-        entry = resolve(surface_id)
-        expect = bool(entry.ground_truth.get("is_hyperbolic_space"))
-        expect_radius = entry.ground_truth.get("radius") if expect else None
-        return [verify_characterization_hyperbolic(
-            entry.obj, grid=grid, seed=seed, expect=expect,
-            expect_radius=expect_radius, surface_id=entry.id, **kwargs)]
-    raise ValueError(f"unknown suite {suite_id!r}")
+    """Run ``suite_id`` on ``surface_id``, else on its SUITE_TARGETS ("all":
+    every suite, at most 5 points each).  ``tol`` is each suite's decision
+    tolerance; input is checked before any suite runs."""
+    if suite_id != "all" and suite_id not in SUITE_TARGETS:
+        raise ValueError(f"unknown suite {suite_id!r}")
+    if suite_id == "all" and surface_id is not None:
+        raise ValueError("verify all runs every suite on its own targets")
+    n_points = min(n_points, 5) if suite_id == "all" else n_points
+    # point suites resolve their own surface; the others are resolved here,
+    # so a grid that a characterization surface cannot take fails first
+    jobs = [(sid, target, None if sid in POINT_SUITES else resolve(target))
+            for sid in (SUITE_TARGETS if suite_id == "all" else [suite_id])
+            for target in ([surface_id] if surface_id else SUITE_TARGETS[sid])]
+    for sid, _target, entry in jobs:
+        if sid in CHARACTERIZATIONS:
+            _grid_points(entry.obj, grid)
+    reports = []
+    for sid, target, entry in jobs:
+        if sid in POINT_SUITES:
+            reports.append(run_point_suite(sid, target, n_points=n_points,
+                                           seed=seed, **kwargs))
+        elif sid == "remark4":
+            reports.append(verify_remark4(entry.obj, surface_id=entry.id,
+                                          **kwargs))
+        else:
+            *_, verify, flag = CHARACTERIZATIONS[sid]
+            expect = bool(entry.ground_truth.get(flag))
+            reports.append(verify(
+                entry.obj, grid=grid, seed=seed, expect=expect,
+                expect_radius=entry.ground_truth.get("radius") if expect else None,
+                surface_id=entry.id,
+                **{"tol_fit" if k == "tol" else k: v for k, v in kwargs.items()}))
+    return reports

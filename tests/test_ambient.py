@@ -7,7 +7,8 @@ from umbilic_lab.ambient import (AmbientSpace, MetricSignature, cartan_audit,
                                  k_difference_identity, riemann,
                                  sectional_curvature, tg_patch)
 from umbilic_lab.errors import (CausalCharacterMismatch, DegeneratePlane,
-                                DegenerateSubspace, LeftDomain, SingularMetric)
+                                DegenerateSubspace, LeftDomain, NonFiniteValue,
+                                SingularMetric)
 from umbilic_lab.frames import draw_pseudo_orthonormal
 
 EUCLID3 = catalog.euclidean_space(3)
@@ -359,3 +360,15 @@ def test_k_difference_requires_orthonormal():
            np.array([0, 0, 1.0, 0]))
     with pytest.raises(ValueError):
         k_difference_identity(MINK4, x, bad, "spacelike")
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_metric_is_its_own_error(bad):
+    # a NaN entry used to read as singular-metric, an inf one was accepted
+    g = np.diag([1.0, bad])
+    space = AmbientSpace(MetricSignature(2), lambda x: g)
+    with pytest.raises(NonFiniteValue) as exc:
+        space.metric_at(np.zeros(2))
+    assert exc.value.code == "non-finite-value"
+    with pytest.raises(NonFiniteValue):
+        AmbientSpace(MetricSignature(2), g)

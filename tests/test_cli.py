@@ -1,8 +1,10 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+from umbilic_lab import cli, verifier
 from umbilic_lab.cli import main
 
 
@@ -279,3 +281,78 @@ def test_cli_deterministic_reports(capsys, tmp_path):
             rep["runtime_ms"] = 0
         outs.append(json.dumps(d, sort_keys=True))
     assert outs[0] == outs[1]
+
+
+def _refuse_constant(text):
+    raise ValueError(f"non-strict JSON constant {text}")
+
+
+def one_strict_json_line(err):
+    lines = err.splitlines()
+    assert len(lines) == 1, lines
+    return json.loads(lines[0], parse_constant=_refuse_constant)
+
+
+@pytest.mark.parametrize("argv,code", [
+    (("analyze", "--surface", "graph:1/x0", "--grid", "3"), "non-finite-value"),
+    (("analyze", "--surface", "sphere:1e308", "--grid", "2"),
+     "non-finite-value"),
+    (("slice", "--surface", "sphere:1", "--point", "nan,0.5"), "invalid-input"),
+])
+def test_non_finite_input_one_strict_diagnostic(capsys, argv, code):
+    # graph:1/x0 is infinite at x0 = 0; sphere:1e308 overflows its metric
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        exit_code, out, err = run_cli(capsys, *argv)
+    assert exit_code == 2 and out == ""
+    assert [str(w.message) for w in caught] == []
+    assert one_strict_json_line(err)["code"] == code
+
+
+def test_diagnostic_writes_non_finite_numbers_as_strings(capsys):
+    cli._diagnostic("left-domain", "outside",
+                    {"parameter": [float("nan"), 0.5], "q": float("-inf")})
+    diag = one_strict_json_line(capsys.readouterr().err)
+    assert diag["input"] == {"parameter": ["nan", 0.5], "q": "-inf"}
+
+
+def test_verify_all_bad_grid_exits_before_any_suite(capsys, monkeypatch):
+    def no_suite_may_run(im, u):
+        raise AssertionError("a suite ran before the grid was checked")
+
+    monkeypatch.setattr(verifier, "shape_report", no_suite_may_run)
+    code, out, err = run_cli(capsys, "verify", "all", "--grid", "3x3x3")
+    assert code == 2 and out == ""
+    diag = one_strict_json_line(err)
+    assert diag["code"] == "invalid-input" and "3x3x3" in diag["message"]
+
+
+def test_verify_all_tol_reaches_every_suite(capsys, monkeypatch, tmp_path):
+    # point suites and remark 4 are stubbed; the characterizations run on
+    # one grid point per surface
+    seen = []
+
+    def stub(suite_id):
+        def run(im, q=None, seed=0, surface_id="", **kwargs):
+            seen.append((suite_id, kwargs.get("tol")))
+            point = verifier.PointVerdict(parameter=[0.0], residuals={
+                "defect": 0.0}, passed=True)
+            return verifier.VerdictReport(
+                suite_id=suite_id, surface_id=surface_id, points_tested=1,
+                per_point=[point], overall=True,
+                tolerances={"tol": kwargs.get("tol", float("nan"))}, seed=seed)
+        return run
+
+    for sid in list(verifier.POINT_SUITES):
+        monkeypatch.setitem(verifier.POINT_SUITES, sid, stub(sid))
+    monkeypatch.setattr(verifier, "verify_remark4", stub("remark4"))
+    out = tmp_path / "all.json"
+    code, _, _ = run_cli(capsys, "verify", "all", "--tol", "1e-300",
+                         "--samples", "1", "--grid", "1", "--out", str(out))
+    assert code in (0, 1)
+    reports = json.loads(out.read_text())["reports"]
+    assert len(reports) == sum(map(len, verifier.SUITE_TARGETS.values()))
+    for rep in reports:
+        key = "tol_fit" if rep["suite_id"].endswith("characterization") else "tol"
+        assert rep["tolerances"][key] == 1e-300, rep["suite_id"]
+    assert seen and all(tol == 1e-300 for _sid, tol in seen)

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from umbilic_lab import catalog
-from umbilic_lab.errors import (DegenerateInducedMetric, NonUnitDirection,
-                                RankDeficient)
+from umbilic_lab.errors import (DegenerateInducedMetric, NonFiniteValue,
+                                NonUnitDirection, RankDeficient)
 from umbilic_lab.immersion import (Immersion, frames, is_umbilic,
                                    normal_curvature, second_fundamental_form,
                                    shape_report)
@@ -302,3 +302,12 @@ def test_normal_curvature_rejects_bad_directions():
         normal_curvature(im, [1.0, 0.7], 2.0 * rep.tangent_frame[0])
     with pytest.raises(NonUnitDirection):
         normal_curvature(im, [1.0, 0.7], rep.normal_frame[0])
+
+
+def test_non_finite_hessian_is_its_own_error():
+    plane = Immersion(2, catalog.euclidean_space(3),
+                      lambda u: np.array([u[0], u[1], 0.0]),
+                      jacobian=lambda u: np.eye(3)[:, :2],
+                      hessian=lambda u: np.full((3, 2, 2), np.nan))
+    with pytest.raises(NonFiniteValue, match="Hessian"):
+        shape_report(plane, [0.1, 0.2])

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from umbilic_lab import catalog
+from umbilic_lab import catalog, verifier
+from umbilic_lab.errors import NewtonDiverged
 from umbilic_lab.immersion import shape_report
 from umbilic_lab.verifier import (expected_umbilic, run_point_suite, run_suite,
                                   verify_characterization_hyperbolic,
@@ -338,3 +339,27 @@ def test_suites_compute_frames_once_per_point(monkeypatch):
     run_suite("sphere-characterization", "sphere:1", grid=(2, 2))
     assert seen
     assert len(seen) == len(set(seen))
+
+
+def test_characterization_crash_is_an_error_not_a_rejection(monkeypatch):
+    # a negative control must not pass because its tracer crashed
+    def crash(*args, **kwargs):
+        raise NewtonDiverged("no sample converged")
+
+    monkeypatch.setattr(verifier, "trace_slice", crash)
+    r = verify_characterization_sphere(surf("ellipsoid:1,2,3"), grid=(2, 2),
+                                       expect=False)
+    assert not r.overall
+    for p in r.per_point:
+        assert p.directions == {"slice-model-fit": "error"}
+        assert not p.passed and p.note.startswith("NewtonDiverged")
+        assert p.residuals == {"fit_rms_0": np.inf, "fit_rms_1": np.inf}
+
+
+def test_run_suite_all_takes_no_surface(monkeypatch):
+    def no_suite_may_run(im, u):
+        raise AssertionError("a suite ran before the input was checked")
+
+    monkeypatch.setattr(verifier, "shape_report", no_suite_may_run)
+    with pytest.raises(ValueError, match="own targets"):
+        run_suite("all", "sphere:1")
