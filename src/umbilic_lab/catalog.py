@@ -296,60 +296,37 @@ def _ellipsoid_umbilic_params(semiaxes):
     return params
 
 
-class _GraphChart:
-    """(x, f(x)) graphs with hand-coded or expression-based height."""
-
-    def __init__(self, m, f, grad, hess):
-        self.m = m
-        self.f = f
-        self.grad = grad
-        self.hess = hess
-
-    def __call__(self, u):
-        u = np.asarray(u, dtype=float)
-        return np.concatenate([u, self.f(u)[..., None]], axis=-1)
-
-    def jacobian(self, u):
-        u = np.asarray(u, dtype=float)
-        eye = np.broadcast_to(np.eye(self.m), u.shape[:-1] + (self.m, self.m))
-        return np.concatenate([eye, self.grad(u)[..., None, :]], axis=-2)
-
-    def hessian(self, u):
-        u = np.asarray(u, dtype=float)
-        zeros = np.zeros(u.shape[:-1] + (self.m, self.m, self.m))
-        return np.concatenate([zeros, self.hess(u)[..., None, :, :]], axis=-3)
-
-
 def _expression_graph(expr_text, space_of, orientation, id_text):
     """Graph (x, f(x)) over [-1, 1]^m into space_of(m + 1), f an expression."""
     node = parse(expr_text)
     used = free_vars(node)
     m = max(2, max(used) + 1 if used else 2)
-    emap = ExpressionMap([node], m)
-    chart = _GraphChart(
-        m,
-        lambda u: emap(u)[..., 0],
-        lambda u: emap.jacobian(u)[..., 0, :],
-        lambda u: emap.hessian(u)[..., 0, :, :])
+    chart = ExpressionMap([f"x{i}" for i in range(m)] + [node], m)
     return Immersion(m, space_of(m + 1), chart, chart.jacobian, chart.hessian,
                      domain=[[-1.0, 1.0]] * m, orientation=orientation,
                      name=id_text)
 
 
 def _hyperboloid_chart(r, m):
+    """Closed-form point, Jacobian and Hessian of the upper hyperboloid
+    sheet of radius r, the graph of f = sqrt(r^2 + |u|^2)."""
     def f(u):
         return np.sqrt(r * r + np.sum(u * u, axis=-1))
 
-    def grad(u):
-        return u / f(u)[..., None]
+    def eye(u):
+        return np.broadcast_to(np.eye(m), u.shape[:-1] + (m, m))
 
-    def hess(u):
+    def hessian(u):
         t = f(u)
-        eye = np.broadcast_to(np.eye(m), u.shape[:-1] + (m, m))
         outer = u[..., :, None] * u[..., None, :]
-        return eye / t[..., None, None] - outer / (t ** 3)[..., None, None]
+        hess = eye(u) / t[..., None, None] - outer / (t ** 3)[..., None, None]
+        return np.concatenate([np.zeros(u.shape[:-1] + (m, m, m)),
+                               hess[..., None, :, :]], axis=-3)
 
-    return _GraphChart(m, f, grad, hess)
+    return (lambda u: np.concatenate([u, f(u)[..., None]], axis=-1),
+            lambda u: np.concatenate([eye(u), (u / f(u)[..., None])[..., None, :]],
+                                     axis=-2),
+            hessian)
 
 
 # ---------------------------------------------------------------------------
@@ -543,9 +520,8 @@ def _build_immersion(family, arg, id_text):
                  id_text)
         r = nums[0]
         m = int(nums[1]) if len(nums) == 2 else 2
-        chart = _hyperboloid_chart(r, m)
-        im = Immersion(m, minkowski_space(m + 1), chart, chart.jacobian,
-                       chart.hessian, domain=[[-2.5, 2.5]] * m,
+        im = Immersion(m, minkowski_space(m + 1), *_hyperboloid_chart(r, m),
+                       domain=[[-2.5, 2.5]] * m,
                        orientation="future", center=np.zeros(m + 1),
                        name=id_text)
         truth = {"label": "umbilic-everywhere", "is_hyperbolic_space": True,

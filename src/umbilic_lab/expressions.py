@@ -6,6 +6,9 @@ arrays and differentiates symbolically, so expression-defined maps get
 analytic Jacobians and Hessians.
 """
 
+import functools
+import math
+import operator
 import re
 
 import numpy as np
@@ -20,6 +23,10 @@ FUNCTIONS = {
     "exp": (np.exp, lambda a: ("exp", a)),
     "sqrt": (np.sqrt, None),  # derivative handled specially
 }
+_ARITH = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+          "div": operator.truediv}
+_OPS = {**_ARITH, "pow": operator.pow, "neg": operator.neg,
+        **{name: fn for name, (fn, _d) in FUNCTIONS.items()}}
 
 
 def tokenize(text):
@@ -137,23 +144,9 @@ def evaluate(node, x):
         return np.broadcast_to(np.asarray(node[1]), np.asarray(x).shape[:-1]).astype(float)
     if op == "var":
         return np.asarray(x, dtype=float)[..., node[1]]
-    if op == "neg":
-        return -evaluate(node[1], x)
-    if op in FUNCTIONS:
-        return FUNCTIONS[op][0](evaluate(node[1], x))
-    a = evaluate(node[1], x)
-    b = evaluate(node[2], x)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    if op == "pow":
-        return a ** b
-    raise ExpressionError(f"bad node {op!r}")
+    if op not in _OPS:
+        raise ExpressionError(f"bad node {op!r}")
+    return _OPS[op](*(evaluate(kid, x) for kid in node[1:]))
 
 
 def _is_const(node, value=None):
@@ -219,7 +212,7 @@ def _diff(node, var):
                 ("sub", ("mul", _diff(a, var), b), ("mul", a, _diff(b, var))),
                 ("mul", b, b))
     if op == "pow":
-        a, b = node[1], node[2]
+        a, b = node[1], _simp(node[2])  # folds exponents such as -2 and (1/2)
         if _is_const(b):
             # d(a^c) = c * a^(c-1) * a'
             return ("mul", ("mul", b, ("pow", a, ("const", b[1] - 1.0))),
@@ -235,11 +228,67 @@ def _diff(node, var):
     raise ExpressionError(f"bad node {op!r}")
 
 
+def _compile(trees):
+    """Flat evaluation plan of ``trees``: (slots, steps, output slots).
+
+    Each distinct subtree is one slot, filled by one step that applies the
+    numpy operation of ``evaluate`` to operands of the same kind, so results
+    are bit-identical.  A constant used only in + - * / against an operand
+    that depends on x is stored once as a float; any other constant is
+    broadcast to the batch shape per call, as ``evaluate`` does, because
+    ``pow`` and the functions take different paths on 0-d and batch operands.
+    """
+    keys, nodes, varies, broadcast = {}, [], [], set()
+
+    def visit(node):
+        op = node[0]
+        kids = () if op in ("const", "var") else tuple(map(visit, node[1:]))
+        # kids by slot; a constant's key keeps the sign of zero
+        key = ((op, node[1], math.copysign(1.0, node[1])) if op == "const"
+               else (op, node[1]) if op == "var" else (op,) + kids)
+        if key not in keys:
+            for i, k in enumerate(kids):
+                if nodes[k][0] == "const" and not (
+                        op in _ARITH and varies[kids[1 - i]]):
+                    broadcast.add(k)
+            keys[key] = len(nodes)
+            nodes.append((op, node[1], kids))
+            varies.append(op == "var" or any(varies[k] for k in kids))
+        return keys[key]
+
+    outputs = [visit(t) for t in trees]
+    slots, steps = [], []       # x and the batch shape go after the nodes
+    for s, (op, arg, kids) in enumerate(nodes):
+        slots.append(arg if op == "const" and s not in broadcast else None)
+        if op == "var":
+            steps.append((s, operator.itemgetter((Ellipsis, arg)), len(nodes), None))
+        elif op == "const" and s in broadcast:
+            steps.append((s, functools.partial(np.full, fill_value=arg),
+                          len(nodes) + 1, None))
+        elif op != "const":
+            steps.append((s, _OPS[op], *kids, None)[:4])
+    return slots, steps, outputs
+
+
+def _run(plan, shape, x):
+    """Evaluate a compiled plan on x of shape (..., nvars) into (...) + shape."""
+    slots, steps, outputs = plan
+    x = np.asarray(x, dtype=float)
+    v = slots + [x, x.shape[:-1]]
+    for s, fn, a, b in steps:
+        v[s] = fn(v[a]) if b is None else fn(v[a], v[b])
+    out = np.empty(x.shape[:-1] + (len(outputs),))
+    for k, s in enumerate(outputs):
+        out[..., k] = v[s]
+    return out.reshape(x.shape[:-1] + shape)
+
+
 class ExpressionMap:
     """Vector-valued map R^nvars -> R^k from component expressions.
 
     Jacobian and Hessian come from symbolic differentiation, so the map
-    counts as analytically differentiable.
+    counts as analytically differentiable.  Value, Jacobian and Hessian
+    are each compiled once into a flat plan (see ``_compile``).
     """
 
     def __init__(self, component_texts, nvars):
@@ -249,24 +298,18 @@ class ExpressionMap:
             bad = [v for v in free_vars(c) if v >= nvars]
             if bad:
                 raise ExpressionError("variable index out of range", indices=bad)
-        self._grads = [[diff(c, v) for v in range(nvars)] for c in self.components]
-        self._hess = [[[diff(g, v) for v in range(nvars)] for g in grad]
-                      for grad in self._grads]
+        k, n = len(self.components), nvars
+        grads = [diff(c, v) for c in self.components for v in range(n)]
+        hess = [diff(g, v) for g in grads for v in range(n)]
+        self._value = _compile(self.components), (k,)
+        self._jacobian = _compile(grads), (k, n)
+        self._hessian = _compile(hess), (k, n, n)
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.stack([evaluate(c, x) for c in self.components], axis=-1)
+        return _run(*self._value, x)
 
     def jacobian(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.stack([np.stack([evaluate(g, x) for g in grad], axis=-1)
-                         for grad in self._grads], axis=-2)
+        return _run(*self._jacobian, x)
 
     def hessian(self, x):
-        x = np.asarray(x, dtype=float)
-        rows = []
-        for hc in self._hess:
-            rows.append(np.stack(
-                [np.stack([evaluate(e, x) for e in r], axis=-1) for r in hc],
-                axis=-2))
-        return np.stack(rows, axis=-3)
+        return _run(*self._hessian, x)

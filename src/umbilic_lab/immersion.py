@@ -152,11 +152,12 @@ def _oriented_normal(im, u, p, nu, g):
 
 
 def frames(im, u):
-    """(tangent_frame, normal_frame, normal_signs) at parameter u.
+    """(tangent_frame, normal_frame, normal_signs, p, jac, g) at parameter u.
 
     Tangent frame: g-orthonormalized Jacobian columns.  Normal frame:
     g-orthonormal completion, oriented per the immersion's rule for
-    hypersurfaces.
+    hypersurfaces.  The chart point, its Jacobian and the ambient metric
+    there come along so that callers need not evaluate them again.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     im.require_in_domain(u)
@@ -186,7 +187,7 @@ def frames(im, u):
             k = int(np.argmax(np.abs(nu)))
             fixed.append(nu if nu[k] >= 0 else -nu)
         normal = fixed
-    return np.stack(tangent), np.stack(normal), list(normal_signs)
+    return np.stack(tangent), np.stack(normal), list(normal_signs), p, jac, g
 
 
 def second_fundamental_form(im, u):
@@ -215,10 +216,7 @@ def umbilicity_defect(second_form, eigenvalues=None):
 def shape_report(im, u):
     """Full extrinsic report at u: frames, II, H, shape operator, defect."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    tangent, normal, normal_signs = frames(im, u)
-    p = im.point(u)
-    g = im.ambient.metric_at(p)
-    jac = im.jacobian_at(u)
+    tangent, normal, normal_signs, p, jac, g = frames(im, u)
     n = im.codim
 
     hess = im.hessian_at(u)

@@ -317,9 +317,9 @@ def _grid_points(im, grid, margin=0.15):
     """Grid over the padded domain; ``grid`` holds one count for every
     axis or one per axis."""
     m = im.param_dim
-    if len(grid) not in (1, m):
+    if len(grid) not in (1, m) or min(grid) < 1:
         raise ValueError(f"grid {'x'.join(map(str, grid))} needs 1 or {m} "
-                         f"counts for {m} parameters")
+                         f"positive counts for {m} parameters")
     lo, hi = im.domain[:, 0], im.domain[:, 1]
     pad = margin * (hi - lo)
     axes = [np.linspace(lo[d] + pad[d], hi[d] - pad[d],
@@ -516,6 +516,8 @@ def run_suite(suite_id, surface_id=None, n_points=20, seed=42, grid=(5,),
     for sid, _target, entry in jobs:
         if sid in CHARACTERIZATIONS:
             _grid_points(entry.obj, grid)
+        if sid in POINT_SUITES and n_points < 1:
+            raise ValueError(f"{sid} needs at least one random point")
     reports = []
     for sid, target, entry in jobs:
         if sid in POINT_SUITES:

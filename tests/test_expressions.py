@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from umbilic_lab.errors import ExpressionError
 from umbilic_lab.expressions import (ExpressionMap, diff, evaluate, free_vars,
                                      parse)
+from umbilic_lab.numdiff import jacobian_fd
 
 
 def test_eval_basic_arithmetic():
@@ -73,3 +76,58 @@ def test_parse_errors(bad):
 def test_out_of_range_variable_rejected():
     with pytest.raises(ExpressionError):
         ExpressionMap(["x5"], 2)
+
+
+@pytest.mark.parametrize("text", ["(2+x0)^-2", "(2+x0)^(1/2)"])
+def test_folded_constant_exponents_differentiate(text):
+    emap = ExpressionMap([text], 1)
+    for x in ([0.3], [-1.2], [2.5]):
+        x = np.array(x)
+        np.testing.assert_allclose(emap.jacobian(x), jacobian_fd(emap, x, 1e-6),
+                                   rtol=1e-8, atol=1e-10)
+        np.testing.assert_allclose(emap.hessian(x),
+                                   jacobian_fd(emap.jacobian, x, 1e-6),
+                                   rtol=1e-7, atol=1e-9)
+
+
+_CONSTS = st.sampled_from([0.0, -0.0, 1.0, 2.0, 0.5, -1.0, 3.7, -0.25])
+# exponents as the parser builds them: 2, 0.5, -1 (fast paths in numpy),
+# others, and unfolded trees for -2 and 1/2
+_EXPONENTS = st.sampled_from([("const", c) for c in (2.0, 0.5, -1.0, 3.0, 1.5, 0.0)]
+                             + [("neg", ("const", 2.0)),
+                                ("div", ("const", 1.0), ("const", 2.0))])
+_TREES = st.recursive(
+    st.one_of(st.tuples(st.just("const"), _CONSTS),
+              st.tuples(st.just("var"), st.integers(0, 1))),
+    lambda kids: st.one_of(
+        st.tuples(st.sampled_from(["add", "sub", "mul", "div"]), kids, kids),
+        st.tuples(st.sampled_from(["neg", "sin", "cos", "exp", "sqrt"]), kids),
+        st.tuples(st.just("pow"), kids, _EXPONENTS)),
+    max_leaves=6)
+
+
+def _same(a, b):
+    """Equal values, NaNs and signs of zero."""
+    keep = ~np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a[keep]), np.signbit(b[keep])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(trees=st.lists(_TREES, min_size=1, max_size=3),
+       seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 6))
+def test_compiled_plan_matches_tree_walker(trees, seed, batch):
+    rng = np.random.default_rng(seed)
+    with np.errstate(all="ignore"):
+        emap = ExpressionMap(trees, 2)
+        grads = [[diff(t, v) for v in range(2)] for t in trees]
+        for x in (rng.uniform(-2, 2, 2), rng.uniform(-2, 2, (batch, 2))):
+            value = np.stack([evaluate(t, x) for t in trees], axis=-1)
+            jac = np.stack([np.stack([evaluate(g, x) for g in row], axis=-1)
+                            for row in grads], axis=-2)
+            hess = np.stack([np.stack([np.stack(
+                [evaluate(diff(g, w), x) for w in range(2)], axis=-1)
+                for g in row], axis=-2) for row in grads], axis=-3)
+            assert _same(emap(x), value)
+            assert _same(emap.jacobian(x), jac)
+            assert _same(emap.hessian(x), hess)

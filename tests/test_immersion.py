@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from umbilic_lab import catalog
+from umbilic_lab.ambient import AmbientSpace
 from umbilic_lab.errors import (DegenerateInducedMetric, NonFiniteValue,
                                 NonUnitDirection, RankDeficient)
 from umbilic_lab.immersion import (Immersion, frames, is_umbilic,
@@ -29,9 +30,24 @@ def random_params(im, n, seed=0, margin=0.15):
 
 # --- frames ---
 
+def test_shape_report_evaluates_each_point_once(monkeypatch):
+    calls = {}
+    for cls, name in ((Immersion, "point"), (Immersion, "jacobian_at"),
+                      (AmbientSpace, "metric_at")):
+        def counted(self, *args, _orig=getattr(cls, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _orig(self, *args)
+        monkeypatch.setattr(cls, name, counted)
+    im = surface("ellipsoid:1,2,3")
+    params = random_params(im, 7)
+    for u in params:
+        shape_report(im, u)
+    assert calls == {"point": 7, "jacobian_at": 7, "metric_at": 7}
+
+
 def test_frames_flat_graph():
     im = catalog.resolve("graph:0*x0").obj  # z = 0 plane
-    tangent, normal, signs = frames(im, [0.2, -0.4])
+    tangent, normal, signs, *_ = frames(im, [0.2, -0.4])
     np.testing.assert_allclose(tangent, np.eye(3)[:2], atol=1e-12)
     np.testing.assert_allclose(np.abs(normal[0]), [0, 0, 1], atol=1e-12)
     assert signs == [1]
@@ -39,7 +55,7 @@ def test_frames_flat_graph():
 
 def test_frames_hyperboloid_vertex():
     im = surface("hyperboloid-sheet:1")
-    tangent, normal, signs = frames(im, [0.0, 0.0])
+    tangent, normal, signs, *_ = frames(im, [0.0, 0.0])
     np.testing.assert_allclose(tangent, np.eye(3)[:2], atol=1e-12)
     np.testing.assert_allclose(normal[0], [0.0, 0.0, 1.0], atol=1e-12)
     assert signs == [-1]  # timelike, future-directed
@@ -50,14 +66,14 @@ def test_frames_sphere_orientation_flag():
     ent = catalog.resolve("sphere:1")
     im = ent.obj
     u = np.array([np.pi / 2, np.pi / 2])  # ambient point (1, 0, 0)
-    _, normal_in, _ = frames(im, u)
+    _, normal_in, *_ = frames(im, u)
     p = im.point(u)
     np.testing.assert_allclose(p, [1.0, 0.0, 0.0], atol=1e-12)
     np.testing.assert_allclose(normal_in[0], -p, atol=1e-12)
     outward = Immersion(2, im.ambient, im.map_fn, im._jacobian, im._hessian,
                         domain=im.domain, orientation="outward",
                         center=np.zeros(3))
-    _, normal_out, _ = frames(outward, u)
+    _, normal_out, *_ = frames(outward, u)
     np.testing.assert_allclose(normal_out[0], p, atol=1e-12)
 
 
@@ -65,7 +81,7 @@ def test_frames_pseudo_orthonormality():
     for sid in CATALOG_SURFACES:
         im = surface(sid)
         for u in random_params(im, 5, seed=1):
-            tangent, normal, signs = frames(im, u)
+            tangent, normal, signs, *_ = frames(im, u)
             g = im.ambient.metric_at(im.point(u))
             full = np.concatenate([tangent, normal])
             gram = full @ g @ full.T

@@ -363,3 +363,19 @@ def test_run_suite_all_takes_no_surface(monkeypatch):
     monkeypatch.setattr(verifier, "shape_report", no_suite_may_run)
     with pytest.raises(ValueError, match="own targets"):
         run_suite("all", "sphere:1")
+
+
+@pytest.mark.parametrize("suite_id,kwargs", [
+    ("theorem2", {"n_points": 0}),
+    ("sphere-characterization", {"grid": (0,)}),
+    ("sphere-characterization", {"grid": (3, 0)}),
+    ("all", {"n_points": 0})])
+def test_empty_suites_are_rejected(monkeypatch, suite_id, kwargs):
+    # a suite that tests no point must not pass
+    def no_suite_may_run(im, u):
+        raise AssertionError("a suite ran before the input was checked")
+
+    monkeypatch.setattr(verifier, "shape_report", no_suite_may_run)
+    surface_id = None if suite_id == "all" else "sphere:1"
+    with pytest.raises(ValueError):
+        run_suite(suite_id, surface_id, **kwargs)
