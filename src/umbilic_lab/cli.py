@@ -106,17 +106,14 @@ def cmd_analyze(args):
     grid = verifier._grid_points(im, counts, margin=0.02)
     counts = counts * im.param_dim if len(counts) == 1 else counts
     tol = args.tol if args.tol is not None else 1e-6
-    rows = []
-    for u in grid:
-        rep = shape_report(im, u)
-        rows.append({
-            "u": [float(c) for c in u],
-            "h_magnitude": rep.scalars["h_norm_abs"],
-            "principal_curvatures": (None if rep.principal_curvatures is None
-                                     else rep.principal_curvatures.tolist()),
-            "defect": float(rep.umbilicity_defect),
-            "is_umbilic": bool(rep.umbilicity_defect <= tol),
-        })
+    rep = shape_report(im, grid)
+    kappas = (rep.principal_curvatures.tolist()
+              if rep.principal_curvatures is not None else [None] * len(grid))
+    rows = [{"u": u, "h_magnitude": h, "principal_curvatures": kappa,
+             "defect": defect, "is_umbilic": defect <= tol}
+            for u, h, kappa, defect in zip(
+                grid.tolist(), rep.scalars["h_norm_abs"].tolist(), kappas,
+                rep.umbilicity_defect.tolist())]
     defects = [r["defect"] for r in rows]
     payload = {
         "schema_version": SCHEMA_VERSION,

@@ -23,10 +23,13 @@ class NonFiniteValue(UmbilicLabError):
     code = "non-finite-value"
 
     @classmethod
-    def check(cls, value, what, **context):
-        """``value`` unchanged, or this error when any entry is not finite."""
+    def check(cls, value, what, u):
+        """``value`` unchanged, or this error naming the parameter (a row of
+        u, (m,) or (K, m)) of the first row of ``value`` with an inf or NaN."""
         if not np.isfinite(value).all():
-            raise cls(f"{what} is not finite", **context)
+            u = np.atleast_2d(u)
+            rows = np.isfinite(value).reshape(len(u), -1).all(axis=1)
+            raise cls(f"{what} is not finite", parameter=list(u[rows.argmin()]))
         return value
 
 
@@ -96,6 +99,10 @@ class IllConditionedFit(UmbilicLabError):
 
 class DegenerateFit(UmbilicLabError):
     code = "degenerate-fit"
+
+
+class FlatSlice(DegenerateFit):
+    code = "flat-slice"           # straight slice samples: no sphere fits
 
 
 class WrongCausalType(UmbilicLabError):

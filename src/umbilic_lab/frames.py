@@ -18,43 +18,45 @@ def inner(g, u, v):
 
 
 def pseudo_gram_schmidt(vectors, g, tol=LIGHTLIKE_TOL):
-    """g-orthonormalize ``vectors``; returns (basis, signs).
+    """g-orthonormalize the rows of ``vectors`` (..., k, N) against g
+    (..., N, N), one set per leading index; returns (basis, signs) of
+    shapes (..., k, N) and (..., k).
 
-    Raises DegenerateSubspace when a projected vector is light-like within
-    tol, i.e. the flag of spans is degenerate.
+    Raises DegenerateSubspace when a projected vector of any set is
+    light-like within tol, i.e. its flag of spans is degenerate.
     """
-    basis, signs = [], []
-    for v in vectors:
-        w = np.asarray(v, dtype=float).copy()
-        for _ in range(2):  # second pass fixes classical-GS roundoff
-            for e, eps in zip(basis, signs):
-                w -= eps * inner(g, w, e) * e
-        q = inner(g, w, w)
-        if abs(q) < tol * max(1.0, float(w @ w)):
-            raise DegenerateSubspace(
-                "vector degenerate after projection", q=q)
-        basis.append(w / np.sqrt(abs(q)))
-        signs.append(1 if q > 0 else -1)
-    return basis, signs
+    basis = np.array(vectors, dtype=float)
+    q = np.zeros(basis.shape[:-1])      # g(w, w) of each projected vector
+    k = basis.shape[-2]
+    for j in range(k):
+        w, done = basis[..., j, :], basis[..., :j, :]
+        for _ in range(2 if j else 0):  # second pass fixes classical-GS roundoff
+            w -= np.vecmat(np.matvec(done, np.matvec(g, w)) / q[..., :j], done)
+        q[..., j] = np.vecdot(w, np.matvec(g, w))
+        if j + 1 < k and not q[..., j].all():   # null: none may project on it
+            break
+    size = np.abs(q)
+    light = size < tol * np.maximum(1.0, np.vecdot(basis, basis))
+    if light.any():
+        raise DegenerateSubspace("vector degenerate after projection",
+                                 q=float(np.extract(light, q)[0]))
+    return basis / np.sqrt(size)[..., None], np.sign(q).astype(int)
 
 
-def complement_basis(span, g, dim=None, tol=1e-12):
-    """g-orthonormal basis of the g-orthocomplement of span(rows).
-
-    ``span`` is a (k, N) array of (not necessarily orthonormal) vectors.
-    """
-    span = np.atleast_2d(np.asarray(span, dtype=float))
-    n = span.shape[1]
+def complement_basis(span, g, dim, tol=1e-12):
+    """g-orthonormal basis (..., dim, N) of the g-orthocomplement of the
+    rows of ``span`` (..., k, N), one per leading index; see
+    pseudo_gram_schmidt for the signs."""
+    span = np.asarray(span, dtype=float)
+    n = span.shape[-1]
     # kernel of (span @ g): Euclidean-orthonormal seed for the complement
-    a = span @ g
-    _, s, vh = np.linalg.svd(a)
-    rank = int(np.sum(s > tol * max(1.0, s[0] if s.size else 1.0)))
-    seed = vh[rank:]
-    if dim is not None and seed.shape[0] != dim:
-        raise DegenerateSubspace(
-            "complement has unexpected dimension",
-            expected=dim, got=int(seed.shape[0]))
-    return pseudo_gram_schmidt(list(seed), g)
+    _, s, vh = np.linalg.svd(span @ g)
+    got = n - (s > tol * np.maximum(1.0, s[..., :1])).sum(axis=-1)
+    if (got != dim).any():
+        raise DegenerateSubspace("complement has unexpected dimension",
+                                 expected=dim,
+                                 got=int(np.extract(got != dim, got)[0]))
+    return pseudo_gram_schmidt(vh[..., n - dim:, :], g)
 
 
 def draw_pseudo_orthonormal(rng, g, signs_wanted, max_tries=500):

@@ -6,13 +6,14 @@ normal frame, so in a Lorentzian ambient the timelike normal carries its
 sign inside the coefficient, not the frame.
 """
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .ambient import christoffel
 from .errors import (DegenerateInducedMetric, LeftDomain, NonFiniteValue,
-                     NonUnitDirection, RankDeficient)
+                     NonUnitDirection, RankDeficient, UmbilicLabError)
 from .frames import complement_basis, pseudo_gram_schmidt, unit_design
 from .numdiff import hessian_fd, jacobian_fd
 
@@ -65,11 +66,6 @@ class Immersion:
         return np.all((u >= self.domain[:, 0] - 1e-9)
                       & (u <= self.domain[:, 1] + 1e-9), axis=-1)
 
-    def require_in_domain(self, u):
-        if not self.in_domain(u):
-            raise LeftDomain("parameter outside immersion domain",
-                             parameter=list(np.atleast_1d(u)))
-
     def point(self, u):
         return np.asarray(self.map_fn(np.asarray(u, dtype=float)), dtype=float)
 
@@ -92,7 +88,8 @@ class Immersion:
 
 @dataclass
 class ShapeReport:
-    """Per-point extrinsic data of an immersion."""
+    """Extrinsic data of an immersion at one point, or of a (K, m) batch:
+    then every field but the rung gains a leading K axis (see ``row``)."""
 
     u: np.ndarray
     p: np.ndarray
@@ -110,84 +107,105 @@ class ShapeReport:
 
     @property
     def mean_curvature(self):
-        """Signed scalar mean curvature (hypersurface case)."""
-        if self.shape_operator is None:
-            return None
-        return float(np.trace(self.shape_operator) / self.shape_operator.shape[0])
+        """Signed scalar mean curvature (hypersurface case), one per row."""
+        op = self.shape_operator
+        return None if op is None else np.trace(op, axis1=-2, axis2=-1) / op.shape[-1]
 
-    def to_dict(self):
-        return {
-            "u": [float(c) for c in self.u],
-            "p": [float(c) for c in self.p],
-            "tangent_frame": self.tangent_frame.tolist(),
-            "normal_frame": self.normal_frame.tolist(),
-            "normal_signs": list(self.normal_signs),
-            "second_form": self.second_form.tolist(),
-            "mean_curvature_vector": self.mean_curvature_vector.tolist(),
-            "principal_curvatures": (None if self.principal_curvatures is None
-                                     else self.principal_curvatures.tolist()),
-            "umbilicity_defect": float(self.umbilicity_defect),
-            "derivative_rung": self.derivative_rung,
-        }
+    def row(self, i):
+        """The one-point report of row i of a batch report."""
+        rows = {k: v[i] for k, v in vars(self).items() if isinstance(v, np.ndarray)}
+        return replace(self, normal_signs=rows.pop("normal_signs").tolist(),
+                       umbilicity_defect=float(rows.pop("umbilicity_defect")),
+                       scalars={k: float(v[i]) for k, v in self.scalars.items()},
+                       **rows)
 
 
-def _oriented_normal(im, u, p, nu, g):
-    """Deterministic sign fix plus the immersion's orientation rule."""
-    k = int(np.argmax(np.abs(nu)))
-    if nu[k] < 0:
-        nu = -nu
-    rule = im.orientation
-    if rule is None:
-        return nu
+def _batched(compute):
+    """``compute(im, u)`` on one point (m,), or on a (K, m) batch with float
+    warnings ignored; a batch with a failing row is run again row by row,
+    so that its first failing row raises its own error and parameter."""
+    @functools.wraps(compute)
+    def run(im, u):
+        u = np.atleast_1d(np.asarray(u, dtype=float))
+        if u.ndim == 1:
+            return compute(im, u)
+        with np.errstate(all="ignore"):
+            try:
+                return compute(im, u)
+            except (UmbilicLabError, np.linalg.LinAlgError):
+                for row in u:
+                    run(im, row)
+                raise
+    return run
+
+
+def _check(bad, u, error, message, **per_row):
+    """Raise ``error`` at the first row of the parameters u, (m,) or (K, m),
+    flagged in ``bad``, with its parameter and its entry of ``per_row``."""
+    if bad.any():
+        i = int(bad.argmax())
+        raise error(message, **{k: float(np.ravel(v)[i]) for k, v in per_row.items()},
+                    parameter=list(np.atleast_2d(u)[i]))
+
+
+def _orient(im, u, p, normal, g):
+    """Deterministic sign fix of each (..., n, N) normal (its largest entry
+    positive), then the immersion's orientation rule on hypersurfaces."""
+    flat = normal.reshape(-1, normal.shape[-1])
+    big = flat[np.arange(len(flat)), np.abs(flat).argmax(axis=1)]
+    normal = normal * np.sign(big).reshape(normal.shape[:-1] + (1,))
+    rule, nu = im.orientation, normal[..., 0, :]
+    if rule is None or im.codim > 1:
+        return normal
     if callable(rule):
-        return nu if rule(u, p, nu) else -nu
-    if rule in ("inward", "outward"):
-        center = im.center if im.center is not None else np.zeros_like(p)
-        toward = float(nu @ g @ (center - p))
+        k = nu.size // nu.shape[-1]
+        rows = map(rule, u.reshape(k, -1), p.reshape(k, -1), nu.reshape(k, -1))
+        keep = np.fromiter(rows, bool, k).reshape(nu.shape[:-1])
+    elif rule in ("inward", "outward"):
+        center = im.center if im.center is not None else np.zeros(p.shape[-1])
+        toward = np.einsum("...i,...ij,...j->...", nu, g, center - p)
         keep = toward > 0 if rule == "inward" else toward < 0
-        return nu if keep else -nu
-    if rule in ("upward", "future"):
-        return nu if nu[-1] > 0 else -nu
-    raise ValueError(f"unknown orientation rule {rule!r}")
+    elif rule in ("upward", "future"):
+        keep = nu[..., -1] > 0
+    else:
+        raise ValueError(f"unknown orientation rule {rule!r}")
+    return np.where(keep[..., None, None], normal, -normal)
 
 
+@_batched
 def frames(im, u):
     """(tangent_frame, normal_frame, normal_signs, p, jac, g) at parameter u.
 
     Tangent frame: g-orthonormalized Jacobian columns.  Normal frame:
     g-orthonormal completion, oriented per the immersion's rule for
     hypersurfaces.  The chart point, its Jacobian and the ambient metric
-    there come along so that callers need not evaluate them again.
+    there come along so that callers need not evaluate them again.  For a
+    (K, m) batch of parameters every member gets a leading K axis.
     """
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    im.require_in_domain(u)
-    where = {"parameter": list(u)}
-    p = NonFiniteValue.check(im.point(u), "point", **where)
-    jac = NonFiniteValue.check(im.jacobian_at(u), "Jacobian", **where)
+    _check(~im.in_domain(u), u, LeftDomain, "parameter outside immersion domain")
+    p = NonFiniteValue.check(im.point(u), "point", u)
+    jac = NonFiniteValue.check(im.jacobian_at(u), "Jacobian", u)
     s = np.linalg.svd(jac, compute_uv=False)
-    if s[-1] < RANK_TOL * max(1.0, s[0]):
-        raise RankDeficient("Jacobian is rank deficient", parameter=list(u))
+    _check(s[..., -1] < RANK_TOL * np.maximum(1.0, s[..., 0]), u,
+           RankDeficient, "Jacobian is rank deficient")
 
-    g = im.ambient.metric_at(p)
-    induced = NonFiniteValue.check(jac.T @ g @ jac, "induced metric", **where)
+    g = (im.ambient.metric_at(p) if im.ambient.is_constant else np.reshape(
+        [im.ambient.metric_at(x) for x in p.reshape(-1, p.shape[-1])],
+        p.shape + p.shape[-1:]))
+    induced = NonFiniteValue.check(jac.mT @ g @ jac, "induced metric", u)
     eig = np.linalg.eigvalsh(induced)
-    if eig[0] <= 1e-12 * max(1.0, abs(eig[-1])):
-        if not (im.allow_timelike and eig[0] < 0):
-            raise DegenerateInducedMetric(
-                "induced metric is not positive definite",
-                min_eigenvalue=float(eig[0]), parameter=list(u))
+    bad = eig[..., 0] <= 1e-12 * np.maximum(1.0, np.abs(eig[..., -1]))
+    if im.allow_timelike:
+        bad = bad & (eig[..., 0] >= 0)
+    _check(bad, u, DegenerateInducedMetric,
+           "induced metric is not positive definite", min_eigenvalue=eig[..., 0])
 
-    tangent, _tangent_signs = pseudo_gram_schmidt(list(jac.T), g)
-    normal, normal_signs = complement_basis(np.stack(tangent), g, dim=im.codim)
-    if im.codim == 1:
-        normal = [_oriented_normal(im, u, p, normal[0], g)]
-    else:
-        fixed = []
-        for nu in normal:
-            k = int(np.argmax(np.abs(nu)))
-            fixed.append(nu if nu[k] >= 0 else -nu)
-        normal = fixed
-    return np.stack(tangent), np.stack(normal), list(normal_signs), p, jac, g
+    tangent, _tangent_signs = pseudo_gram_schmidt(jac.mT, g)
+    normal, signs = complement_basis(tangent, g, dim=im.codim)
+    normal = _orient(im, u, p, normal, g)
+    if u.ndim == 1:
+        return tangent, normal, signs.tolist(), p, jac, g
+    return tangent, normal, signs, p, jac, np.broadcast_to(g, p.shape + p.shape[-1:])
 
 
 def second_fundamental_form(im, u):
@@ -196,62 +214,71 @@ def second_fundamental_form(im, u):
 
 
 def umbilicity_defect(second_form, eigenvalues=None):
-    """(defect, h_coeff) of an (m, m, n) second fundamental form.
+    """(defect, h_coeff) of an (..., m, m, n) second fundamental form.
 
     The defect is the max over unit tangent X of |II(X,X) - H|.  With one
     normal it is exactly max|kappa_i - H| over the eigenvalues (pass them
     in when already computed); otherwise it is sampled over unit_design.
     """
-    m, _, n = second_form.shape
-    h_coeff = np.array([np.trace(second_form[:, :, a]) / m for a in range(n)])
+    m, _, n = second_form.shape[-3:]
+    h_coeff = second_form.trace(axis1=-3, axis2=-2) / m
     if n == 1:
         if eigenvalues is None:
-            eigenvalues = np.linalg.eigvalsh(second_form[:, :, 0])
-        return float(np.max(np.abs(eigenvalues - h_coeff[0]))), h_coeff
+            eigenvalues = np.linalg.eigvalsh(second_form[..., 0])
+        return np.max(np.abs(eigenvalues - h_coeff), axis=-1), h_coeff
     xs = unit_design(m)
-    vals = np.einsum("ki,ija,kj->ka", xs, second_form, xs)
-    return float(np.max(np.linalg.norm(vals - h_coeff, axis=1))), h_coeff
+    vals = np.einsum("ki,...ija,kj->...ka", xs, second_form, xs)
+    return (np.max(np.linalg.norm(vals - h_coeff[..., None, :], axis=-1),
+                   axis=-1), h_coeff)
 
 
+@_batched
 def shape_report(im, u):
-    """Full extrinsic report at u: frames, II, H, shape operator, defect."""
-    u = np.atleast_1d(np.asarray(u, dtype=float))
+    """Full extrinsic report at u: frames, II, H, shape operator, defect.
+
+    ``u`` is one parameter point (m,) or a (K, m) batch; a batch report
+    gives every array field, the signs, the defect and ``h_norm_abs`` a
+    leading K axis (see ShapeReport.row)."""
     tangent, normal, normal_signs, p, jac, g = frames(im, u)
-    n = im.codim
 
     hess = im.hessian_at(u)
     if not im.ambient.is_constant:
-        gamma = christoffel(im.ambient, p)
-        hess = hess + np.einsum("cab,ai,bj->cij", gamma, jac, jac)
-    NonFiniteValue.check(hess, "Hessian", parameter=list(u))
+        gamma = np.reshape([christoffel(im.ambient, x) for x in
+                            p.reshape(-1, p.shape[-1])], p.shape + p.shape[-1:] * 2)
+        hess = hess + np.einsum("...cab,...ai,...bj->...cij", gamma, jac, jac)
+    NonFiniteValue.check(hess, "Hessian", u)
 
     # coefficients of the normal part: eps_a * g(nu_a, D_ij)
-    ii_coord = np.einsum("an,nb,bij->aij", normal, g, hess)
-    ii_coord *= np.asarray(normal_signs, dtype=float)[:, None, None]
+    ii_coord = np.einsum("...an,...nb,...bij->...aij", normal, g, hess)
+    ii_coord *= np.asarray(normal_signs, dtype=float)[..., None, None]
 
-    # change of basis from coordinate frame to the orthonormal tangent frame
-    coeff, *_ = np.linalg.lstsq(jac, tangent.T, rcond=None)
-    ii_on = np.einsum("ip,aij,jq->pqa", coeff, ii_coord, coeff)
-    ii_on = 0.5 * (ii_on + ii_on.transpose(1, 0, 2))
+    # change of basis from coordinate frame to the orthonormal tangent
+    # frame: jac @ coeff = tangent.T, solved through the induced metric
+    jac_tg = jac.mT @ g
+    coeff = np.linalg.solve(jac_tg @ jac, jac_tg @ tangent.mT)
+    ii_on = np.einsum("...ip,...aij,...jq->...pqa", coeff, ii_coord, coeff)
+    ii_on = 0.5 * (ii_on + np.swapaxes(ii_on, -3, -2))
 
     shape_op = principal = principal_dirs = None
-    if n == 1:
-        shape_op = ii_on[:, :, 0]
+    if im.codim == 1:
+        shape_op = ii_on[..., 0]
         principal, vecs = np.linalg.eigh(shape_op)
-        principal_dirs = (tangent.T @ vecs).T
+        principal_dirs = vecs.mT @ tangent
 
     defect, h_coeff = umbilicity_defect(ii_on, eigenvalues=principal)
-    h_vec = np.einsum("a,an->n", h_coeff, normal)
-
+    h_norm = np.sqrt(np.vecdot(h_coeff, h_coeff))
+    if u.ndim == 1:
+        defect, h_norm = float(defect), float(h_norm)
     return ShapeReport(
         u=u, p=p,
         tangent_frame=tangent, normal_frame=normal, normal_signs=normal_signs,
-        second_form=ii_on, mean_curvature_vector=h_vec,
+        second_form=ii_on,
+        mean_curvature_vector=np.einsum("...a,...an->...n", h_coeff, normal),
         shape_operator=shape_op,
         principal_curvatures=principal, principal_directions=principal_dirs,
         umbilicity_defect=defect,
         derivative_rung=im.derivative_rung,
-        scalars={"h_norm_abs": float(np.linalg.norm(h_coeff))})
+        scalars={"h_norm_abs": h_norm})
 
 
 def default_umbilic_tol(im):

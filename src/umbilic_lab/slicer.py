@@ -16,8 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (DegenerateFit, DegenerateSubspace, IllConditionedFit,
-                     NewtonDiverged, UnsupportedAmbient, WrongCausalType)
+from .errors import (DegenerateFit, DegenerateSubspace, FlatSlice,
+                     IllConditionedFit, NewtonDiverged, UnsupportedAmbient,
+                     WrongCausalType)
 from .frames import complement_basis
 from .immersion import ShapeReport
 
@@ -177,8 +178,7 @@ def build_slice(im, spec):
                 "point is not on a central quadric with radial normal")
     m_minus_s = im.param_dim - spec.s
     if m_minus_s > 0:
-        basis, _signs = complement_basis(span, g, dim=m_minus_s)
-        comp = np.stack(basis)
+        comp, _signs = complement_basis(span, g, dim=m_minus_s)
     else:
         comp = np.zeros((0, im.ambient.dimension))
     return SlicePlane(point=spec.q, tangent=spec.tangent_directions,
@@ -436,7 +436,7 @@ def _fit_quadric(points, lorentzian):
     mean, basis, y, off = _affine_hull(pts)
     k = basis.shape[0]
     if k < 2:
-        raise DegenerateFit("points are affinely dependent", hull_dim=k)
+        raise FlatSlice("points are affinely dependent", hull_dim=k)
     sig, eps = np.ones(k), 1.0
     if lorentzian:
         sig[-1] = eps = -1.0
@@ -470,7 +470,7 @@ def _fit_quadric(points, lorentzian):
         r = r + float(upd[k])
         sq = eps * form(y - c, y - c)
     if not np.isfinite(r) or abs(r) > 1e6:
-        raise DegenerateFit(f"{kind} radius estimate diverged", radius=float(r))
+        raise FlatSlice(f"{kind} radius estimate diverged", radius=float(r))
     if lorentzian:
         time_side = y[:, -1] - c[-1]
         if not (np.all(time_side > 0) or np.all(time_side < 0)):

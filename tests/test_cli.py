@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from umbilic_lab import cli, verifier
+from umbilic_lab import cli, immersion, verifier
 from umbilic_lab.cli import main
 
 
@@ -356,3 +356,17 @@ def test_verify_all_tol_reaches_every_suite(capsys, monkeypatch, tmp_path):
         key = "tol_fit" if rep["suite_id"].endswith("characterization") else "tol"
         assert rep["tolerances"][key] == 1e-300, rep["suite_id"]
     assert seen and all(tol == 1e-300 for _sid, tol in seen)
+
+
+def test_analyze_computes_its_grid_in_one_stacked_pass(capsys, monkeypatch):
+    calls = []
+
+    def counted(im, u, _frames=immersion.frames):
+        calls.append(np.shape(u))
+        return _frames(im, u)
+
+    monkeypatch.setattr(immersion, "frames", counted)
+    code, out, _ = run_cli(capsys, "analyze", "--surface", "ellipsoid:1,2,3",
+                           "--grid", "4x4")
+    assert code == 0 and len(json.loads(out)["rows"]) == 16
+    assert calls == [(16, 2)]

@@ -5,8 +5,10 @@ from hypothesis import strategies as st
 
 from umbilic_lab import catalog
 from umbilic_lab.ambient import AmbientSpace
-from umbilic_lab.errors import (DegenerateInducedMetric, NonFiniteValue,
-                                NonUnitDirection, RankDeficient)
+from umbilic_lab.errors import (DegenerateInducedMetric, LeftDomain,
+                                NonFiniteValue, NonUnitDirection,
+                                RankDeficient)
+from umbilic_lab.expressions import ExpressionMap
 from umbilic_lab.immersion import (Immersion, frames, is_umbilic,
                                    normal_curvature, second_fundamental_form,
                                    shape_report)
@@ -327,3 +329,84 @@ def test_non_finite_hessian_is_its_own_error():
                       hessian=lambda u: np.full((3, 2, 2), np.nan))
     with pytest.raises(NonFiniteValue, match="Hessian"):
         shape_report(plane, [0.1, 0.2])
+
+
+# --- batches of points ---
+
+def clifford_torus():
+    """The flat torus in S^3 of R^4: codimension 2."""
+    c = repr(float(np.sqrt(0.5)))
+    chart = ExpressionMap([f"{c}*cos(x0)", f"{c}*sin(x0)",
+                           f"{c}*cos(x1)", f"{c}*sin(x1)"], 2)
+    return Immersion(2, catalog.euclidean_space(4), chart, chart.jacobian,
+                     chart.hessian, domain=[[-3, 3], [-3, 3]])
+
+
+def latitude_circle():
+    """A latitude circle of the round 2-sphere: a curved ambient."""
+    def curve(u):
+        u = np.asarray(u, dtype=float)
+        return np.stack([np.full(u.shape[:-1], 0.8), u[..., 0]], axis=-1)
+
+    return Immersion(1, catalog.sphere_metric(1.0, dim=2), curve,
+                     domain=[[0.5, 2.5]])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: surface("ellipsoid:0.5,1,1.5"),
+    lambda: surface("hyperboloid-sheet:0.9,3"),
+    lambda: surface("torus:2,0.5"),
+    clifford_torus,
+    latitude_circle], ids=["ellipsoid", "hyperboloid-3", "torus", "clifford",
+                           "curved-ambient"])
+def test_batch_rows_equal_single_point_reports(make):
+    im = make()
+    params = np.array(random_params(im, 12, seed=6, margin=0.05))
+    batch = shape_report(im, params)
+    assert batch.second_form.shape == (12, im.param_dim, im.param_dim, im.codim)
+    assert batch.umbilicity_defect.shape == batch.scalars["h_norm_abs"].shape == (12,)
+    tangent, normal, signs, p, jac, g = frames(im, params)
+    for i, u in enumerate(params):
+        one, row = shape_report(im, u), batch.row(i)
+        kappa = one.principal_curvatures
+        tol = 1e-13 * max(1.0, 0.0 if kappa is None else np.max(np.abs(kappa)))
+        pairs = [(tangent[i], one.tangent_frame), (normal[i], one.normal_frame),
+                 (row.tangent_frame, one.tangent_frame),
+                 (row.normal_frame, one.normal_frame),
+                 (row.second_form, one.second_form),
+                 (row.umbilicity_defect, one.umbilicity_defect),
+                 (row.scalars["h_norm_abs"], one.scalars["h_norm_abs"])]
+        if kappa is not None:
+            pairs += [(row.principal_curvatures, kappa),
+                      (batch.mean_curvature[i], one.mean_curvature)]
+        for got, want in pairs:
+            np.testing.assert_allclose(got, want, rtol=0, atol=tol)
+        assert signs[i].tolist() == row.normal_signs == one.normal_signs
+        assert isinstance(row.umbilicity_defect, float)
+
+
+def cubic_strip():
+    """(x0, x1^3, 0): rank deficient along x1 = 0."""
+    chart = ExpressionMap(["x0", "x1*x1*x1", "0*x0"], 2)
+    return Immersion(2, catalog.euclidean_space(3), chart, chart.jacobian,
+                     chart.hessian, domain=[[-1, 1], [-1, 1]])
+
+
+@pytest.mark.parametrize("make,rows,error,bad", [
+    (lambda: surface("graph:1/x0"), [[0.5, 0.5], [0.0, 0.3], [0.2, 0.1]],
+     NonFiniteValue, 1),
+    (lambda: surface("ellipsoid:1,2,3"), [[1.0, 0.5], [1.2, 0.4], [9.0, 0.5]],
+     LeftDomain, 2),
+    # the rank-deficient row comes first, so it raises, although the batch
+    # checks the domain of every row before it evaluates the chart
+    (cubic_strip, [[0.5, 0.5], [0.3, 0.0], [2.0, 0.5]], RankDeficient, 1)],
+    ids=["non-finite", "left-domain", "first-in-input-order"])
+def test_batch_raises_the_error_of_its_first_failing_row(make, rows, error, bad):
+    im = make()
+    with pytest.raises(error) as batch_err:
+        shape_report(im, np.array(rows))
+    with pytest.raises(error) as one_err, np.errstate(divide="ignore"):
+        shape_report(im, rows[bad])
+    assert batch_err.value.context == one_err.value.context
+    assert list(batch_err.value.context["parameter"]) == rows[bad]
+    assert str(batch_err.value) == str(one_err.value)

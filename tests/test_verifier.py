@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from umbilic_lab import catalog, verifier
-from umbilic_lab.errors import NewtonDiverged
+from umbilic_lab.errors import FlatSlice, NewtonDiverged
 from umbilic_lab.immersion import shape_report
+from umbilic_lab.slicer import taylor_trace_radius
 from umbilic_lab.verifier import (expected_umbilic, run_point_suite, run_suite,
                                   verify_characterization_hyperbolic,
                                   verify_characterization_sphere,
@@ -379,3 +380,52 @@ def test_empty_suites_are_rejected(monkeypatch, suite_id, kwargs):
     surface_id = None if suite_id == "all" else "sphere:1"
     with pytest.raises(ValueError):
         run_suite(suite_id, surface_id, **kwargs)
+
+
+def test_errored_draws_reach_the_margin(monkeypatch):
+    def crash(*args, **kwargs):
+        raise NewtonDiverged("no sample converged")
+
+    monkeypatch.setattr(verifier, "trace_slice", crash)
+    r = verify_characterization_sphere(surf("sphere:1"), grid=(2, 2),
+                                       expect=True)
+    assert r.extras["max_fit_residual"] == np.inf
+
+
+def test_flat_slice_is_a_fail_not_an_error(monkeypatch):
+    # a straight slice is the geometry saying "no sphere"
+    def flat(points, signature=None):
+        raise FlatSlice("sphere radius estimate diverged", radius=1e7)
+
+    monkeypatch.setattr(verifier, "fit_sphere", flat)
+    r = verify_characterization_sphere(surf("cylinder:1"), grid=(2, 2),
+                                       expect=False)
+    assert r.overall and not r.extras["passes_slice_test"]
+    assert r.extras["max_fit_residual"] == np.inf
+    for p in r.per_point:
+        assert p.directions == {"slice-model-fit": "fail"} and p.note == ""
+        assert p.residuals == {"fit_rms_0": np.inf, "fit_rms_1": np.inf}
+
+
+@pytest.mark.parametrize("seed", [55, 117])
+def test_cylinder_negative_control_survives_near_axial_slices(seed):
+    # at these seeds one draw slices the cylinder along a nearly straight
+    # line: "radius estimate diverged" (55) and "affinely dependent" (117)
+    r, = run_suite("sphere-characterization", "cylinder:1", seed=seed,
+                   grid=(5, 5))
+    assert r.overall and r.extras["max_fit_residual"] == np.inf
+    assert all(p.directions["slice-model-fit"] != "error" for p in r.per_point)
+
+
+def test_point_suite_tolerances_cover_every_point():
+    entry = catalog.resolve("ellipsoid:1,2,3")
+    r = run_point_suite("theorem2", entry.id, n_points=2, seed=3,
+                        n_subspace_draws=2)
+    tol_primes = [p.residuals["tol_prime"] for p in r.per_point]
+    radii = [taylor_trace_radius(shape_report(entry.obj, q))
+             for q in verifier._suite_points(entry, 2, 3)]
+    assert len(set(tol_primes)) > 1 and len(set(radii)) > 1
+    assert r.tolerances == {
+        "tol": 1e-5, "tol_prime_min": min(tol_primes),
+        "tol_prime_max": max(tol_primes), "radius_min": min(radii),
+        "radius_max": max(radii)}
