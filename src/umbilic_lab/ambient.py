@@ -47,12 +47,14 @@ class AmbientSpace:
 
     ``metric`` is either a constant (N, N) array or a callable point ->
     (N, N) array.  ``metric_derivative``, when given, returns the (N, N, N)
-    array dg[i,j,k] = d g_ij / d x_k.  ``box`` is the trusted coordinate
-    region; leaving it is an error, never an extrapolation.
+    array dg[i,j,k] = d g_ij / d x_k, and ``metric_hessian`` the (N, N, N, N)
+    array ddg[i,j,a,b] = d_a d_b g_ij; with both, curvature is exact.
+    ``box`` is the trusted coordinate region; leaving it is an error, never
+    an extrapolation.
     """
 
-    def __init__(self, signature, metric, metric_derivative=None, box=None,
-                 sample_box=None, name=""):
+    def __init__(self, signature, metric, metric_derivative=None,
+                 metric_hessian=None, box=None, sample_box=None, name=""):
         self.signature = signature
         n = signature.dimension
         self._const_g = None
@@ -62,6 +64,7 @@ class AmbientSpace:
         else:
             self._metric_fn = metric
         self.metric_derivative = metric_derivative
+        self.metric_hessian = metric_hessian
         if box is None:
             box = np.array([[-50.0, 50.0]] * n)
         self.box = np.asarray(box, dtype=float)
@@ -116,6 +119,12 @@ class AmbientSpace:
             dg = central_diff(self.metric_at, x, FD_STEP)
         return 0.5 * (dg + dg.transpose(1, 0, 2))
 
+    def metric_hessian_at(self, x):
+        """ddg[i,j,a,b] = d_a d_b g_ij, symmetrized in (i, j) and (a, b)."""
+        ddg = np.asarray(self.metric_hessian(np.asarray(x, dtype=float)), dtype=float)
+        ddg = 0.5 * (ddg + ddg.transpose(0, 1, 3, 2))
+        return 0.5 * (ddg + ddg.transpose(1, 0, 2, 3))
+
     def inner(self, x, u, v):
         return float(u @ self.metric_at(x) @ v)
 
@@ -126,9 +135,10 @@ class AmbientSpace:
 
 @dataclass
 class CurvatureSample:
-    """Christoffel symbols and the lowered curvature tensor at one point."""
+    """Metric, Christoffel symbols and lowered curvature at one point."""
 
     point: np.ndarray
+    metric: np.ndarray          # g[i, j]
     christoffel: np.ndarray     # gamma[k, i, j]
     riemann_lowered: np.ndarray  # lowered[i, j, k, l] = g(R(e_i,e_j)e_l, e_k)
     scalar_summary: dict = field(default_factory=dict)
@@ -167,10 +177,12 @@ class CartanAuditReport:
         }
 
 
-def christoffel(space, x):
-    """Levi-Civita connection coefficients gamma[k, i, j] at x."""
+def christoffel(space, x, g=None, dg=None):
+    """Levi-Civita connection coefficients gamma[k, i, j] at x; the metric
+    ``g`` and its derivative ``dg`` at x are evaluated unless passed."""
     x = np.asarray(x, dtype=float)
-    g = space.metric_at(x)
+    if g is None:
+        g = space.metric_at(x)
     det = np.linalg.det(g)
     if abs(det) < DET_TOL:
         raise SingularMetric("metric determinant below threshold",
@@ -178,7 +190,8 @@ def christoffel(space, x):
     if space.is_constant:
         n = space.dimension
         return np.zeros((n, n, n))
-    dg = space.metric_derivative_at(x)
+    if dg is None:
+        dg = space.metric_derivative_at(x)
     ginv = np.linalg.inv(g)
     b1 = np.transpose(dg, (1, 2, 0))   # b1[l,i,j] = dg[j,l,i]
     b2 = np.transpose(dg, (1, 0, 2))   # b2[l,i,j] = dg[i,l,j]
@@ -190,18 +203,27 @@ def christoffel(space, x):
 def riemann(space, x):
     """Curvature tensor at x as a CurvatureSample.
 
-    dGamma uses the analytic-derivative step when first derivatives of g
-    are exact, else a larger nested-difference step to keep the
-    differenced noise of finite-difference Christoffels in check.
+    With a metric Hessian, dGamma is exact:
+        d_m Gamma^k_ij = g^kl (d_m Gamma_l,ij - d_m g_la Gamma^a_ij),
+        d_m Gamma_l,ij = (d_m d_i g_jl + d_m d_j g_il - d_m d_l g_ij) / 2.
+    Else it is differenced, fourth order when first derivatives of g are
+    exact, or with a larger step against finite-difference noise.
     """
     x = np.asarray(x, dtype=float)
     g = space.metric_at(x)
-    gamma = christoffel(space, x)
-    n = space.dimension
+    dg = space.metric_derivative_at(x)
+    gamma = christoffel(space, x, g, dg)
     if space.is_constant:
-        low = np.zeros((n, n, n, n))
+        low = np.zeros((space.dimension,) * 4)
     else:
-        if space.has_analytic_derivative:
+        if space.metric_hessian is not None:
+            ddg = space.metric_hessian_at(x)
+            dlow = 0.5 * (np.transpose(ddg, (1, 2, 0, 3))     # d_m d_i g_jl
+                          + np.transpose(ddg, (1, 0, 2, 3))   # d_m d_j g_il
+                          - np.transpose(ddg, (2, 0, 1, 3)))  # d_m d_l g_ij
+            dgamma = np.einsum("kl,lijm->kijm", np.linalg.inv(g),
+                               dlow - np.einsum("lam,aij->lijm", dg, gamma))
+        elif space.has_analytic_derivative:
             dgamma = central_diff4(lambda y: christoffel(space, y), x, 5e-4)
         else:
             dgamma = central_diff(lambda y: christoffel(space, y), x, 1e-3,
@@ -213,31 +235,37 @@ def riemann(space, x):
         riem_up = term1 - term2 + term3 - term4
         low = np.einsum("ka,alij->ijkl", g, riem_up)
     summary = {"max_abs_riemann": float(np.max(np.abs(low)))}
-    sample = CurvatureSample(point=x, christoffel=gamma, riemann_lowered=low,
-                             scalar_summary=summary)
+    sample = CurvatureSample(point=x, metric=g, christoffel=gamma,
+                             riemann_lowered=low, scalar_summary=summary)
     summary.update(sample.symmetry_violations())
     return sample
 
 
-def _plane_gram(g, u, v):
-    return float((u @ g @ u) * (v @ g @ v) - (u @ g @ v) ** 2)
-
-
-def _sectional_from_sample(sample, g, u, v):
-    q = _plane_gram(g, u, v)
-    if abs(q) < PLANE_TOL:
-        raise DegeneratePlane("plane is light-like", gram=q)
-    num = np.einsum("ijkl,i,j,k,l->", sample.riemann_lowered, u, v, u, v)
-    return float(num / q)
+def _frame_curvature(low, g, frames):
+    """Curvature in each frame of ``frames`` (..., k, N): the components
+    comp[..., a, b, c, d] = low(e_a, e_b, e_c, e_d), one batched contraction
+    per index, and the sectional curvatures of the planes span{e_a, e_b},
+    a < b, in np.triu_indices order; errors on light-like planes."""
+    *lead, k, n = frames.shape
+    comp = np.broadcast_to(low, (*lead, *low.shape))
+    for _ in range(4):      # contract the first index, append the frame's
+        comp = comp.reshape(*lead, n, -1).mT @ frames.mT
+    comp = comp.reshape(*lead, k, k, k, k)
+    gram = frames @ g @ frames.mT
+    a, b = np.triu_indices(k, 1)
+    q = gram[..., a, a] * gram[..., b, b] - gram[..., a, b] ** 2
+    light = np.abs(q) < PLANE_TOL
+    if light.any():
+        raise DegeneratePlane("plane is light-like",
+                              gram=float(np.extract(light, q)[0]))
+    return comp, comp[..., a, b, a, b] / q
 
 
 def sectional_curvature(space, x, u, v):
     """K of the plane span{u, v} at x; errors on light-like planes."""
-    x = np.asarray(x, dtype=float)
-    g = space.metric_at(x)
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    return _sectional_from_sample(riemann(space, x), g, u, v)
+    sample = riemann(space, x)
+    return float(_frame_curvature(sample.riemann_lowered, sample.metric,
+                                  np.array([u, v], dtype=float))[1][0])
 
 
 def geodesic(space, p, v, t_end, steps=256):
@@ -318,20 +346,9 @@ def tg_patch(space, p, basis, radius, grid=5, steps=128):
     return np.asarray(points)
 
 
-def _codazzi_obstruction(sample, triple):
-    """max |g(R(a,b)c, a)| over ordered distinct assignments of the triple."""
-    low = sample.riemann_lowered
-    worst = 0.0
-    idx = [0, 1, 2]
-    for a in idx:
-        for b in idx:
-            for c in idx:
-                if len({a, b, c}) != 3:
-                    continue
-                val = np.einsum("ijkl,i,j,k,l->", low,
-                                triple[a], triple[b], triple[a], triple[c])
-                worst = max(worst, abs(float(val)))
-    return worst
+# the ordered distinct assignments (a, b, c) of a triple's three vectors
+_ASSIGNMENTS = np.array([(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0),
+                         (2, 0, 1), (2, 1, 0)])
 
 
 def _audit_patterns(space):
@@ -368,35 +385,31 @@ def cartan_audit(space, points, triples_per_point=10, seed=0,
         pts = [np.asarray(p, dtype=float) for p in points]
 
     patterns = _audit_patterns(space)
-    max_obstruction = 0.0
-    max_spread = 0.0
+    rows = [patterns[t % len(patterns)] for t in range(triples_per_point)]
+    a, b, c = _ASSIGNMENTS.T
     per_point = []
     for i, x in enumerate(pts):
         rng = np.random.default_rng([seed, i + 1])
-        g = space.metric_at(x)
         sample = riemann(space, x)
-        curvatures = []
-        obstruction = 0.0
-        for t in range(triples_per_point):
-            pattern = patterns[t % len(patterns)]
-            triple = draw_pseudo_orthonormal(rng, g, pattern)
-            obstruction = max(obstruction, _codazzi_obstruction(sample, triple))
-            for a in range(3):
-                for b in range(a + 1, 3):
-                    curvatures.append(
-                        _sectional_from_sample(sample, g, triple[a], triple[b]))
-        spread = float(max(curvatures) - min(curvatures))
-        max_obstruction = max(max_obstruction, obstruction)
-        max_spread = max(max_spread, spread)
-        per_point.append({"point": [float(c) for c in x],
+        triples = draw_pseudo_orthonormal(rng, sample.metric, rows)
+        comp, curvatures = _frame_curvature(sample.riemann_lowered,
+                                            sample.metric, triples)
+        # Codazzi obstruction: max |g(R(a,b)c, a)| over triples and assignments
+        obstruction = float(np.max(np.abs(comp[:, a, b, a, c])))
+        per_point.append({"point": x.tolist(),
                           "codazzi_obstruction": obstruction,
-                          "sectional_spread": spread})
+                          "sectional_spread": float(np.max(curvatures)
+                                                    - np.min(curvatures))})
+    # np.max, unlike max, lets a NaN through to fail the verdict
+    max_obstruction, max_spread = (
+        float(np.max([p[key] for p in per_point], initial=0.0))
+        for key in ("codazzi_obstruction", "sectional_spread"))
 
     compatible = max_obstruction <= tol_codazzi and max_spread <= tol_spread
     return CartanAuditReport(
         points=pts,
-        max_codazzi_obstruction=float(max_obstruction),
-        sectional_spread=float(max_spread),
+        max_codazzi_obstruction=max_obstruction,
+        sectional_spread=max_spread,
         verdict="ConstantCurvatureCompatible" if compatible else "Obstructed",
         seed=seed,
         tolerances={"codazzi": tol_codazzi, "spread": tol_spread},
@@ -434,11 +447,9 @@ def k_difference_identity(space, x, triple, mode):
             "triple causal characters do not match mode",
             mode=mode, characters=got)
 
-    sample = riemann(space, x)
-    low = sample.riemann_lowered
-    k_xy = _sectional_from_sample(sample, g, vx, vy)
-    k_xz = _sectional_from_sample(sample, g, vx, vz)
-    lhs = k_xy - k_xz
+    low = riemann(space, x).riemann_lowered
+    k_xy, k_xz, _k_yz = _frame_curvature(low, g, np.array([vx, vy, vz]))[1]
+    lhs = float(k_xy - k_xz)
 
     if mode == "spacelike":
         yp = (vy + vz) / np.sqrt(2.0)

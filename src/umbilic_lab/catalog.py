@@ -64,145 +64,88 @@ def minkowski_space(n):
     return AmbientSpace(MetricSignature(n, 1), g, name=f"minkowski:{n}")
 
 
+def _square(expr):
+    """expr^2 as a parenthesized product: "^" evaluates as pow, which
+    rounds differently, and a grouped square keeps derivatives small."""
+    return f"({expr}*{expr})"
+
+
+def _sines(first, stop):
+    """The factors sin^2 x_j for first <= j < stop."""
+    return [_square(f"sin(x{j})") for j in range(first, stop)]
+
+
+def _diagonal_metric(diag, index, box, sample_box, name):
+    """AmbientSpace of the diagonal metric with the given entry expressions."""
+    def on_diagonal(values):            # (N, ...) -> (N, N, ...)
+        out = np.zeros(values.shape[:1] + values.shape)
+        out[range(len(diag)), range(len(diag))] = values
+        return out
+
+    return _expression_metric(ExpressionMap(diag, len(diag)), on_diagonal,
+                              index, box, sample_box, name)
+
+
 def sphere_metric(r, dim=3):
-    """Round metric of radius r in nested polar angles."""
-    r2 = r * r
-
-    def metric(x):
-        diag = np.empty(dim)
-        prod = 1.0
-        for k in range(dim):
-            diag[k] = r2 * prod
-            prod *= np.sin(x[k]) ** 2
-        return np.diag(diag)
-
-    def dmetric(x):
-        dg = np.zeros((dim, dim, dim))
-        sin2 = np.sin(x) ** 2
-        for k in range(dim):
-            for a in range(k):
-                val = r2
-                for j in range(k):
-                    val *= (2.0 * np.sin(x[j]) * np.cos(x[j])) if j == a else sin2[j]
-                dg[k, k, a] = val
-        return dg
-
+    """Round metric of radius r in nested polar angles:
+    g_kk = r^2 sin^2 x0 ... sin^2 x_(k-1)."""
+    r2 = _coeff(r * r)
+    diag = ["*".join([r2] + _sines(0, k)) for k in range(dim)]
     box = np.array([[0.05, np.pi - 0.05]] * dim)
     sample = np.array([[0.4, 2.7]] * dim)
-    return AmbientSpace(MetricSignature(dim, 0), metric, dmetric,
-                        box=box, sample_box=sample, name=f"sphere:{r}")
+    return _diagonal_metric(diag, 0, box, sample, f"sphere:{r}")
 
 
 def hyperbolic_metric(r, dim=3):
     """Hyperbolic space of curvature -1/r^2: r^2 (dt^2 + sinh^2 t dOmega^2)."""
-    r2 = r * r
-
-    def metric(x):
-        diag = np.empty(dim)
-        diag[0] = r2
-        prod = np.sinh(x[0]) ** 2
-        for k in range(1, dim):
-            diag[k] = r2 * prod
-            prod *= np.sin(x[k]) ** 2
-        return np.diag(diag)
-
-    def dmetric(x):
-        dg = np.zeros((dim, dim, dim))
-        sin2 = np.sin(x) ** 2
-        for k in range(1, dim):
-            for a in range(k):
-                if a == 0:
-                    val = r2 * 2.0 * np.sinh(x[0]) * np.cosh(x[0])
-                else:
-                    val = r2 * np.sinh(x[0]) ** 2
-                for j in range(1, k):
-                    if j == a:
-                        val *= 2.0 * np.sin(x[j]) * np.cos(x[j])
-                    elif a == 0 or j != a:
-                        val *= sin2[j]
-                dg[k, k, a] = val
-        return dg
-
+    r2 = _coeff(r * r)
+    diag = [r2] + ["*".join([r2, _square("sinh(x0)")] + _sines(1, k))
+                   for k in range(1, dim)]
     box = np.vstack([[0.1, 2.0], *([[0.05, np.pi - 0.05]] * (dim - 1))])
     sample = np.vstack([[0.3, 1.5], *([[0.4, 2.7]] * (dim - 1))])
-    return AmbientSpace(MetricSignature(dim, 0), metric, dmetric,
-                        box=box, sample_box=sample, name=f"hyperbolic:{r}")
+    return _diagonal_metric(diag, 0, box, sample, f"hyperbolic:{r}")
 
 
 def desitter_metric(r, dim=4):
-    """de Sitter space of curvature +1/r^2; coordinates (angles..., tau)."""
-    r2 = r * r
-
-    def metric(x):
-        tau = x[-1]
-        diag = np.empty(dim)
-        prod = r2 * np.cosh(tau / r) ** 2
-        for k in range(dim - 1):
-            diag[k] = prod
-            prod *= np.sin(x[k]) ** 2
-        diag[-1] = -1.0
-        return np.diag(diag)
-
-    def dmetric(x):
-        tau = x[-1]
-        dg = np.zeros((dim, dim, dim))
-        sin2 = np.sin(x[:-1]) ** 2
-        cosh2 = np.cosh(tau / r) ** 2
-        for k in range(dim - 1):
-            # derivative in tau
-            val = 2.0 * r * np.cosh(tau / r) * np.sinh(tau / r)
-            for j in range(k):
-                val *= sin2[j]
-            dg[k, k, dim - 1] = val
-            # derivatives in the angles
-            for a in range(k):
-                val = r2 * cosh2
-                for j in range(k):
-                    val *= (2.0 * np.sin(x[j]) * np.cos(x[j])) if j == a else sin2[j]
-                dg[k, k, a] = val
-        return dg
-
+    """de Sitter space of curvature +1/r^2; coordinates (angles..., tau):
+    r^2 cosh^2(tau/r) dOmega^2 - dtau^2."""
+    cosh2 = _square(f"cosh(x{dim - 1}/{_coeff(r)})")
+    diag = ["*".join([_coeff(r * r), cosh2] + _sines(0, k))
+            for k in range(dim - 1)] + ["-1"]
     box = np.vstack([*([[0.05, np.pi - 0.05]] * (dim - 1)), [-1.5, 1.5]])
     sample = np.vstack([*([[0.4, 2.7]] * (dim - 1)), [-0.8, 0.8]])
-    return AmbientSpace(MetricSignature(dim, 1), metric, dmetric,
-                        box=box, sample_box=sample, name=f"desitter:{r}")
+    return _diagonal_metric(diag, 1, box, sample, f"desitter:{r}")
 
 
 def perturbed_minkowski(eps, dim=4):
     """Conformally perturbed Minkowski metric exp(2 eps x1^2) eta."""
-    eta = np.ones(dim)
-    eta[-1] = -1.0
-
-    def metric(x):
-        return np.diag(np.exp(2.0 * eps * x[1] ** 2) * eta)
-
-    def dmetric(x):
-        dg = np.zeros((dim, dim, dim))
-        dg[:, :, 1] = np.diag(4.0 * eps * x[1] * np.exp(2.0 * eps * x[1] ** 2) * eta)
-        return dg
-
+    conformal = f"exp({_coeff(2.0 * eps)}*(x1*x1))"
+    diag = [conformal] * (dim - 1) + [f"-{conformal}"]
     box = np.array([[-2.0, 2.0]] * dim)
     sample = np.array([[-1.0, 1.0]] * dim)
     sample[1] = [0.3, 1.2]
-    return AmbientSpace(MetricSignature(dim, 1), metric, dmetric,
-                        box=box, sample_box=sample,
-                        name=f"perturbed-minkowski:{eps}")
+    return _diagonal_metric(diag, 1, box, sample,
+                            f"perturbed-minkowski:{eps}")
 
 
 def metric_from_expressions(entries, index, box=None):
     """AmbientSpace from an N x N table of expression strings."""
     dim = len(entries)
-    flat_exprs = [e for row in entries for e in row]
-    emap = ExpressionMap(flat_exprs, dim)
+    return _expression_metric(
+        ExpressionMap([e for row in entries for e in row], dim),
+        lambda values: values.reshape((dim, dim) + values.shape[1:]),
+        index, box, None, "custom-expression")
 
-    def metric(x):
-        return emap(x).reshape(dim, dim)
 
-    def dmetric(x):
-        return emap.jacobian(x).reshape(dim, dim, dim)
-
-    return AmbientSpace(MetricSignature(dim, index), metric, dmetric,
-                        box=box, name="custom-expression")
+def _expression_metric(emap, expand, index, box, sample_box, name):
+    """AmbientSpace whose metric, first and second derivatives are those
+    of ``emap``, laid out as (N, N, ...) arrays by ``expand``; the
+    derivatives are exact, so curvature is too."""
+    return AmbientSpace(MetricSignature(emap.nvars, index),
+                        lambda x: expand(emap(x)),
+                        lambda x: expand(emap.jacobian(x)),
+                        lambda x: expand(emap.hessian(x)),
+                        box=box, sample_box=sample_box, name=name)
 
 
 def load_metric(source):

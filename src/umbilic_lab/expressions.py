@@ -1,6 +1,6 @@
 """Minimal arithmetic expression grammar for custom metrics and surfaces.
 
-Supported: + - * / ^  sin cos exp sqrt, numeric literals, variables
+Supported: + - * / ^  sin cos sinh cosh exp sqrt, numeric literals, variables
 x0 ... x{N-1}.  Expressions parse to a small AST that evaluates on numpy
 arrays and differentiates symbolically, so expression-defined maps get
 analytic Jacobians and Hessians.
@@ -20,6 +20,8 @@ _TOKEN = re.compile(r"\s*(?:(\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?|([A-Za-z_]\w*)
 FUNCTIONS = {
     "sin": (np.sin, lambda a: ("cos", a)),
     "cos": (np.cos, lambda a: ("neg", ("sin", a))),
+    "sinh": (np.sinh, lambda a: ("cosh", a)),
+    "cosh": (np.cosh, lambda a: ("sinh", a)),
     "exp": (np.exp, lambda a: ("exp", a)),
     "sqrt": (np.sqrt, None),  # derivative handled specially
 }
@@ -153,15 +155,42 @@ def _is_const(node, value=None):
     return node[0] == "const" and (value is None or node[1] == value)
 
 
-def _simp(node):
-    """Light constant folding; keeps derivative trees small."""
+def _intern(node, memo):
+    """The one node in ``memo`` equal to ``node``, whose kids are interned;
+    a constant keeps its sign of zero, though -0.0 == 0.0."""
     op = node[0]
-    if op in ("const", "var"):
-        return node
-    kids = tuple(_simp(c) for c in node[1:])
-    node = (op,) + kids
-    if all(_is_const(k) for k in kids):
-        return ("const", float(evaluate(node, np.zeros(1))))
+    key = ((op, node[1], math.copysign(1.0, node[1])) if op == "const"
+           else node if op == "var" else (op,) + tuple(map(id, node[1:])))
+    return memo.setdefault(key, node)
+
+
+def _share(node, memo):
+    """``node`` rebuilt from interned subtrees, so equal subtrees are one."""
+    if node[0] not in ("const", "var"):
+        node = (node[0],) + tuple([_share(c, memo) for c in node[1:]])
+    return _intern(node, memo)
+
+
+def _simp(node, memo):
+    """Light constant folding; keeps derivative trees small.  ``memo``,
+    shared by the trees of one map, interns each result and maps id(tree)
+    to (tree, result), and each result to itself, so a shared subtree is
+    folded once; holding the tree keeps its id unique."""
+    hit = memo.get(id(node))
+    if hit is None:
+        out = _intern(node if node[0] in ("const", "var") else _fold(
+            (node[0],) + tuple([_simp(c, memo) for c in node[1:]])), memo)
+        hit = memo[id(node)] = memo[id(out)] = (node, out)
+    return hit[1]
+
+
+def _fold(node):
+    """One folding step on a node whose kids are folded already."""
+    op, *kids = node
+    if all(k[0] == "const" for k in kids):
+        # on 0-d operands, as ``evaluate`` computes a constant
+        return ("const", float(_OPS[op](*[np.asarray(k[1], dtype=float)
+                                         for k in kids])))
     if op == "add":
         if _is_const(kids[0], 0.0):
             return kids[1]
@@ -183,78 +212,84 @@ def _simp(node):
             return kids[0]
         if _is_const(kids[1], 0.0):
             return ("const", 1.0)
-    if op == "neg" and _is_const(kids[0]):
-        return ("const", -kids[0][1])
     return node
 
 
-def diff(node, var):
-    """Symbolic derivative d(node)/d(x_var), constant-folded."""
-    return _simp(_diff(node, var))
+def diff(node, var, memo=None):
+    """Symbolic derivative d(node)/d(x_var), constant-folded.  ``memo`` is
+    that of ``_simp`` and also holds derivatives under (id(tree), var), so
+    a shared subtree is differentiated once."""
+    memo = {} if memo is None else memo
+    return _simp(_diff(node, var, memo), memo)
 
 
-def _diff(node, var):
+def _diff(node, var, memo):
+    hit = memo.get((id(node), var))
+    if hit is None:
+        hit = memo[id(node), var] = (node, _derive(node, var, memo))
+    return hit[1]
+
+
+def _derive(node, var, memo):
+    """One differentiation rule; kids are differentiated through ``memo``."""
+    d = functools.partial(_diff, var=var, memo=memo)
     op = node[0]
     if op == "const":
         return ("const", 0.0)
     if op == "var":
         return ("const", 1.0 if node[1] == var else 0.0)
     if op == "neg":
-        return ("neg", _diff(node[1], var))
+        return ("neg", d(node[1]))
     if op == "add" or op == "sub":
-        return (op, _diff(node[1], var), _diff(node[2], var))
+        return (op, d(node[1]), d(node[2]))
     if op == "mul":
         a, b = node[1], node[2]
-        return ("add", ("mul", _diff(a, var), b), ("mul", a, _diff(b, var)))
+        return ("add", ("mul", d(a), b), ("mul", a, d(b)))
     if op == "div":
         a, b = node[1], node[2]
-        return ("div",
-                ("sub", ("mul", _diff(a, var), b), ("mul", a, _diff(b, var))),
+        return ("div", ("sub", ("mul", d(a), b), ("mul", a, d(b))),
                 ("mul", b, b))
     if op == "pow":
-        a, b = node[1], _simp(node[2])  # folds exponents such as -2 and (1/2)
+        a, b = node[1], _simp(node[2], memo)  # folds exponents such as -2 and (1/2)
         if _is_const(b):
             # d(a^c) = c * a^(c-1) * a'
-            return ("mul", ("mul", b, ("pow", a, ("const", b[1] - 1.0))),
-                    _diff(a, var))
+            return ("mul", ("mul", b, ("pow", a, ("const", b[1] - 1.0))), d(a))
         # general a^b = exp(b log a): not in the grammar; reject
         raise ExpressionError("only constant exponents are differentiable")
     if op == "sqrt":
         a = node[1]
-        return ("div", _diff(a, var), ("mul", ("const", 2.0), ("sqrt", a)))
+        return ("div", d(a), ("mul", ("const", 2.0), ("sqrt", a)))
     if op in FUNCTIONS:
         outer = FUNCTIONS[op][1](node[1])
-        return ("mul", outer, _diff(node[1], var))
+        return ("mul", outer, d(node[1]))
     raise ExpressionError(f"bad node {op!r}")
 
 
 def _compile(trees):
-    """Flat evaluation plan of ``trees``: (slots, steps, output slots).
+    """Flat evaluation plan of interned ``trees``: (slots, steps, outputs).
 
-    Each distinct subtree is one slot, filled by one step that applies the
-    numpy operation of ``evaluate`` to operands of the same kind, so results
-    are bit-identical.  A constant used only in + - * / against an operand
-    that depends on x is stored once as a float; any other constant is
-    broadcast to the batch shape per call, as ``evaluate`` does, because
-    ``pow`` and the functions take different paths on 0-d and batch operands.
+    Each distinct subtree is one node (see ``_share``) and one slot, filled
+    by one step that applies the numpy operation of ``evaluate`` to operands
+    of the same kind, so results are bit-identical.  A constant used only in
+    + - * / against an operand that depends on x is stored once as a float;
+    any other constant is broadcast to the batch shape per call, as
+    ``evaluate`` does, because ``pow`` and the functions take different
+    paths on 0-d and batch operands.
     """
-    keys, nodes, varies, broadcast = {}, [], [], set()
+    slot_of, nodes, varies, broadcast = {}, [], [], set()
 
     def visit(node):
-        op = node[0]
-        kids = () if op in ("const", "var") else tuple(map(visit, node[1:]))
-        # kids by slot; a constant's key keeps the sign of zero
-        key = ((op, node[1], math.copysign(1.0, node[1])) if op == "const"
-               else (op, node[1]) if op == "var" else (op,) + kids)
-        if key not in keys:
+        if id(node) not in slot_of:
+            op = node[0]
+            kids = () if op in ("const", "var") else tuple(map(visit, node[1:]))
             for i, k in enumerate(kids):
                 if nodes[k][0] == "const" and not (
                         op in _ARITH and varies[kids[1 - i]]):
                     broadcast.add(k)
-            keys[key] = len(nodes)
+            slot_of[id(node)] = len(nodes)
             nodes.append((op, node[1], kids))
             varies.append(op == "var" or any(varies[k] for k in kids))
-        return keys[key]
+        return slot_of[id(node)]
 
     outputs = [visit(t) for t in trees]
     slots, steps = [], []       # x and the batch shape go after the nodes
@@ -293,14 +328,17 @@ class ExpressionMap:
 
     def __init__(self, component_texts, nvars):
         self.nvars = nvars
-        self.components = [parse(t) if isinstance(t, str) else t for t in component_texts]
+        # equal subtrees are one node, so each is differentiated once
+        memo = {}
+        self.components = [_share(parse(t) if isinstance(t, str) else t, memo)
+                           for t in component_texts]
         for c in self.components:
             bad = [v for v in free_vars(c) if v >= nvars]
             if bad:
                 raise ExpressionError("variable index out of range", indices=bad)
         k, n = len(self.components), nvars
-        grads = [diff(c, v) for c in self.components for v in range(n)]
-        hess = [diff(g, v) for g in grads for v in range(n)]
+        grads = [diff(c, v, memo) for c in self.components for v in range(n)]
+        hess = [diff(g, v, memo) for g in grads for v in range(n)]
         self._value = _compile(self.components), (k,)
         self._jacobian = _compile(grads), (k, n)
         self._hessian = _compile(hess), (k, n, n)

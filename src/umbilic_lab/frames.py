@@ -1,8 +1,8 @@
 """Pseudo-orthonormal frame machinery for definite and Lorentzian metrics.
 
 Vectors are normalized by |g(v,v)|^(1/2) and tagged with the sign of
-g(v,v); projections near the light cone (|g(v,v)| < tol) are rejected so
-callers can resample instead of dividing by a vanishing norm.
+g(v,v); Gram-Schmidt rejects projections near the light cone
+(|g(v,v)| < tol) instead of dividing by a vanishing norm.
 """
 
 import numpy as np
@@ -11,10 +11,7 @@ from .errors import DegenerateSubspace, SamplingExhausted
 
 LIGHTLIKE_TOL = 1e-10
 DESIGN_SIZE = 32
-
-
-def inner(g, u, v):
-    return float(u @ g @ v)
+MAX_RAPIDITY = 2.0      # boost bound of draw_pseudo_orthonormal
 
 
 def pseudo_gram_schmidt(vectors, g, tol=LIGHTLIKE_TOL):
@@ -59,33 +56,43 @@ def complement_basis(span, g, dim, tol=1e-12):
     return pseudo_gram_schmidt(vh[..., n - dim:, :], g)
 
 
-def draw_pseudo_orthonormal(rng, g, signs_wanted, max_tries=500):
-    """Draw a g-orthonormal tuple with prescribed causal characters.
+def draw_pseudo_orthonormal(rng, g, signs_wanted):
+    """Draw g-orthonormal tuples with prescribed causal characters.
 
-    ``signs_wanted`` is a sequence of +/-1.  Rejection sampling over
-    standard-normal candidates, projecting against vectors already kept.
+    ``signs_wanted`` is one pattern (k,) of +/-1 or a (T, k) batch; returns
+    rows (k, N) or (T, k, N).  By construction: eigenvectors of g scaled to
+    a g-orthonormal frame, a Haar rotation of its spacelike block (QR with
+    sign fix), and on a Lorentzian g a boost of rapidity uniform in
+    [-MAX_RAPIDITY, MAX_RAPIDITY] along the first rotated spacelike vector.
+    A pattern's +1 entries take the spacelike vectors in order, a -1 the
+    timelike one, so every vector has Euclidean norm at most
+    exp(MAX_RAPIDITY) / sqrt(min |eigenvalue of g|).  Raises
+    SamplingExhausted up front when g cannot hold a pattern.
     """
-    basis, signs = [], []
-    n = g.shape[0]
-    for want in signs_wanted:
-        for attempt in range(max_tries):
-            w = rng.standard_normal(n)
-            for e, eps in zip(basis, signs):
-                w -= eps * inner(g, w, e) * e
-            q = inner(g, w, w)
-            if abs(q) < LIGHTLIKE_TOL * max(1.0, float(w @ w)):
-                continue
-            sign = 1 if q > 0 else -1
-            if sign != want:
-                continue
-            basis.append(w / np.sqrt(abs(q)))
-            signs.append(sign)
-            break
-        else:
-            raise SamplingExhausted(
-                "could not draw vector of requested causal character",
-                wanted=want, tries=max_tries)
-    return basis
+    pattern = np.asarray(signs_wanted)
+    rows = pattern.reshape(-1, pattern.shape[-1])
+    eig, vec = np.linalg.eigh(g)
+    frame = (vec / np.sqrt(np.abs(eig))).T              # g-orthonormal rows
+    spacelike, timelike = frame[eig > 0], frame[eig < 0]
+    bad = (((rows > 0).sum(axis=1) > len(spacelike))
+           | ((rows < 0).sum(axis=1) > len(timelike)))
+    if bad.any():
+        raise SamplingExhausted(
+            "signature cannot hold the requested causal characters",
+            pattern=rows[bad.argmax()].tolist())
+    t, p = len(rows), len(spacelike)
+    q, r = np.linalg.qr(rng.standard_normal((t, p, p)))
+    haar = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+    basis = np.concatenate([haar.mT @ spacelike,
+                            np.broadcast_to(timelike, (t,) + timelike.shape)],
+                           axis=1)                      # (T, N, N) rows
+    if len(timelike):       # boost the plane of rows 0 and p
+        phi = rng.uniform(-MAX_RAPIDITY, MAX_RAPIDITY, (t, 1))
+        ch, sh, s0, e0 = np.cosh(phi), np.sinh(phi), basis[:, 0], basis[:, p]
+        basis[:, 0], basis[:, p] = ch * s0 + sh * e0, sh * s0 + ch * e0
+    # the j-th +1 of a pattern takes spacelike row j, a -1 the timelike row p
+    pick = np.where(rows > 0, np.cumsum(rows > 0, axis=1) - 1, p)
+    return basis[np.arange(t)[:, None], pick].reshape(pattern.shape + g.shape[:1])
 
 
 def unit_design(m):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,8 @@ from umbilic_lab.ambient import (AmbientSpace, MetricSignature, cartan_audit,
                                  sectional_curvature, tg_patch)
 from umbilic_lab.errors import (CausalCharacterMismatch, DegeneratePlane,
                                 DegenerateSubspace, LeftDomain, NonFiniteValue,
-                                SingularMetric)
-from umbilic_lab.frames import draw_pseudo_orthonormal
+                                SamplingExhausted, SingularMetric)
+from umbilic_lab.frames import MAX_RAPIDITY, draw_pseudo_orthonormal
 
 EUCLID3 = catalog.euclidean_space(3)
 MINK3 = catalog.minkowski_space(3)
@@ -102,6 +104,39 @@ def test_riemann_symmetries_and_bianchi_100_points():
             worst = max(s.symmetry_violations().values())
             scale = max(1.0, np.max(np.abs(s.riemann_lowered)))
             assert worst <= tol * scale, (mid, x, worst)
+
+
+# (id, sectional curvature) at the default dimension, at 2 and at 5
+EXACT_CURVATURE_METRICS = [
+    (f"{family}:{r}{dim}", sign / r ** 2)
+    for family, sign in (("sphere", 1.0), ("hyperbolic", -1.0),
+                         ("desitter", 1.0))
+    for r, dim in ((1.0, ""), (2.0, ",2"), (1.5, ",5"))]
+
+
+@pytest.mark.parametrize("mid,c", EXACT_CURVATURE_METRICS)
+def test_riemann_exact_from_metric_hessian(mid, c):
+    space = catalog.resolve(mid, kind="ambient").obj
+    assert space.metric_hessian is not None
+    for x in sample_points(space, 20, seed=5):
+        g = space.metric_at(x)
+        want = constant_curvature_tensor(g, c)
+        err = np.max(np.abs(riemann(space, x).riemann_lowered - want))
+        assert err <= 1e-13 * max(1.0, np.max(np.abs(want))), (mid, x, err)
+
+
+def test_riemann_exact_matches_fourth_order_route():
+    # perturbed Minkowski has no closed form here: the exact route must
+    # agree with central_diff4 over exact Christoffels (about 1e-13 apart)
+    space = catalog.resolve("perturbed-minkowski:0.1", kind="ambient").obj
+    differenced = AmbientSpace(space.signature, space.metric_at,
+                               space.metric_derivative, box=space.box)
+    assert differenced.metric_hessian is None
+    for x in sample_points(space, 20, seed=6):
+        exact = riemann(space, x).riemann_lowered
+        assert np.max(np.abs(exact)) > 1e-2
+        assert np.max(np.abs(
+            exact - riemann(differenced, x).riemann_lowered)) <= 1e-9
 
 
 def test_riemann_fd_metric_tolerance():
@@ -272,6 +307,31 @@ def test_cartan_audit_perturbed_minkowski_obstructed():
     assert report.sectional_spread > 1e-2
 
 
+def test_cartan_audit_matches_per_triple_loop():
+    # the batched contraction against one einsum per triple, assignment and
+    # plane; only the summation order differs
+    space = catalog.resolve("perturbed-minkowski:0.1", kind="ambient").obj
+    x = np.array([0.2, 0.8, -0.1, 0.3])
+    point = cartan_audit(space, [x], triples_per_point=10, seed=9).per_point[0]
+    g = space.metric_at(x)
+    low = riemann(space, x).riemann_lowered
+    triples = draw_pseudo_orthonormal(np.random.default_rng([9, 1]), g,
+                                      [(1, 1, 1), (1, 1, -1)] * 5)
+    obstruction, curvatures = 0.0, []
+    for t in triples:
+        for a, b, c in itertools.permutations(range(3)):
+            obstruction = max(obstruction, abs(np.einsum(
+                "ijkl,i,j,k,l->", low, t[a], t[b], t[a], t[c])))
+        for a, b in itertools.combinations(range(3), 2):
+            q = (t[a] @ g @ t[a]) * (t[b] @ g @ t[b]) - (t[a] @ g @ t[b]) ** 2
+            curvatures.append(np.einsum("ijkl,i,j,k,l->", low,
+                                        t[a], t[b], t[a], t[b]) / q)
+    spread = max(curvatures) - min(curvatures)
+    assert obstruction > 1e-2 and spread > 1e-2
+    assert point["codazzi_obstruction"] == pytest.approx(obstruction, rel=1e-12)
+    assert point["sectional_spread"] == pytest.approx(spread, rel=1e-12)
+
+
 def test_cartan_audit_deterministic():
     space = catalog.resolve("desitter:1", kind="ambient").obj
     r1 = cartan_audit(space, 3, triples_per_point=10, seed=7)
@@ -286,10 +346,65 @@ def test_cartan_audit_rejects_few_triples():
 
 
 def test_sampling_exhausted_when_pattern_impossible():
-    from umbilic_lab.errors import SamplingExhausted
     rng = np.random.default_rng(0)
     with pytest.raises(SamplingExhausted):
-        draw_pseudo_orthonormal(rng, np.eye(3), (1, 1, -1), max_tries=50)
+        draw_pseudo_orthonormal(rng, np.eye(3), (1, 1, -1))
+
+
+def test_impossible_pattern_raises_before_drawing():
+    # a Lorentzian 3-space has two spacelike directions, not three; one bad
+    # row of a batch is enough, and the generator is left untouched
+    rng = np.random.default_rng(4)
+    with pytest.raises(SamplingExhausted) as exc:
+        draw_pseudo_orthonormal(rng, MINK3.metric_at(np.zeros(3)),
+                                [(1, 1, -1), (1, 1, 1)])
+    assert exc.value.code == "sampling-exhausted"
+    assert rng.random() == np.random.default_rng(4).random()
+
+
+@pytest.mark.parametrize("mid", ["sphere:1", "hyperbolic:1", "desitter:1",
+                                 "desitter:1.5,5", "perturbed-minkowski:0.1",
+                                 "minkowski:4"])
+def test_drawn_triples_orthonormal_with_bounded_norm(mid):
+    space = catalog.resolve(mid, kind="ambient").obj
+    patterns = [(1, 1, 1)] + [(1, 1, -1)] * space.signature.index
+    rows = patterns * 5
+    want = np.array([np.diag(p) for p in rows], dtype=float)
+    for i, x in enumerate(sample_points(space, 50, seed=8)):
+        g = space.metric_at(x)
+        triples = draw_pseudo_orthonormal(np.random.default_rng(i), g, rows)
+        assert triples.shape == (len(rows), 3, space.dimension)
+        assert np.max(np.abs(triples @ g @ triples.mT - want)) <= 1e-12
+        bound = np.exp(MAX_RAPIDITY) / np.sqrt(np.min(np.abs(
+            np.linalg.eigvalsh(g))))
+        assert np.max(np.linalg.norm(triples, axis=-1)) <= bound * (1 + 1e-12)
+
+
+def test_single_pattern_draw_is_a_batch_of_one():
+    space = catalog.resolve("desitter:1", kind="ambient").obj
+    g = space.metric_at(np.array([1.0, 1.2, 0.9, 0.3]))
+    one = draw_pseudo_orthonormal(np.random.default_rng(3), g, (1, 1, -1))
+    batch = draw_pseudo_orthonormal(np.random.default_rng(3), g, [(1, 1, -1)])
+    assert one.shape == (3, 4)
+    assert np.array_equal(one, batch[0])
+
+
+@pytest.mark.parametrize("mid", ["sphere:1", "hyperbolic:1", "desitter:1"])
+def test_cartan_audit_margin_constant_curvature(mid):
+    # exact curvature: 1e4 below the 1e-6 tolerance at every one of 200 points
+    space = catalog.resolve(mid, kind="ambient").obj
+    report = cartan_audit(space, 200, triples_per_point=10, seed=11)
+    assert report.max_codazzi_obstruction <= 1e-10
+    assert report.sectional_spread <= 1e-10
+
+
+def test_cartan_audit_margin_perturbed_minkowski():
+    # every one of 200 points is obstructed by 1e4 over the tolerance
+    space = catalog.resolve("perturbed-minkowski:0.1", kind="ambient").obj
+    report = cartan_audit(space, 200, triples_per_point=10, seed=11)
+    assert report.verdict == "Obstructed"
+    assert min(max(p["codazzi_obstruction"], p["sectional_spread"])
+               for p in report.per_point) >= 1e-2
 
 
 # --- k-difference identities ---

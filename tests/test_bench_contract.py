@@ -7,9 +7,10 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from umbilic_lab import catalog, immersion
+from umbilic_lab import ambient, catalog, immersion
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -60,3 +61,27 @@ def test_small_pass_of_each_workload_is_correct(name):
     result = workloads.run_pass(workload.tasks())
     assert result.attempted > 0
     assert workloads.over_ceiling(result.failures) == {}
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_small_cartan_audit_pass_has_no_failures(seed):
+    workload = workloads.CartanAudit(seed, small=True)
+    result = workloads.run_pass(workload.tasks())
+    assert result.attempted == 20
+    assert result.failures == {}
+
+
+def test_traced_riemann_makes_one_christoffel_call():
+    space = catalog.resolve("desitter:1", kind="ambient").obj
+    t = tracer.Tracer()
+    t.install()
+    try:
+        ambient.riemann(space, np.array([1.0, 1.2, 0.9, 0.3]))
+    finally:
+        t.uninstall()
+    layers = t.pass_metrics()
+    assert layers["ambient.riemann.calls"] == 1
+    assert layers["ambient.christoffel.calls"] == 1
+    assert layers["ambient.riemann.christoffel_per_call"] == 1
+    assert layers["ambient.AmbientSpace.metric_at.calls"] == 1
+    assert layers["numdiff.central_diff4.calls"] == 0

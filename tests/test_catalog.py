@@ -138,6 +138,42 @@ def test_domain_margins_exclude_poles():
 
 # --- custom loaders ---
 
+def _sin2(x, stop, start=0):
+    return np.prod(np.sin(x[start:stop]) ** 2)
+
+
+# closed-form diagonals of the built-in curved metrics
+METRIC_DIAGONALS = {
+    "sphere:1.5,4": lambda x: [2.25 * _sin2(x, k) for k in range(4)],
+    "hyperbolic:0.7,3": lambda x: [0.49] + [
+        0.49 * np.sinh(x[0]) ** 2 * _sin2(x, k, 1) for k in range(1, 3)],
+    "desitter:2,4": lambda x: [
+        4.0 * np.cosh(x[3] / 2.0) ** 2 * _sin2(x, k) for k in range(3)] + [-1.0],
+    "perturbed-minkowski:0.3,3": lambda x: np.exp(0.6 * x[1] ** 2) * np.array(
+        [1.0, 1.0, -1.0]),
+}
+
+
+@pytest.mark.parametrize("mid", sorted(METRIC_DIAGONALS))
+def test_metric_tables_match_closed_forms(mid):
+    from umbilic_lab.numdiff import central_diff
+    space = resolve(mid, kind="ambient").obj
+    rng = np.random.default_rng(2)
+    lo, hi = space.sample_box[:, 0], space.sample_box[:, 1]
+    for _ in range(10):
+        x = lo + rng.random(space.dimension) * (hi - lo)
+        want = np.diag(METRIC_DIAGONALS[mid](x))
+        assert np.max(np.abs(space.metric_at(x) - want)) <= 1e-14 * np.max(np.abs(want))
+        # exact derivatives in the layouts dg[i,j,k] = d_k g_ij and
+        # ddg[i,j,a,b] = d_a d_b g_ij
+        dg = space.metric_derivative_at(x)
+        np.testing.assert_allclose(dg, central_diff(space.metric_at, x, 1e-6),
+                                   atol=1e-8)
+        np.testing.assert_allclose(space.metric_hessian_at(x),
+                                   central_diff(space.metric_derivative_at, x, 1e-6),
+                                   atol=1e-7)
+
+
 def test_load_metric_expressions(tmp_path):
     spec = {"dimension": 2, "index": 0,
             "entries": [["1", "0"], ["0", "x0^2"]],

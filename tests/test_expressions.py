@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from umbilic_lab.errors import ExpressionError
-from umbilic_lab.expressions import (ExpressionMap, diff, evaluate, free_vars,
-                                     parse)
+from umbilic_lab.expressions import (ExpressionMap, _simp, diff, evaluate,
+                                     free_vars, parse)
 from umbilic_lab.numdiff import jacobian_fd
 
 
@@ -41,7 +41,8 @@ def test_free_vars():
 
 
 @pytest.mark.parametrize("text", ["x0^2*sin(x1)", "sqrt(1+x0^2+x1^2)",
-                                  "exp(x0*x1)/(1+x1^2)", "cos(x0)^3"])
+                                  "exp(x0*x1)/(1+x1^2)", "cos(x0)^3",
+                                  "sinh(x0)*cosh(x1/2)"])
 def test_symbolic_derivative_matches_fd(text):
     node = parse(text)
     rng = np.random.default_rng(5)
@@ -131,3 +132,14 @@ def test_compiled_plan_matches_tree_walker(trees, seed, batch):
             assert _same(emap(x), value)
             assert _same(emap.jacobian(x), jac)
             assert _same(emap.hessian(x), hess)
+
+
+def test_fold_memo_keeps_the_sign_of_zero():
+    # ("const", -0.0) == ("const", 0.0), so a memo keyed by == would hand
+    # the second tree the first one's result
+    memo = {}
+    neg = _simp(("sub", ("neg", ("const", 0.0)), ("var", 0)), memo)
+    pos = _simp(("sub", ("const", 0.0), ("var", 0)), memo)
+    assert np.signbit(neg[1][1]) and not np.signbit(pos[1][1])
+    assert np.signbit(evaluate(neg, np.zeros(1)))
+    assert not np.signbit(evaluate(pos, np.zeros(1)))
