@@ -141,7 +141,6 @@ class CurvatureSample:
     metric: np.ndarray          # g[i, j]
     christoffel: np.ndarray     # gamma[k, i, j]
     riemann_lowered: np.ndarray  # lowered[i, j, k, l] = g(R(e_i,e_j)e_l, e_k)
-    scalar_summary: dict = field(default_factory=dict)
 
     def symmetry_violations(self):
         r = self.riemann_lowered
@@ -234,11 +233,8 @@ def riemann(space, x):
         term4 = np.einsum("ajp,pib->abij", gamma, gamma)
         riem_up = term1 - term2 + term3 - term4
         low = np.einsum("ka,alij->ijkl", g, riem_up)
-    summary = {"max_abs_riemann": float(np.max(np.abs(low)))}
-    sample = CurvatureSample(point=x, metric=g, christoffel=gamma,
-                             riemann_lowered=low, scalar_summary=summary)
-    summary.update(sample.symmetry_violations())
-    return sample
+    return CurvatureSample(point=x, metric=g, christoffel=gamma,
+                           riemann_lowered=low)
 
 
 def _frame_curvature(low, g, frames):

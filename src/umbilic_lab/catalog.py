@@ -250,28 +250,6 @@ def _expression_graph(expr_text, space_of, orientation, id_text):
                      name=id_text)
 
 
-def _hyperboloid_chart(r, m):
-    """Closed-form point, Jacobian and Hessian of the upper hyperboloid
-    sheet of radius r, the graph of f = sqrt(r^2 + |u|^2)."""
-    def f(u):
-        return np.sqrt(r * r + np.sum(u * u, axis=-1))
-
-    def eye(u):
-        return np.broadcast_to(np.eye(m), u.shape[:-1] + (m, m))
-
-    def hessian(u):
-        t = f(u)
-        outer = u[..., :, None] * u[..., None, :]
-        hess = eye(u) / t[..., None, None] - outer / (t ** 3)[..., None, None]
-        return np.concatenate([np.zeros(u.shape[:-1] + (m, m, m)),
-                               hess[..., None, :, :]], axis=-3)
-
-    return (lambda u: np.concatenate([u, f(u)[..., None]], axis=-1),
-            lambda u: np.concatenate([eye(u), (u / f(u)[..., None])[..., None, :]],
-                                     axis=-2),
-            hessian)
-
-
 # ---------------------------------------------------------------------------
 # implicit-surface curvature oracle (independent route used by tests)
 
@@ -463,8 +441,13 @@ def _build_immersion(family, arg, id_text):
                  id_text)
         r = nums[0]
         m = int(nums[1]) if len(nums) == 2 else 2
-        im = Immersion(m, minkowski_space(m + 1), *_hyperboloid_chart(r, m),
-                       domain=[[-2.5, 2.5]] * m,
+        coords = [f"x{i}" for i in range(m)]
+        # the upper sheet of radius r, the graph of sqrt(r^2 + |u|^2), with
+        # |u|^2 summed first as numpy sums it
+        norm2 = " + ".join(f"{x}*{x}" for x in coords)
+        chart = ExpressionMap(coords + [f"sqrt({_coeff(r * r)} + ({norm2}))"], m)
+        im = Immersion(m, minkowski_space(m + 1), chart, chart.jacobian,
+                       chart.hessian, domain=[[-2.5, 2.5]] * m,
                        orientation="future", center=np.zeros(m + 1),
                        name=id_text)
         truth = {"label": "umbilic-everywhere", "is_hyperbolic_space": True,

@@ -95,6 +95,7 @@ class ShapeReport:
     p: np.ndarray
     tangent_frame: np.ndarray        # (m, N) ambient vectors, g-orthonormal
     normal_frame: np.ndarray         # (n, N) ambient vectors, g-orthonormal
+    tangent_params: np.ndarray       # (m, m): jac @ row i = tangent_frame[i]
     normal_signs: list               # causal characters of the normals
     second_form: np.ndarray          # (m, m, n) coefficients vs normal frame
     mean_curvature_vector: np.ndarray
@@ -271,8 +272,8 @@ def shape_report(im, u):
         defect, h_norm = float(defect), float(h_norm)
     return ShapeReport(
         u=u, p=p,
-        tangent_frame=tangent, normal_frame=normal, normal_signs=normal_signs,
-        second_form=ii_on,
+        tangent_frame=tangent, normal_frame=normal, tangent_params=coeff.mT,
+        normal_signs=normal_signs, second_form=ii_on,
         mean_curvature_vector=np.einsum("...a,...an->...n", h_coeff, normal),
         shape_operator=shape_op,
         principal_curvatures=principal, principal_directions=principal_dirs,

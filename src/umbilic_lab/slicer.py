@@ -22,9 +22,6 @@ from .errors import (DegenerateFit, DegenerateSubspace, FlatSlice,
 from .frames import complement_basis
 from .immersion import ShapeReport
 
-FLAT_AFFINE = "flat-affine"
-QUADRIC_CENTRAL = "quadric-central-section"
-
 NEWTON_MAX_ITER = 50
 NEWTON_CONVERGED = 1e-12
 NEWTON_ACCEPT = 1e-10
@@ -35,13 +32,14 @@ MAX_FAIL_FRACTION = 0.20
 class SliceSpec:
     """A normal slice request at q: tangent directions plus the normals.
 
-    ``report`` is the ShapeReport at q; its frames and II are the ones the
-    slice is built from and compared against.
+    ``report`` is the ShapeReport at q; its frames, normal signs, II and
+    tangent parameters are the ones the slice is built, seeded and
+    compared from.
     """
 
     report: ShapeReport
     tangent_directions: np.ndarray      # (s, N), g-orthonormal, tangent at q
-    ambient_mode: str = FLAT_AFFINE
+    coords: np.ndarray                  # (s, m) in the report's tangent frame
 
     @property
     def q_param(self):
@@ -60,25 +58,13 @@ class SliceSpec:
             "q_param": [float(c) for c in self.q_param],
             "q": [float(c) for c in self.q],
             "tangent_directions": self.tangent_directions.tolist(),
-            "ambient_mode": self.ambient_mode,
         }
-
-
-@dataclass
-class SlicePlane:
-    """Orthonormal description of the slice subspace."""
-
-    point: np.ndarray
-    tangent: np.ndarray        # (s, N)
-    normal: np.ndarray         # (n, N)
-    normal_signs: list
-    complement: np.ndarray     # (m - s, N): g-orthocomplement of the plane
 
 
 @dataclass
 class SliceResult:
     spec: SliceSpec
-    plane: SlicePlane
+    complement: np.ndarray      # (m - s, N) from build_slice
     params: np.ndarray          # (K, m) converged parameters
     points: np.ndarray          # (K, N) ambient samples
     t: np.ndarray               # (K, s) tangent plane coordinates
@@ -136,7 +122,7 @@ class SliceResult:
         return "\n".join(lines) + "\n"
 
 
-def make_slice_spec(im, rep, directions, mode=FLAT_AFFINE):
+def make_slice_spec(im, rep, directions):
     """Validated SliceSpec from ambient tangent directions at the point of
     ``rep``, the immersion's ShapeReport there."""
     g = im.ambient.metric_at(rep.p)
@@ -144,46 +130,25 @@ def make_slice_spec(im, rep, directions, mode=FLAT_AFFINE):
     gram = dirs @ g @ dirs.T
     if np.max(np.abs(gram - np.eye(dirs.shape[0]))) > 1e-10:
         raise DegenerateSubspace("tangent directions are not g-orthonormal")
-    for d in dirs:
-        for nu in rep.normal_frame:
-            if abs(float(d @ g @ nu)) > 1e-8:
-                raise DegenerateSubspace(
-                    "direction is not tangent to the immersion at q")
-    s = dirs.shape[0]
-    if s > im.param_dim:
+    if np.max(np.abs(dirs @ g @ rep.normal_frame.T)) > 1e-8:
+        raise DegenerateSubspace("direction is not tangent to the immersion at q")
+    if dirs.shape[0] > im.param_dim:
         raise ValueError("more tangent directions than tangent dimensions")
-    if s == im.param_dim and not im.ambient.is_constant:
-        raise UnsupportedAmbient("s = m slices require a flat ambient")
-    return SliceSpec(report=rep, tangent_directions=dirs, ambient_mode=mode)
+    return SliceSpec(report=rep, tangent_directions=dirs,
+                     coords=dirs @ g @ rep.tangent_frame.T)
 
 
 def build_slice(im, spec):
-    """Orthonormal plane description for the slice; flat ambients only."""
+    """The (m - s, N) g-orthocomplement in T_q of the slice plane, which
+    the tracer holds the samples against; flat ambients only."""
     if not im.ambient.is_constant:
         raise UnsupportedAmbient(
             "slice tracing is implemented for flat ambients")
-    g = im.ambient.metric_at(spec.q)
-    normal, normal_signs = spec.report.normal_frame, spec.report.normal_signs
-    span = np.concatenate([spec.tangent_directions, normal], axis=0)
-    if spec.ambient_mode == QUADRIC_CENTRAL:
-        # central sections must contain the ray through the center
-        coeff = np.array([sign * float(spec.q @ g @ v)
-                          for v, sign in zip(normal, normal_signs)])
-        radial = coeff @ normal
-        tang_part = np.array([float(spec.q @ g @ v)
-                              for v in spec.tangent_directions])
-        rebuilt = radial + tang_part @ spec.tangent_directions
-        if np.max(np.abs(rebuilt - spec.q)) > 1e-8:
-            raise UnsupportedAmbient(
-                "point is not on a central quadric with radial normal")
     m_minus_s = im.param_dim - spec.s
-    if m_minus_s > 0:
-        comp, _signs = complement_basis(span, g, dim=m_minus_s)
-    else:
-        comp = np.zeros((0, im.ambient.dimension))
-    return SlicePlane(point=spec.q, tangent=spec.tangent_directions,
-                      normal=normal, normal_signs=list(normal_signs),
-                      complement=comp)
+    if m_minus_s == 0:
+        return np.zeros((0, im.ambient.dimension))
+    span = np.concatenate([spec.tangent_directions, spec.report.normal_frame])
+    return complement_basis(span, im.ambient.metric_at(spec.q), dim=m_minus_s)[0]
 
 
 def _ball_grid(s, radius, samples_per_dim):
@@ -193,12 +158,12 @@ def _ball_grid(s, radius, samples_per_dim):
     return pts[np.linalg.norm(pts, axis=1) <= radius + 1e-12]
 
 
-def _newton_trace(im, plane, targets, seeds):
+def _newton_trace(im, spec, complement, targets, seeds):
     """Vectorized damped Newton on the slice constraint system."""
-    g = im.ambient.metric_at(plane.point)
-    crows = plane.complement @ g        # (m-s, N)
-    trows = plane.tangent @ g           # (s, N)
-    q = plane.point
+    g = im.ambient.metric_at(spec.q)
+    crows = complement @ g              # (m-s, N)
+    trows = spec.tangent_directions @ g     # (s, N)
+    q = spec.q
 
     def residual(u, tgt):
         x = im.point(u)
@@ -284,27 +249,27 @@ def trace_slice(im, spec, radius=None, samples_per_dim=8):
     Retries with a halved radius (up to 4 times) when more than 20% of
     the grid fails to converge; raises NewtonDiverged if all radii fail.
     """
-    plane = build_slice(im, spec)
+    rep = spec.report
+    complement = build_slice(im, spec)
     if radius is None:
-        radius = default_trace_radius(spec.report)
-    g = im.ambient.metric_at(spec.q)
-    jac_q = im.jacobian_at(spec.q_param)
-    pull, *_ = np.linalg.lstsq(jac_q, spec.tangent_directions.T, rcond=None)
+        radius = default_trace_radius(rep)
+    pull = spec.coords @ rep.tangent_params     # (s, m) parameter steps
 
     last_fail = None
     for attempt in range(5):
         r = radius * 0.5 ** attempt
         targets = _ball_grid(spec.s, r, samples_per_dim)
-        seeds = spec.q_param[None, :] + targets @ pull.T
-        u, x, fnorm, good = _newton_trace(im, plane, targets, seeds)
+        seeds = spec.q_param[None, :] + targets @ pull
+        u, x, fnorm, good = _newton_trace(im, spec, complement, targets, seeds)
         failures = int(np.sum(~good))
         if failures <= MAX_FAIL_FRACTION * targets.shape[0]:
+            g = im.ambient.metric_at(spec.q)
             d = x[good] - spec.q
-            t_coords = d @ (plane.tangent @ g).T
-            w_coords = (d @ (plane.normal @ g).T) * np.asarray(
-                plane.normal_signs, dtype=float)[None, :]
+            t_coords = d @ (spec.tangent_directions @ g).T
+            w_coords = (d @ (rep.normal_frame @ g).T) * np.asarray(
+                rep.normal_signs, dtype=float)[None, :]
             return SliceResult(
-                spec=spec, plane=plane, params=u[good], points=x[good],
+                spec=spec, complement=complement, params=u[good], points=x[good],
                 t=t_coords, w=w_coords, radius=r, residuals=fnorm[good],
                 failures=failures,
                 provenance={"derivative_rung": im.derivative_rung,
@@ -340,7 +305,8 @@ def slice_shape(result):
     in the tangent coordinates; only the quadratic block is read off.
     """
     s = result.spec.s
-    n = result.plane.normal.shape[0]
+    normal = result.spec.report.normal_frame
+    n = normal.shape[0]
     k_min = (s + 1) * (s + 2) // 2 + s
     if result.points.shape[0] < k_min:
         raise DegenerateFit("too few slice samples for the quadratic fit",
@@ -368,7 +334,7 @@ def slice_shape(result):
     h_coeff = np.array([np.trace(q_mat[:, :, a]) / s for a in range(n)])
     result.slice_II = q_mat
     result.slice_H_coeff = h_coeff
-    result.slice_H = h_coeff @ result.plane.normal
+    result.slice_H = h_coeff @ normal
     return result
 
 
@@ -377,11 +343,8 @@ def identity_check(im, result):
     ambient-surface II at q (the Gauss-formula comparison, run as a test)."""
     if result.slice_II is None:
         slice_shape(result)
-    rep = result.spec.report
-    g = im.ambient.metric_at(rep.p)
-    # coordinates of the slice tangent directions in the surface frame
-    a = result.spec.tangent_directions @ g @ rep.tangent_frame.T   # (s, m)
-    restricted = np.einsum("ip,pqa,jq->ija", a, rep.second_form, a)
+    a = result.spec.coords
+    restricted = np.einsum("ip,pqa,jq->ija", a, result.spec.report.second_form, a)
     residual = float(np.max(np.abs(result.slice_II - restricted)))
     result.identity_residual = residual
     return residual
@@ -481,10 +444,8 @@ def _fit_quadric(points, lorentzian):
     return mean + c @ basis, float(r), rms
 
 
-def fit_sphere(points, signature=None):
+def fit_sphere(points):
     """Best-fit hypersphere; see _fit_quadric."""
-    if signature is not None and signature.index != 0:
-        raise ValueError("fit_sphere expects a Euclidean signature")
     return _fit_quadric(points, lorentzian=False)
 
 

@@ -41,6 +41,28 @@ def test_resolve_hyperboloid_sheet():
     np.testing.assert_allclose(rep.principal_curvatures, [1.0, 1.0], atol=1e-9)
 
 
+@pytest.mark.parametrize("m", [2, 3])
+def test_hyperboloid_sheet_chart_matches_closed_form(m):
+    # the graph of f = sqrt(r^2 + |u|^2), its Jacobian and its Hessian
+    r = 1.3
+    im = resolve(f"hyperboloid-sheet:{r},{m}").obj
+    u = np.random.default_rng(m).uniform(-2.5, 2.5, (40, m))
+    f = np.sqrt(r * r + np.sum(u * u, axis=-1))
+    eye = np.broadcast_to(np.eye(m), (40, m, m))
+    outer = u[:, :, None] * u[:, None, :]
+    hess = np.zeros((40, m + 1, m, m))
+    hess[:, m] = eye / f[:, None, None] - outer / (f ** 3)[:, None, None]
+    want = [np.concatenate([u, f[:, None]], axis=-1),
+            np.concatenate([eye, (u / f[:, None])[:, None, :]], axis=-2), hess]
+    got = [im.point(u), im.jacobian_at(u), im.hessian_at(u)]
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.max(np.abs(g - w)) <= 1e-15 * max(1.0, np.max(np.abs(w)))
+    assert im.orientation == "future"
+    np.testing.assert_array_equal(im.domain, [[-2.5, 2.5]] * m)
+    np.testing.assert_array_equal(im.center, np.zeros(m + 1))
+
+
 def test_resolve_dimension_parameter():
     assert resolve("sphere:1,3").obj.param_dim == 3
     assert resolve("hyperboloid-sheet:1,3").obj.param_dim == 3
@@ -184,7 +206,7 @@ def test_load_metric_expressions(tmp_path):
     assert space.has_analytic_derivative
     from umbilic_lab.ambient import riemann
     s = riemann(space, np.array([1.3, 0.8]))
-    assert s.scalar_summary["max_abs_riemann"] < 1e-10  # flat polar plane
+    assert np.max(np.abs(s.riemann_lowered)) < 1e-10  # flat polar plane
 
 
 def test_load_metric_rejects_bad_shape():

@@ -373,6 +373,7 @@ def test_batch_rows_equal_single_point_reports(make):
         pairs = [(tangent[i], one.tangent_frame), (normal[i], one.normal_frame),
                  (row.tangent_frame, one.tangent_frame),
                  (row.normal_frame, one.normal_frame),
+                 (row.tangent_params, one.tangent_params),
                  (row.second_form, one.second_form),
                  (row.umbilicity_defect, one.umbilicity_defect),
                  (row.scalars["h_norm_abs"], one.scalars["h_norm_abs"])]

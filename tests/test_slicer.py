@@ -8,9 +8,9 @@ from umbilic_lab import catalog
 from umbilic_lab.errors import (DegenerateFit, DegenerateSubspace,
                                 UnsupportedAmbient, WrongCausalType)
 from umbilic_lab.immersion import Immersion, shape_report
-from umbilic_lab.slicer import (QUADRIC_CENTRAL, _ball_grid, _newton_trace,
-                                build_slice, fit_hyperbolic, fit_sphere,
-                                identity_check, make_slice_spec, slice_shape,
+from umbilic_lab.slicer import (_ball_grid, _newton_trace, build_slice,
+                                fit_hyperbolic, fit_sphere, identity_check,
+                                make_slice_spec, slice_shape,
                                 taylor_trace_radius, trace_slice)
 
 ANALYTIC_SURFACES = ["sphere:1", "ellipsoid:1,2,3", "hyperbolic-paraboloid",
@@ -43,14 +43,13 @@ def test_build_slice_sphere_plane():
     u = np.array([np.pi / 2, np.pi / 2])  # ambient (1, 0, 0)
     rep = shape_report(im, u)
     spec = make_slice_spec(im, rep, rep.tangent_frame[:1])
-    plane = build_slice(im, spec)
+    complement = build_slice(im, spec)
     # the plane through q spanned by the normal and one tangent direction
-    assert plane.normal.shape == (1, 3)
-    assert plane.complement.shape == (1, 3)
+    assert complement.shape == (1, 3)
     g = np.eye(3)
-    for v in plane.complement:
-        assert abs(v @ g @ plane.normal[0]) < 1e-10
-        assert abs(v @ g @ plane.tangent[0]) < 1e-10
+    for v in complement:
+        assert abs(v @ g @ rep.normal_frame[0]) < 1e-10
+        assert abs(v @ g @ spec.tangent_directions[0]) < 1e-10
 
 
 def test_build_slice_hyperboloid_vertex_timelike_plane():
@@ -58,25 +57,11 @@ def test_build_slice_hyperboloid_vertex_timelike_plane():
     u = np.zeros(2)
     rep = shape_report(im, u)
     spec = make_slice_spec(im, rep, rep.tangent_frame[:1])
-    plane = build_slice(im, spec)
+    assert build_slice(im, spec).shape == (1, 3)
     # span{e_x, e_t}: the vertex offset q = (0,0,1) lies inside the plane
-    span = np.concatenate([plane.tangent, plane.normal])
+    span = np.concatenate([spec.tangent_directions, rep.normal_frame])
     coeff, res, *_ = np.linalg.lstsq(span.T, spec.q, rcond=None)
     assert np.linalg.norm(span.T @ coeff - spec.q) < 1e-12
-
-
-def test_build_slice_quadric_central_mode():
-    im = surface("sphere:1")
-    u = np.array([1.0, 0.5])
-    rep = shape_report(im, u)
-    spec = make_slice_spec(im, rep, rep.tangent_frame[:1], mode=QUADRIC_CENTRAL)
-    build_slice(im, spec)  # sphere slices pass through the center
-    saddle = surface("hyperbolic-paraboloid")
-    rep2 = shape_report(saddle, [0.3, 0.2])
-    spec2 = make_slice_spec(saddle, rep2, rep2.tangent_frame[:1],
-                            mode=QUADRIC_CENTRAL)
-    with pytest.raises(UnsupportedAmbient):
-        build_slice(saddle, spec2)
 
 
 def test_build_slice_requires_flat_ambient():
@@ -104,7 +89,44 @@ def test_make_slice_spec_validates_directions():
         make_slice_spec(im, rep, rep.normal_frame[:1])  # not tangent
 
 
+def test_spec_coords_pull_back_to_the_directions():
+    # the report's tangent parameters carry the directions back to the
+    # parameter steps that trace_slice seeds with
+    rng = np.random.default_rng(12)
+    cases = [(sid, 1) for sid in ANALYTIC_SURFACES] + [("sphere:1,3", 2)]
+    for sid, s in cases:
+        im = surface(sid)
+        for u in random_params(im, 4, seed=5):
+            rep, dirs = tangent_dirs(im, u, rng, s)
+            spec = make_slice_spec(im, rep, dirs)
+            assert spec.coords.shape == (s, im.param_dim)
+            step = im.jacobian_at(u) @ (spec.coords @ rep.tangent_params).T
+            np.testing.assert_allclose(step, dirs.T, rtol=0, atol=1e-12,
+                                       err_msg=sid)
+
+
 # --- trace_slice ---
+
+def test_trace_slice_jacobians_are_newton_batches(monkeypatch):
+    # the seeds come from the report at q: no Jacobian at q, no lstsq
+    base = surface("ellipsoid:1,2,3")
+    rep = shape_report(base, np.array([1.1, 0.4]))
+    spec = make_slice_spec(base, rep, rep.tangent_frame[:1])
+    shapes = []
+
+    def jacobian(u):
+        shapes.append(np.shape(u))
+        return base.jacobian_at(u)
+
+    def no_lstsq(*args, **kwargs):
+        raise AssertionError("trace_slice solved a least-squares problem")
+
+    im = Immersion(2, base.ambient, base.map_fn, jacobian, domain=base.domain)
+    monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
+    res = trace_slice(im, spec, radius=0.3)
+    assert res.failures == 0 and shapes
+    assert all(len(shape) == 2 for shape in shapes), shapes
+
 
 def test_trace_sphere_great_circle_fidelity():
     im = surface("sphere:1")
@@ -147,7 +169,7 @@ def test_trace_sample_plane_membership():
             res = trace_slice(im, spec)
             d = res.points - spec.q
             g = im.ambient.metric_at(spec.q)
-            off = d @ (res.plane.complement @ g).T
+            off = d @ (res.complement @ g).T
             assert np.max(np.abs(off)) <= 1e-10, sid
 
 
@@ -288,7 +310,7 @@ def test_newton_singular_sample_spares_the_batch():
         return jac
 
     im = Immersion(2, base.ambient, base.map_fn, jacobian, domain=base.domain)
-    *_, good = _newton_trace(im, build_slice(im, spec), targets, seeds)
+    *_, good = _newton_trace(im, spec, build_slice(im, spec), targets, seeds)
     assert not good[bad]
     assert np.delete(good, bad).all()
 
@@ -389,12 +411,6 @@ def test_fit_sphere_degenerate_line():
 def test_fit_sphere_needs_points():
     with pytest.raises(DegenerateFit):
         fit_sphere(np.zeros((4, 3)))
-
-
-def test_fit_sphere_lorentz_signature_rejected():
-    from umbilic_lab.ambient import MetricSignature
-    with pytest.raises(ValueError):
-        fit_sphere(np.zeros((6, 3)), signature=MetricSignature(3, 1))
 
 
 @settings(max_examples=25, deadline=None)

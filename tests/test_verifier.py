@@ -394,7 +394,7 @@ def test_errored_draws_reach_the_margin(monkeypatch):
 
 def test_flat_slice_is_a_fail_not_an_error(monkeypatch):
     # a straight slice is the geometry saying "no sphere"
-    def flat(points, signature=None):
+    def flat(points):
         raise FlatSlice("sphere radius estimate diverged", radius=1e7)
 
     monkeypatch.setattr(verifier, "fit_sphere", flat)
