@@ -9,6 +9,6 @@ from .immersion import (Immersion, ShapeReport, frames, is_umbilic,
                         normal_curvature, second_fundamental_form, shape_report)
 from .slicer import (SliceResult, SliceSpec, build_slice, fit_hyperbolic,
                      fit_sphere, identity_check, make_slice_spec, slice_shape,
-                     trace_slice)
+                     slice_shapes, trace_slice, trace_slices)
 
 __version__ = "0.1.0"

@@ -7,6 +7,32 @@ diagnostics and a human-readable message.
 import numpy as np
 
 
+def hold(fn, *args):
+    """``fn(*args)``, or the exception it raised, held for ``release``."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return exc
+
+
+def hold_each(fn, *args):
+    """The items of the iterable ``fn(*args)``; once the call or the
+    iteration raises, that exception, held, in place of every further item
+    (without end: take only as many items as were asked for)."""
+    try:
+        yield from fn(*args)
+    except Exception as exc:
+        while True:
+            yield exc
+
+
+def release(value):
+    """``value``, or raise it when it is a held exception."""
+    if isinstance(value, Exception):
+        raise value
+    return value
+
+
 class UmbilicLabError(Exception):
     """Base class for all package errors."""
 

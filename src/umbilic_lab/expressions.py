@@ -139,18 +139,6 @@ def free_vars(node):
     return set().union(*(free_vars(c) for c in node[1:]))
 
 
-def evaluate(node, x):
-    """Evaluate on x of shape (..., nvars); returns shape (...)."""
-    op = node[0]
-    if op == "const":
-        return np.broadcast_to(np.asarray(node[1]), np.asarray(x).shape[:-1]).astype(float)
-    if op == "var":
-        return np.asarray(x, dtype=float)[..., node[1]]
-    if op not in _OPS:
-        raise ExpressionError(f"bad node {op!r}")
-    return _OPS[op](*(evaluate(kid, x) for kid in node[1:]))
-
-
 def _is_const(node, value=None):
     return node[0] == "const" and (value is None or node[1] == value)
 
@@ -188,7 +176,7 @@ def _fold(node):
     """One folding step on a node whose kids are folded already."""
     op, *kids = node
     if all(k[0] == "const" for k in kids):
-        # on 0-d operands, as ``evaluate`` computes a constant
+        # on 0-d operands, as a tree walk computes a constant
         return ("const", float(_OPS[op](*[np.asarray(k[1], dtype=float)
                                          for k in kids])))
     if op == "add":
@@ -269,12 +257,12 @@ def _compile(trees):
     """Flat evaluation plan of interned ``trees``: (slots, steps, outputs).
 
     Each distinct subtree is one node (see ``_share``) and one slot, filled
-    by one step that applies the numpy operation of ``evaluate`` to operands
-    of the same kind, so results are bit-identical.  A constant used only in
-    + - * / against an operand that depends on x is stored once as a float;
-    any other constant is broadcast to the batch shape per call, as
-    ``evaluate`` does, because ``pow`` and the functions take different
-    paths on 0-d and batch operands.
+    by one step that applies the node's numpy operation to operands of the
+    kind a walk of the tree would give it, so results are bit-identical.  A
+    constant used only in + - * / against an operand that depends on x is
+    stored once as a float; any other constant is broadcast to the batch
+    shape per call, as a tree walk does, because ``pow`` and the functions
+    take different paths on 0-d and batch operands.
     """
     slot_of, nodes, varies, broadcast = {}, [], [], set()
 

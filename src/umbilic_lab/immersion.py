@@ -14,7 +14,8 @@ import numpy as np
 from .ambient import christoffel
 from .errors import (DegenerateInducedMetric, LeftDomain, NonFiniteValue,
                      NonUnitDirection, RankDeficient, UmbilicLabError)
-from .frames import complement_basis, pseudo_gram_schmidt, unit_design
+from .frames import (DESIGN_SIZE, complement_basis, pseudo_gram_schmidt,
+                     unit_design)
 from .numdiff import hessian_fd, jacobian_fd
 
 RANK_TOL = 1e-10
@@ -94,6 +95,7 @@ class ShapeReport:
     u: np.ndarray
     p: np.ndarray
     tangent_frame: np.ndarray        # (m, N) ambient vectors, g-orthonormal
+    tangent_signs: np.ndarray        # (m,) causal characters g(e_i, e_i)
     normal_frame: np.ndarray         # (n, N) ambient vectors, g-orthonormal
     tangent_params: np.ndarray       # (m, m): jac @ row i = tangent_frame[i]
     normal_signs: list               # causal characters of the normals
@@ -175,9 +177,11 @@ def _orient(im, u, p, normal, g):
 
 @_batched
 def frames(im, u):
-    """(tangent_frame, normal_frame, normal_signs, p, jac, g) at parameter u.
+    """(tangent_frame, normal_frame, normal_signs, p, jac, g, tangent_signs)
+    at parameter u.
 
-    Tangent frame: g-orthonormalized Jacobian columns.  Normal frame:
+    Tangent frame: g-orthonormalized Jacobian columns, with their causal
+    characters g(e_i, e_i) as ``tangent_signs``.  Normal frame:
     g-orthonormal completion, oriented per the immersion's rule for
     hypersurfaces.  The chart point, its Jacobian and the ambient metric
     there come along so that callers need not evaluate them again.  For a
@@ -201,12 +205,13 @@ def frames(im, u):
     _check(bad, u, DegenerateInducedMetric,
            "induced metric is not positive definite", min_eigenvalue=eig[..., 0])
 
-    tangent, _tangent_signs = pseudo_gram_schmidt(jac.mT, g)
+    tangent, tangent_signs = pseudo_gram_schmidt(jac.mT, g)
     normal, signs = complement_basis(tangent, g, dim=im.codim)
     normal = _orient(im, u, p, normal, g)
     if u.ndim == 1:
-        return tangent, normal, signs.tolist(), p, jac, g
-    return tangent, normal, signs, p, jac, np.broadcast_to(g, p.shape + p.shape[-1:])
+        return tangent, normal, signs.tolist(), p, jac, g, tangent_signs
+    return (tangent, normal, signs, p, jac, np.broadcast_to(g, p.shape + p.shape[-1:]),
+            tangent_signs)
 
 
 def second_fundamental_form(im, u):
@@ -217,9 +222,11 @@ def second_fundamental_form(im, u):
 def umbilicity_defect(second_form, eigenvalues=None):
     """(defect, h_coeff) of an (..., m, m, n) second fundamental form.
 
-    The defect is the max over unit tangent X of |II(X,X) - H|.  With one
-    normal it is exactly max|kappa_i - H| over the eigenvalues (pass them
-    in when already computed); otherwise it is sampled over unit_design.
+    The defect is the max over unit tangent X of |Phi(X,X)|, Phi_a = II_a -
+    h_a I: with one normal max|kappa_i - H| over the eigenvalues (pass them
+    in when already computed); at m = 2 the largest singular value of A, as
+    Phi(X,X) at angle t is A (cos 2t, sin 2t) for rows (Phi_a[0,0], Phi_a[0,1]);
+    else sampled on unit_design and each Phi_a's extreme eigenvectors.
     """
     m, _, n = second_form.shape[-3:]
     h_coeff = second_form.trace(axis1=-3, axis2=-2) / m
@@ -227,10 +234,15 @@ def umbilicity_defect(second_form, eigenvalues=None):
         if eigenvalues is None:
             eigenvalues = np.linalg.eigvalsh(second_form[..., 0])
         return np.max(np.abs(eigenvalues - h_coeff), axis=-1), h_coeff
-    xs = unit_design(m)
-    vals = np.einsum("ki,...ija,kj->...ka", xs, second_form, xs)
-    return (np.max(np.linalg.norm(vals - h_coeff[..., None, :], axis=-1),
-                   axis=-1), h_coeff)
+    phi = second_form - np.eye(m)[:, :, None] * h_coeff[..., None, None, :]
+    if m == 2:
+        return np.linalg.norm(phi[..., 0, :, :].mT, ord=2, axis=(-2, -1)), h_coeff
+    lead = phi.shape[:-3]
+    extreme = np.linalg.eigh(np.moveaxis(phi, -1, -3))[1][..., [0, -1]].mT
+    xs = np.concatenate([np.broadcast_to(unit_design(m), lead + (DESIGN_SIZE, m)),
+                         extreme.reshape(lead + (2 * n, m))], axis=-2)
+    vals = np.einsum("...ki,...ija,...kj->...ka", xs, phi, xs)
+    return np.max(np.linalg.norm(vals, axis=-1), axis=-1), h_coeff
 
 
 @_batched
@@ -240,7 +252,7 @@ def shape_report(im, u):
     ``u`` is one parameter point (m,) or a (K, m) batch; a batch report
     gives every array field, the signs, the defect and ``h_norm_abs`` a
     leading K axis (see ShapeReport.row)."""
-    tangent, normal, normal_signs, p, jac, g = frames(im, u)
+    tangent, normal, normal_signs, p, jac, g, tangent_signs = frames(im, u)
 
     hess = im.hessian_at(u)
     if not im.ambient.is_constant:
@@ -271,8 +283,8 @@ def shape_report(im, u):
     if u.ndim == 1:
         defect, h_norm = float(defect), float(h_norm)
     return ShapeReport(
-        u=u, p=p,
-        tangent_frame=tangent, normal_frame=normal, tangent_params=coeff.mT,
+        u=u, p=p, tangent_frame=tangent, tangent_signs=tangent_signs,
+        normal_frame=normal, tangent_params=coeff.mT,
         normal_signs=normal_signs, second_form=ii_on,
         mean_curvature_vector=np.einsum("...a,...an->...n", h_coeff, normal),
         shape_operator=shape_op,
@@ -301,10 +313,9 @@ def normal_curvature(im, u, v):
     if abs(float(v @ g @ v) - 1.0) > 1e-10:
         raise NonUnitDirection("direction is not g-unit",
                                norm_sq=float(v @ g @ v))
-    coeff = np.array([float(v @ g @ e) for e in report.tangent_frame])
+    coeff = v @ g @ report.tangent_frame.T * report.tangent_signs
     rebuilt = coeff @ report.tangent_frame
     if np.max(np.abs(rebuilt - v)) > 1e-8:
         raise NonUnitDirection("direction is not tangent to the immersion")
-    vals = np.array([coeff @ report.second_form[:, :, a] @ coeff
-                     for a in range(im.codim)])
+    vals = np.einsum("i,ija,j->a", coeff, report.second_form, coeff)
     return vals @ report.normal_frame

@@ -12,6 +12,7 @@ umbilic-implies-... direction at a non-umbilic point) are recorded as
 "not exercised", never as passes; a slice draw that raised is an "error".
 """
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass, field
@@ -19,12 +20,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .catalog import resolve
-from .errors import FlatSlice, UmbilicLabError
+from .errors import FlatSlice, UmbilicLabError, hold, hold_each, release
 from .frames import pseudo_gram_schmidt
 from .immersion import shape_report, umbilicity_defect
-from .slicer import (fit_hyperbolic, fit_sphere, identity_check,
-                     make_slice_spec, slice_shape, taylor_trace_radius,
-                     trace_slice)
+from .slicer import (fit_hyperbolic, fit_sphere, make_slice_spec, slice_shapes,
+                     taylor_trace_radius, trace_slices)
 
 DEFECT_TOL_FLOOR = 1e-6
 UMBILIC_POINT_BALL = 0.05      # parameter distance counted as "at" a listed umbilic
@@ -114,21 +114,49 @@ def _random_tangent_dirs(rep, rng, s):
     return q_mat[:, :s].T @ rep.tangent_frame
 
 
-def _traced_shapes(im, rep, dir_sets, radius, calibrate=True):
-    """Trace and fit each direction set at the point of ``rep``; returns
-    results plus the defect threshold calibrated from the observed
-    identity residuals (the floor when ``calibrate`` is false)."""
-    results = []
-    worst_identity = 0.0
-    for dirs in dir_sets:
-        spec = make_slice_spec(im, rep, dirs)
-        res = trace_slice(im, spec, radius=radius)
-        slice_shape(res)
-        if calibrate:
-            worst_identity = max(worst_identity, identity_check(im, res))
-        results.append(res)
-    tol_prime = max(DEFECT_TOL_FLOOR, 10.0 * worst_identity)
-    return results, tol_prime
+def _traced(im, requests):
+    """The SliceResult or error of every direction set of the (ShapeReport,
+    direction sets, radius) requests, in order, from one trace_slices call:
+    a block of slices is traced when its first result is asked for."""
+    items = [(rep, dirs, radius) for rep, dir_sets, radius in requests
+             for dirs in dir_sets]
+    specs = [hold(make_slice_spec, im, rep, dirs) for rep, dirs, _r in items]
+    ok = [k for k, spec in enumerate(specs) if not isinstance(spec, Exception)]
+    traced = hold_each(trace_slices, im, [specs[k] for k in ok],
+                       [items[k][2] for k in ok])
+    return (spec if isinstance(spec, Exception) else next(traced)
+            for spec in specs)
+
+
+def _run_plans(im, plans):
+    """Plan, trace, judge: each plan (a suite generator at one point) yields
+    one request (see _traced) and takes back its fitted results and the
+    threshold calibrated from their identity residuals.  Every plan is made
+    first and all their slices are traced as one stream; each plan is then
+    fitted and judged as soon as its slices are traced, so a suite holds
+    one block of samples.  An error is raised where a point-by-point run
+    meets it."""
+    asks = [hold(next, plan) for plan in plans]
+    traced = _traced(im, [ask for ask in asks if not isinstance(ask, Exception)])
+    reports = []
+    for plan, ask in zip(plans, asks):
+        results = [release(res) for res in slice_shapes(
+            [next(traced) for _dirs in release(ask)[1]])]
+        worst = max([0.0, *(r.identity_residual for r in results)])
+        try:
+            plan.send((results, max(DEFECT_TOL_FLOOR, 10.0 * worst)))
+        except StopIteration as stop:
+            reports.append(stop.value)
+    return reports
+
+
+def _planned(suite):
+    """The one-point suite of the plan ``suite`` (see _run_plans), kept as .plan."""
+    @functools.wraps(suite)
+    def verify(im, *args, **kwargs):
+        return _run_plans(im, [suite(im, *args, **kwargs)])[0]
+    verify.plan = suite
+    return verify
 
 
 def _h_spread(results):
@@ -136,6 +164,7 @@ def _h_spread(results):
     return max((float(np.linalg.norm(a - b)) for a, b in pairs), default=0.0)
 
 
+@_planned
 def verify_theorem2(im, q, s=1, n_subspace_draws=10, tol=1e-5, radius=None,
                     seed=0, surface_id=""):
     """Same slice mean curvature across normal slices iff q is umbilic."""
@@ -145,7 +174,7 @@ def verify_theorem2(im, q, s=1, n_subspace_draws=10, tol=1e-5, radius=None,
     q, rep, radius = _at_point(im, q, radius)
     rng = np.random.default_rng([seed, 0])
     dir_sets = [_random_tangent_dirs(rep, rng, s) for _ in range(n_subspace_draws)]
-    results, tol_prime = _traced_shapes(im, rep, dir_sets, radius)
+    results, tol_prime = yield rep, dir_sets, radius
     spread = _h_spread(results)
     slice_umbilic = spread <= tol
     umbilic = rep.umbilicity_defect <= tol_prime
@@ -159,6 +188,7 @@ def verify_theorem2(im, q, s=1, n_subspace_draws=10, tol=1e-5, radius=None,
         {"s": s, "draws": n_subspace_draws})
 
 
+@_planned
 def verify_corollary3(im, q, s=1, tol=1e-5, radius=None, seed=0, surface_id=""):
     """Principal-basis slice family: equal mean curvatures iff umbilic,
     and at umbilic points the common value is the surface mean curvature."""
@@ -168,7 +198,7 @@ def verify_corollary3(im, q, s=1, tol=1e-5, radius=None, seed=0, surface_id=""):
     q, rep, radius = _at_point(im, q, radius)
     dir_sets = [rep.principal_directions[list(subset)]
                 for subset in itertools.combinations(range(im.param_dim), s)]
-    results, tol_prime = _traced_shapes(im, rep, dir_sets, radius)
+    results, tol_prime = yield rep, dir_sets, radius
     values = np.array([float(r.slice_H_coeff[0]) for r in results])
     all_equal = float(values.max() - values.min()) <= tol
     umbilic = rep.umbilicity_defect <= tol_prime
@@ -185,6 +215,7 @@ def verify_corollary3(im, q, s=1, tol=1e-5, radius=None, seed=0, surface_id=""):
         {"s": s, "slice_values": values.tolist()})
 
 
+@_planned
 def verify_remark4(im, tol=1e-6, radius=None, surface_id="", q=None):
     """Asymptotic slices of a zero-mean-curvature saddle: flat normal
     sections at a non-umbilic point, with vanishing mean curvature.
@@ -197,7 +228,7 @@ def verify_remark4(im, tol=1e-6, radius=None, surface_id="", q=None):
     e1, e2 = rep.tangent_frame
     dirs = [np.array([(e1 + e2) / np.sqrt(2.0)]),
             np.array([(e1 - e2) / np.sqrt(2.0)])]
-    results, _ = _traced_shapes(im, rep, dirs, radius, calibrate=False)
+    results, _ = yield rep, dirs, radius
     curvatures = [float(r.slice_H_coeff[0]) for r in results]
     max_asymptotic = max(abs(c) for c in curvatures)
     h_abs = abs(rep.mean_curvature)
@@ -211,6 +242,7 @@ def verify_remark4(im, tol=1e-6, radius=None, surface_id="", q=None):
         passed, {"asymptotic_slice_curvatures": curvatures})
 
 
+@_planned
 def verify_corollary5(im, q, s=1, n_basis_draws=10, tol=1e-5, radius=None,
                       seed=0, surface_id=""):
     """Mean of the slice mean curvatures equals the surface mean curvature
@@ -220,16 +252,12 @@ def verify_corollary5(im, q, s=1, n_basis_draws=10, tol=1e-5, radius=None,
         raise ValueError("corollary 5 applies to hypersurfaces")
     q, rep, radius = _at_point(im, q, radius)
     m = im.param_dim
-    gaps = []
-    for b in range(n_basis_draws):
-        rng = np.random.default_rng([seed, b])
-        basis = _random_tangent_dirs(rep, rng, m)
-        dir_sets = [basis[list(subset)]
-                    for subset in itertools.combinations(range(m), s)]
-        results, _ = _traced_shapes(im, rep, dir_sets, radius)
-        mean_val = float(np.mean([r.slice_H_coeff[0] for r in results]))
-        gaps.append(abs(mean_val - rep.mean_curvature))
-    worst = max(gaps)
+    subsets = [list(c) for c in itertools.combinations(range(m), s)]
+    bases = [_random_tangent_dirs(rep, np.random.default_rng([seed, b]), m)
+             for b in range(n_basis_draws)]
+    results, _ = yield rep, [basis[sub] for basis in bases for sub in subsets], radius
+    values = np.array([r.slice_H_coeff[0] for r in results]).reshape(n_basis_draws, -1)
+    worst = float(np.max(np.abs(values.mean(axis=1) - rep.mean_curvature)))
     passed = worst <= tol
     return _one_point(
         started, "corollary5", im, surface_id, q, seed, tol, radius,
@@ -238,6 +266,7 @@ def verify_corollary5(im, q, s=1, n_basis_draws=10, tol=1e-5, radius=None,
         passed, {"s": s, "basis_draws": n_basis_draws})
 
 
+@_planned
 def verify_theorem8(im, q, s=2, n_subspace_draws=10, tol=1e-5, radius=None,
                     seed=0, mode="random", surface_id=""):
     """Umbilic in every s-dimensional normal slice iff umbilic in the
@@ -265,7 +294,7 @@ def verify_theorem8(im, q, s=2, n_subspace_draws=10, tol=1e-5, radius=None,
             dir_sets.append(pseudo_gram_schmidt(vectors[list(subset)], g)[0])
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    results, tol_prime = _traced_shapes(im, rep, dir_sets, radius)
+    results, tol_prime = yield rep, dir_sets, radius
     slice_defects = [umbilicity_defect(r.slice_II)[0] for r in results]
     spread = _h_spread(results)
     all_umbilic = max(slice_defects) <= tol_prime and spread <= tol
@@ -280,6 +309,7 @@ def verify_theorem8(im, q, s=2, n_subspace_draws=10, tol=1e-5, radius=None,
         {"s": s, "mode": mode, "draws": len(dir_sets)})
 
 
+@_planned
 def verify_theorem10(im, q, tol=1e-5, n_pairs=10, radius=None, seed=0,
                      surface_id=""):
     """Two umbilic normal hypersurface slices force an umbilic point; at
@@ -289,14 +319,11 @@ def verify_theorem10(im, q, tol=1e-5, n_pairs=10, radius=None, seed=0,
     if im.codim != 1 or m < 3:
         raise ValueError("theorem 10 needs a hypersurface with m >= 3")
     q, rep, radius = _at_point(im, q, radius)
-    pair_records = []
-    tol_prime = DEFECT_TOL_FLOOR
-    for k in range(n_pairs):
-        rng = np.random.default_rng([seed, k])
-        dir_sets = [_random_tangent_dirs(rep, rng, m - 1) for _ in range(2)]
-        results, tp = _traced_shapes(im, rep, dir_sets, radius)
-        tol_prime = max(tol_prime, tp)
-        pair_records.append([umbilicity_defect(r.slice_II)[0] for r in results])
+    rngs = [np.random.default_rng([seed, k]) for k in range(n_pairs)]
+    results, tol_prime = yield rep, [_random_tangent_dirs(rep, rng, m - 1)
+                                     for rng in rngs for _ in range(2)], radius
+    defects = [umbilicity_defect(r.slice_II)[0] for r in results]
+    pair_records = [defects[i:i + 2] for i in range(0, len(defects), 2)]
     umbilic = rep.umbilicity_defect <= tol_prime
     forward_hits = [max(d) <= tol_prime for d in pair_records]
     # umbilic: every slice should be umbilic; else every pair needs a non-umbilic one
@@ -340,21 +367,21 @@ def _characterization(suite_id, im, grid, tol_fit, radius, seed, expect,
         raise ValueError("characterization suites apply to hypersurfaces")
     pts = _grid_points(im, grid, margin=margin)
     reports = shape_report(im, pts)
+    rngs = [np.random.default_rng([seed, i]) for i in range(len(pts))]
+    traced = _traced(im, [
+        (rep, [_random_tangent_dirs(rep, rng, im.param_dim - 1) for _draw in range(2)],
+         radius) for rep, rng in zip(map(reports.row, range(len(pts))), rngs)])
     per_point = []
     max_residual = 0.0
     radii = []
-    for i, q in enumerate(pts):
-        rng = np.random.default_rng([seed, i])
-        rep = reports.row(i)
+    for q in pts:
         residuals = {}
         point_ok = True
         note = ""
         for draw in range(2):
-            dirs = _random_tangent_dirs(rep, rng, im.param_dim - 1)
+            res = next(traced)
             try:
-                spec = make_slice_spec(im, rep, dirs)
-                res = trace_slice(im, spec, radius=radius)
-                _c, fitted_r, rms = fitter(res.points)
+                _c, fitted_r, rms = fitter(release(res).points)
                 radii.append(fitted_r)
                 if expect_radius is not None and abs(fitted_r - expect_radius) > tol_radius:
                     point_ok = False
@@ -466,9 +493,11 @@ def run_point_suite(suite_id, surface_id, n_points=20, seed=42, **kwargs):
     entry = resolve(surface_id)
     points = _suite_points(entry, n_points, seed)
     per_point, tols = [], []
-    for i, q in enumerate(points):
-        sub = POINT_SUITES[suite_id](entry.obj, q, seed=seed + i,
-                                     surface_id=surface_id, **kwargs)
+    subs = _run_plans(entry.obj, [
+        POINT_SUITES[suite_id].plan(entry.obj, q, seed=seed + i,
+                                    surface_id=surface_id, **kwargs)
+        for i, q in enumerate(points)])
+    for q, sub in zip(points, subs):
         verdict = sub.per_point[0]
         tols.append(sub.tolerances)
         truth = expected_umbilic(entry, q)

@@ -333,15 +333,16 @@ def test_verify_all_tol_reaches_every_suite(capsys, monkeypatch, tmp_path):
     seen = []
 
     def stub(suite_id):
-        def run(im, q=None, seed=0, surface_id="", **kwargs):
+        def plan(im, q=None, seed=0, surface_id="", **kwargs):
             seen.append((suite_id, kwargs.get("tol")))
+            yield None, [], None            # no slices to trace
             point = verifier.PointVerdict(parameter=[0.0], residuals={
                 "defect": 0.0}, passed=True)
             return verifier.VerdictReport(
                 suite_id=suite_id, surface_id=surface_id, points_tested=1,
                 per_point=[point], overall=True,
                 tolerances={"tol": kwargs.get("tol", float("nan"))}, seed=seed)
-        return run
+        return verifier._planned(plan)
 
     for sid in list(verifier.POINT_SUITES):
         monkeypatch.setitem(verifier.POINT_SUITES, sid, stub(sid))

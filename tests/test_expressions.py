@@ -4,9 +4,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from umbilic_lab.errors import ExpressionError
-from umbilic_lab.expressions import (ExpressionMap, _simp, diff, evaluate,
+from umbilic_lab.expressions import (_OPS, ExpressionMap, _simp, diff,
                                      free_vars, parse)
 from umbilic_lab.numdiff import jacobian_fd
+
+
+def evaluate(node, x):
+    """Reference tree walker: ``node`` on x of shape (..., nvars), returning
+    shape (...); the compiled plans must match it bit for bit."""
+    op = node[0]
+    if op == "const":
+        return np.broadcast_to(np.asarray(node[1]), np.asarray(x).shape[:-1]).astype(float)
+    if op == "var":
+        return np.asarray(x, dtype=float)[..., node[1]]
+    if op not in _OPS:
+        raise ExpressionError(f"bad node {op!r}")
+    return _OPS[op](*(evaluate(kid, x) for kid in node[1:]))
 
 
 def test_eval_basic_arithmetic():

@@ -365,7 +365,7 @@ def test_batch_rows_equal_single_point_reports(make):
     batch = shape_report(im, params)
     assert batch.second_form.shape == (12, im.param_dim, im.param_dim, im.codim)
     assert batch.umbilicity_defect.shape == batch.scalars["h_norm_abs"].shape == (12,)
-    tangent, normal, signs, p, jac, g = frames(im, params)
+    tangent, normal, signs, p, jac, g, tangent_signs = frames(im, params)
     for i, u in enumerate(params):
         one, row = shape_report(im, u), batch.row(i)
         kappa = one.principal_curvatures
@@ -383,6 +383,8 @@ def test_batch_rows_equal_single_point_reports(make):
         for got, want in pairs:
             np.testing.assert_allclose(got, want, rtol=0, atol=tol)
         assert signs[i].tolist() == row.normal_signs == one.normal_signs
+        assert (tangent_signs[i].tolist() == row.tangent_signs.tolist()
+                == one.tangent_signs.tolist())
         assert isinstance(row.umbilicity_defect, float)
 
 
@@ -411,3 +413,75 @@ def test_batch_raises_the_error_of_its_first_failing_row(make, rows, error, bad)
     assert batch_err.value.context == one_err.value.context
     assert list(batch_err.value.context["parameter"]) == rows[bad]
     assert str(batch_err.value) == str(one_err.value)
+
+
+# --- timelike tangent frames and the higher-codimension defect ---
+
+from umbilic_lab.immersion import umbilicity_defect  # noqa: E402
+from umbilic_lab.slicer import make_slice_spec  # noqa: E402
+
+
+def test_slice_coords_in_a_timelike_tangent_frame():
+    # t = 2 x0 + ...: the x0 tangent direction is timelike; the frame's
+    # signs enter the coordinates of a direction in it
+    base = surface("minkowski-graph:2*x0+0.3*x1^2+0.2*x0^2")
+    im = Immersion(base.param_dim, base.ambient, base.map_fn, base._jacobian,
+                   base._hessian, domain=base.domain, allow_timelike=True)
+    u = np.array([0.1, 0.1])
+    rep = shape_report(im, u)
+    g = im.ambient.metric_at(rep.p)
+    signs = np.sign(np.einsum("in,nk,ik->i", rep.tangent_frame, g, rep.tangent_frame))
+    assert sorted(signs.tolist()) == [-1.0, 1.0]
+    e_space, e_time = (rep.tangent_frame[signs == s][0] for s in (1, -1))
+    v = np.cosh(0.5) * e_space + np.sinh(0.5) * e_time
+    spec = make_slice_spec(im, rep, v[None])
+    assert np.max(np.abs(spec.coords @ rep.tangent_frame - v)) <= 1e-12
+    assert rep.tangent_signs.tolist() == signs.tolist()
+    # II(v, v) through the parameter step a with jac @ a = v
+    a = np.linalg.lstsq(im.jacobian_at(u), v, rcond=None)[0]
+    accel = np.einsum("nij,i,j->n", im.hessian_at(u), a, a)
+    want = sum(sign * (accel @ g @ nu) * nu
+               for sign, nu in zip(rep.normal_signs, rep.normal_frame))
+    np.testing.assert_allclose(normal_curvature(im, u, v), want, atol=1e-12)
+
+
+def _traceless(ii):
+    m = ii.shape[-3]
+    h = np.trace(ii, axis1=-3, axis2=-2) / m
+    return ii - np.eye(m)[:, :, None] * h[..., None, None, :]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3])
+def test_higher_codimension_defect_is_bracketed(m, n):
+    # max_a |Phi_a|_2 <= max_|X|=1 |Phi(X, X)| <= (sum_a |Phi_a|_2^2)^(1/2)
+    rng = np.random.default_rng(10 * m + n)
+    ii = rng.standard_normal((200, m, m, n))
+    ii = ii + np.swapaxes(ii, -3, -2)
+    defect, _ = umbilicity_defect(ii)
+    norms = np.max(np.abs(np.linalg.eigvalsh(np.moveaxis(_traceless(ii), -1, -3))),
+                   axis=-1)
+    assert np.all(defect >= norms.max(axis=-1) * (1 - 1e-12))
+    assert np.all(defect <= np.sqrt(np.sum(norms ** 2, axis=-1)) * (1 + 1e-12))
+    assert np.allclose([umbilicity_defect(f)[0] for f in ii[:5]], defect[:5],
+                       rtol=0, atol=1e-14)
+
+
+def test_two_dimensional_defect_is_the_maximum_over_directions():
+    rng = np.random.default_rng(8)
+    ii = rng.standard_normal((40, 2, 2, 3))
+    ii = ii + np.swapaxes(ii, -3, -2)
+    defect, _ = umbilicity_defect(ii)
+    th = np.linspace(0.0, np.pi, 4001)
+    xs = np.stack([np.cos(th), np.sin(th)], axis=-1)
+    dense = np.linalg.norm(np.einsum("ki,...ija,kj->...ka", xs, _traceless(ii), xs),
+                           axis=-1).max(axis=-1)
+    assert np.all(defect >= dense - 1e-12)
+    assert np.all(defect <= dense * (1 + 1e-6))
+
+
+def test_clifford_torus_defect():
+    # II = -I against the radial normal and diag(-1, 1) against the other
+    im = clifford_torus()
+    rep = shape_report(im, np.array(random_params(im, 6, seed=2)))
+    np.testing.assert_allclose(rep.umbilicity_defect, 1.0, rtol=0, atol=1e-12)

@@ -310,7 +310,10 @@ def test_newton_singular_sample_spares_the_batch():
         return jac
 
     im = Immersion(2, base.ambient, base.map_fn, jacobian, domain=base.domain)
-    *_, good = _newton_trace(im, spec, build_slice(im, spec), targets, seeds)
+    rows = np.concatenate([build_slice(im, spec), dirs])    # g = I
+    *_, good = _newton_trace(im, np.repeat(rows[None], len(seeds), axis=0),
+                             np.repeat(spec.q[None], len(seeds), axis=0),
+                             np.pad(targets, ((0, 0), (1, 0))), seeds)
     assert not good[bad]
     assert np.delete(good, bad).all()
 
@@ -485,3 +488,213 @@ def test_fit_hyperbolic_spacelike_hull_rejected():
     pts = np.stack([np.cos(th), np.sin(th), np.zeros_like(th)], axis=1)
     with pytest.raises(WrongCausalType):
         fit_hyperbolic(pts)
+
+
+# --- one Newton batch for many slices ---
+
+from umbilic_lab import slicer  # noqa: E402
+from umbilic_lab.errors import IllConditionedFit, NewtonDiverged, hold  # noqa: E402
+
+
+def assert_same_trace(got, want):
+    """A batched trace equals the one-spec trace: the same failures and
+    radius halvings, and samples within 1e-13."""
+    assert type(got) is type(want)
+    if isinstance(want, Exception):
+        assert str(got) == str(want) and got.context == want.context
+        return
+    assert got.failures == want.failures and got.radius == want.radius
+    assert got.provenance == want.provenance
+    assert got.points.shape == want.points.shape
+    for a, b in [(got.points, want.points), (got.params, want.params),
+                 (got.t, want.t), (got.w, want.w)]:
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("sid,s", [(sid, 1) for sid in ANALYTIC_SURFACES]
+                         + [("sphere:1,3", 2)])
+def test_trace_slices_equals_one_spec_traces(sid, s):
+    im = surface(sid)
+    rng = np.random.default_rng(31)
+    specs = []
+    for u in random_params(im, 4, seed=8):
+        for _ in range(3):
+            rep, dirs = tangent_dirs(im, u, rng, s)
+            specs.append(make_slice_spec(im, rep, dirs))
+    radii = [slicer.default_trace_radius(sp.report) for sp in specs]
+    batch = list(slicer.trace_slices(im, specs, radii))
+    assert len(batch) == len(specs)
+    for spec, radius, got in zip(specs, radii, batch):
+        assert_same_trace(got, trace_slice(im, spec, radius=radius))
+    # None is each spec's default radius, alone or in a list
+    for got in (list(slicer.trace_slices(im, specs[:2]))[1],
+                list(slicer.trace_slices(im, specs[:2], [0.01, None]))[1]):
+        assert_same_trace(got, batch[1])
+
+
+def test_trace_slices_halves_only_the_specs_that_failed(monkeypatch):
+    # at the chart's edge a wide grid leaves the domain and must halve its
+    # radius; at the centre it need not; far too wide a grid never converges
+    im = surface("hyperbolic-paraboloid")
+    specs = []
+    for x0 in (0.0, 0.8, 0.8):
+        rep = shape_report(im, [x0, 0.0])
+        specs.append(make_slice_spec(im, rep, rep.tangent_frame[:1]))
+    radii = [0.8, 1.0, 200.0]
+    batches = []
+
+    def counting(im, rows, q, targets, seeds):
+        batches.append(len(seeds))
+        return _newton_trace(im, rows, q, targets, seeds)
+
+    monkeypatch.setattr(slicer, "_newton_trace", counting)
+    centre, edge, wide = slicer.trace_slices(im, specs, radii)
+    assert centre.provenance["radius_halvings"] == 0
+    assert edge.provenance["radius_halvings"] == 1
+    assert isinstance(wide, NewtonDiverged)
+    assert wide.context == {"failures": 16, "grid": 17, "radius": 200.0}
+    # one batch per attempt; only the specs over the failure bound return
+    assert batches == [51, 34, 17, 17, 17]
+    for spec, radius, got in zip(specs, radii, (centre, edge, wide)):
+        want = hold(trace_slice, im, spec, radius)
+        assert_same_trace(got, want)
+
+
+def test_newton_failures_are_counted_by_reason():
+    im = surface("hyperbolic-paraboloid")
+    rep = shape_report(im, [0.8, 0.0])
+    edge = trace_slice(im, make_slice_spec(im, rep, rep.tangent_frame[:1]),
+                       radius=0.5)
+    # two samples beyond x0 = 1 leave the chart; the rest converge
+    assert edge.failures == 2 and edge.provenance["radius_halvings"] == 0
+    assert edge.provenance["failures_by_reason"] == {
+        "not-converged": 0, "singular": 0, "left-domain": 2}
+    assert edge.provenance["newton_iterations"] >= 1
+    rng = np.random.default_rng(5)
+    for sid in ANALYTIC_SURFACES:
+        im = surface(sid)
+        specs = [make_slice_spec(im, *tangent_dirs(im, u, rng, 1))
+                 for u in random_params(im, 5, seed=2)]
+        for res in slicer.trace_slices(im, specs):
+            if isinstance(res, Exception):
+                continue
+            reasons = res.provenance["failures_by_reason"]
+            assert sum(reasons.values()) == res.failures, sid
+            assert 1 <= res.provenance["newton_iterations"] <= 50
+
+
+def test_singular_sample_is_counted_as_singular():
+    base = surface("sphere:1")
+    q = np.array([1.0, 0.7])
+    rep = shape_report(base, q)
+    spec = make_slice_spec(base, rep, rep.tangent_frame[:1])
+    seeds = []
+
+    def jacobian(u):
+        jac = base.jacobian_at(u)
+        if not seeds:                   # the first call sees every seed
+            seeds.append(np.array(u))
+        jac[np.all(u == seeds[0][0], axis=-1)] = 0.0
+        return jac
+
+    im = Immersion(2, base.ambient, base.map_fn, jacobian, domain=base.domain)
+    res = trace_slice(im, spec, radius=0.2, samples_per_dim=4)
+    assert res.provenance["failures_by_reason"]["singular"] == 1
+    assert res.failures == 1
+
+
+def test_trace_slices_complement_stack_falls_back_per_spec(monkeypatch):
+    # a stacked complement that raises is rebuilt spec by spec
+    im = surface("ellipsoid:1,2,3")
+    rng = np.random.default_rng(4)
+    specs = [make_slice_spec(im, *tangent_dirs(im, u, rng, 1))
+             for u in random_params(im, 3, seed=9)]
+    want = list(slicer.trace_slices(im, specs, 0.05))
+    original = slicer.complement_basis
+
+    def no_stacks(span, g, dim):
+        if np.ndim(span) == 3:
+            raise DegenerateSubspace("stacked complement refused")
+        return original(span, g, dim)
+
+    monkeypatch.setattr(slicer, "complement_basis", no_stacks)
+    for got, ref in zip(slicer.trace_slices(im, specs, 0.05), want):
+        assert_same_trace(got, ref)
+    assert list(slicer.trace_slices(im, [], 0.05)) == []
+
+
+def test_stacked_slice_shape_equals_one_result_fits():
+    rng = np.random.default_rng(17)
+    for sid, s in [("ellipsoid:1,2,3", 1), ("torus:2,0.5", 1),
+                   ("ellipsoid:1,1.3,1.7,2.1", 2)]:
+        im = surface(sid)
+        specs = [make_slice_spec(im, *tangent_dirs(im, u, rng, s))
+                 for u in random_params(im, 6, seed=3)]
+        radii = [taylor_trace_radius(sp.report) for sp in specs]
+        stacked = list(slicer.trace_slices(im, specs, radii))
+        single = list(slicer.trace_slices(im, specs, radii))
+        # one too-small sample set and one collapsed design in the stack
+        for res in (stacked[1], single[1]):
+            res.points, res.t, res.w = res.points[:3], res.t[:3], res.w[:3]
+        for res in (stacked[2], single[2]):
+            res.t = np.zeros_like(res.t) + 1e-16
+        fitted = slicer.slice_shapes(stacked)
+        assert isinstance(fitted[1], DegenerateFit)
+        assert isinstance(fitted[2], IllConditionedFit)
+        for k, (got, res) in enumerate(zip(fitted, single)):
+            if k in (1, 2):
+                with pytest.raises(type(got)):
+                    slice_shape(res)
+                continue
+            assert got is stacked[k]
+            slice_shape(res)
+            scale = max(1.0, float(np.max(np.abs(res.slice_II))))
+            for a, b in [(got.slice_II, res.slice_II),
+                         (got.slice_H, res.slice_H),
+                         (got.slice_H_coeff, res.slice_H_coeff)]:
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-13 * scale)
+            assert got.identity_residual == pytest.approx(
+                res.identity_residual, rel=0, abs=1e-13 * scale)
+            assert identity_check(im, got) == got.identity_residual
+
+
+def test_trace_slices_traces_a_block_when_its_first_result_is_asked(monkeypatch):
+    im = surface("ellipsoid:1,2,3")
+    rng = np.random.default_rng(6)
+    specs = [make_slice_spec(im, *tangent_dirs(im, u, rng, 1))
+             for u in random_params(im, 5, seed=4)]
+    want = list(slicer.trace_slices(im, specs, 0.05))
+    batches = []
+
+    def counting(im, rows, q, targets, seeds):
+        batches.append(len(seeds))
+        return _newton_trace(im, rows, q, targets, seeds)
+
+    monkeypatch.setattr(slicer, "_newton_trace", counting)
+    monkeypatch.setattr(slicer, "BATCH_SAMPLES", 2 * 17)   # two specs a block
+    traced = slicer.trace_slices(im, specs, 0.05)
+    assert batches == []
+    got = [next(traced)]
+    assert batches == [34]
+    got.append(next(traced))
+    assert batches == [34]
+    got += list(traced)
+    assert batches == [34, 34, 17]
+    for g, w in zip(got, want):
+        assert_same_trace(g, w)
+    with pytest.raises(ValueError):             # one radius per spec, or one
+        slicer.trace_slices(im, specs, [0.05, 0.05])
+
+
+def test_trace_slices_checks_the_ambient_before_any_block():
+    from umbilic_lab.immersion import Immersion
+
+    def coord_sheet(u):
+        u = np.asarray(u, dtype=float)
+        return np.concatenate([u, np.full(u.shape[:-1] + (1,), 1.2)], axis=-1)
+
+    im = Immersion(2, catalog.sphere_metric(1.0, dim=3), coord_sheet,
+                   domain=[[0.5, 2.5], [0.5, 2.5]])
+    rep = shape_report(im, [1.0, 1.0])
+    with pytest.raises(UnsupportedAmbient):     # at the call, not at next()
+        slicer.trace_slices(im, [make_slice_spec(im, rep, rep.tangent_frame[:1])])

@@ -347,7 +347,7 @@ def test_characterization_crash_is_an_error_not_a_rejection(monkeypatch):
     def crash(*args, **kwargs):
         raise NewtonDiverged("no sample converged")
 
-    monkeypatch.setattr(verifier, "trace_slice", crash)
+    monkeypatch.setattr(verifier, "trace_slices", crash)
     r = verify_characterization_sphere(surf("ellipsoid:1,2,3"), grid=(2, 2),
                                        expect=False)
     assert not r.overall
@@ -386,7 +386,7 @@ def test_errored_draws_reach_the_margin(monkeypatch):
     def crash(*args, **kwargs):
         raise NewtonDiverged("no sample converged")
 
-    monkeypatch.setattr(verifier, "trace_slice", crash)
+    monkeypatch.setattr(verifier, "trace_slices", crash)
     r = verify_characterization_sphere(surf("sphere:1"), grid=(2, 2),
                                        expect=True)
     assert r.extras["max_fit_residual"] == np.inf
@@ -429,3 +429,102 @@ def test_point_suite_tolerances_cover_every_point():
         "tol": 1e-5, "tol_prime_min": min(tol_primes),
         "tol_prime_max": max(tol_primes), "radius_min": min(radii),
         "radius_max": max(radii)}
+
+
+# --- plan, trace, judge ---
+
+def test_point_suite_raises_the_first_error_in_point_order(monkeypatch):
+    # point 2's second slice request fails at its spec, point 3 already
+    # while planning; a point-by-point run meets point 2's error first
+    from umbilic_lab.errors import DegenerateSubspace, LeftDomain
+    entry = catalog.resolve("ellipsoid:1,2,3")
+    points = verifier._suite_points(entry, 4, 42)
+    make_spec, report = verifier.make_slice_spec, verifier.shape_report
+    planned, specs_at_2 = [], []
+
+    def failing_spec(im, rep, dirs):
+        if np.array_equal(rep.u, points[2]):
+            specs_at_2.append(dirs)
+            if len(specs_at_2) == 2:
+                raise DegenerateSubspace("injected at point 2", point=2)
+        return make_spec(im, rep, dirs)
+
+    def failing_report(im, u):
+        planned.append(np.asarray(u, dtype=float))
+        if np.array_equal(planned[-1], points[3]):
+            raise LeftDomain("injected at point 3")
+        return report(im, u)
+
+    monkeypatch.setattr(verifier, "make_slice_spec", failing_spec)
+    monkeypatch.setattr(verifier, "shape_report", failing_report)
+    with pytest.raises(DegenerateSubspace, match="injected at point 2") as err:
+        run_point_suite("theorem2", entry.id, n_points=4, seed=42,
+                        n_subspace_draws=3)
+    assert err.value.context == {"point": 2}
+    assert len(planned) == len(points)  # every point was planned first
+
+
+def test_point_suite_makes_one_newton_batch(monkeypatch):
+    from umbilic_lab import slicer
+    sizes = []
+    original = slicer._newton_trace
+
+    def counting(im, rows, q, targets, seeds):
+        sizes.append(len(seeds))
+        return original(im, rows, q, targets, seeds)
+
+    monkeypatch.setattr(slicer, "_newton_trace", counting)
+    r = run_point_suite("theorem2", "ellipsoid:1,2,3", n_points=3, seed=42,
+                        s=1, n_subspace_draws=4)
+    assert r.overall and r.points_tested == 7   # 4 listed umbilics + 3
+    # 7 points x 4 slices x 17 samples, no radius halved
+    assert sizes == [7 * 4 * 17]
+
+
+def test_point_suite_judges_each_point_once_its_slices_are_traced(monkeypatch):
+    # with one point's slices per Newton batch, each point is judged before
+    # the next batch is traced, and the report is the one-batch report
+    from umbilic_lab import slicer
+    args = dict(n_points=3, seed=42, s=1, n_subspace_draws=4)
+    want = run_point_suite("theorem2", "ellipsoid:1,2,3", **args).to_dict()
+    events = []
+    trace, spread = slicer._newton_trace, verifier._h_spread
+
+    def tracing(im, rows, q, targets, seeds):
+        events.append(("trace", len(seeds)))
+        return trace(im, rows, q, targets, seeds)
+
+    def judging(results):
+        events.append(("judge", len(results)))
+        return spread(results)
+
+    monkeypatch.setattr(slicer, "_newton_trace", tracing)
+    monkeypatch.setattr(verifier, "_h_spread", judging)
+    monkeypatch.setattr(slicer, "BATCH_SAMPLES", 4 * 17)
+    got = run_point_suite("theorem2", "ellipsoid:1,2,3", **args).to_dict()
+    assert events == [("trace", 4 * 17), ("judge", 4)] * 7
+    assert {**got, "runtime_ms": 0} == {**want, "runtime_ms": 0}
+
+
+def test_a_batch_that_raises_is_an_error_for_its_draws_only(monkeypatch):
+    # two grid points per Newton batch; the second batch crashes, so the
+    # draws of points 2 and 3 are errors and points 0 and 1 keep their fits
+    from umbilic_lab import slicer
+    blocks = []
+    original = slicer._trace_block
+
+    def second_crashes(*args):
+        blocks.append(len(args[1]))
+        if len(blocks) == 2:
+            raise NewtonDiverged("injected in the second batch")
+        return original(*args)
+
+    monkeypatch.setattr(slicer, "_trace_block", second_crashes)
+    monkeypatch.setattr(slicer, "BATCH_SAMPLES", 4 * 17)
+    r = verify_characterization_sphere(surf("sphere:1"), grid=(2, 2),
+                                       expect=True)
+    assert blocks == [4, 4]
+    notes = [p.note for p in r.per_point]
+    assert notes[:2] == ["", ""] and all(p.passed for p in r.per_point[:2])
+    assert notes[2:] == ["NewtonDiverged: injected in the second batch"] * 2
+    assert not r.overall
