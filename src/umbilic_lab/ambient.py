@@ -12,6 +12,7 @@ Curvature conventions, fixed once against the round sphere:
 so the unit sphere has K = +1 and the hyperboloid model K = -1.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -48,7 +49,8 @@ class AmbientSpace:
     ``metric`` is either a constant (N, N) array or a callable point ->
     (N, N) array.  ``metric_derivative``, when given, returns the (N, N, N)
     array dg[i,j,k] = d g_ij / d x_k, and ``metric_hessian`` the (N, N, N, N)
-    array ddg[i,j,a,b] = d_a d_b g_ij; with both, curvature is exact.
+    array ddg[i,j,a,b] = d_a d_b g_ij; with both, curvature is exact.  A builder
+    may set ``metric_jet``: x -> (N, N, N + N*N), dg then ddg flattened, at once.
     ``box`` is the trusted coordinate region; leaving it is an error, never
     an extrapolation.
     """
@@ -65,6 +67,7 @@ class AmbientSpace:
             self._metric_fn = metric
         self.metric_derivative = metric_derivative
         self.metric_hessian = metric_hessian
+        self.metric_jet = None
         if box is None:
             box = np.array([[-50.0, 50.0]] * n)
         self.box = np.asarray(box, dtype=float)
@@ -89,15 +92,15 @@ class AmbientSpace:
     def _validate(self, g, x):
         if g.shape != (self.dimension, self.dimension):
             raise InvalidMetric("metric has wrong shape", shape=g.shape)
-        scale = float(np.max(np.abs(g)))
+        scale = float(abs(g).max())
         if not math.isfinite(scale):        # an inf or a NaN entry
             raise NonFiniteValue("metric is not finite", point=list(x))
-        if np.max(np.abs(g - g.T)) > 1e-12 * max(1.0, scale):
+        if abs(g - g.T).max() > 1e-12 * max(1.0, scale):
             raise InvalidMetric("metric not symmetric", point=list(x))
         eig = np.linalg.eigvalsh(g)
-        if np.min(np.abs(eig)) < DET_TOL * max(1.0, float(np.max(np.abs(eig)))):
+        if abs(eig).min() < DET_TOL * max(1.0, float(abs(eig).max())):
             raise SingularMetric("metric degenerate", point=list(x))
-        negatives = int(np.sum(eig < 0))
+        negatives = int(np.count_nonzero(eig < 0))
         if negatives != self.signature.index:
             raise InvalidMetric("metric signature mismatch",
                                 point=list(x), negatives=negatives)
@@ -111,19 +114,24 @@ class AmbientSpace:
 
     def metric_derivative_at(self, x):
         if self._const_g is not None:
-            n = self.dimension
-            return np.zeros((n, n, n))
+            return np.zeros((self.dimension,) * 3)
         if self.metric_derivative is not None:
             dg = np.asarray(self.metric_derivative(np.asarray(x, dtype=float)), dtype=float)
         else:
             dg = central_diff(self.metric_at, x, FD_STEP)
-        return 0.5 * (dg + dg.transpose(1, 0, 2))
+        return _symmetrized(dg)
 
     def metric_hessian_at(self, x):
         """ddg[i,j,a,b] = d_a d_b g_ij, symmetrized in (i, j) and (a, b)."""
-        ddg = np.asarray(self.metric_hessian(np.asarray(x, dtype=float)), dtype=float)
-        ddg = 0.5 * (ddg + ddg.transpose(0, 1, 3, 2))
-        return 0.5 * (ddg + ddg.transpose(1, 0, 2, 3))
+        return _symmetrized(np.asarray(self.metric_hessian(np.asarray(x, float)), float))
+
+    def metric_jet_at(self, x):
+        """(metric_derivative_at(x), metric_hessian_at(x)), from one
+        ``metric_jet`` evaluation where the space has one."""
+        if self.metric_jet is None:
+            return self.metric_derivative_at(x), self.metric_hessian_at(x)
+        both, n = self.metric_jet(np.asarray(x, dtype=float)), self.dimension
+        return _symmetrized(both[..., :n]), _symmetrized(both[..., n:].reshape((n,) * 4))
 
     def inner(self, x, u, v):
         return float(u @ self.metric_at(x) @ v)
@@ -131,6 +139,13 @@ class AmbientSpace:
     def in_box(self, x):
         return bool(np.all(x >= self.box[:, 0] - 1e-9)
                     and np.all(x <= self.box[:, 1] + 1e-9))
+
+
+def _symmetrized(d):
+    """dg[i,j,k] or ddg[i,j,a,b] averaged over swapping (a, b), then (i, j)."""
+    if d.ndim == 4:
+        d = 0.5 * (d + d.transpose(0, 1, 3, 2))
+    return 0.5 * (d + d.transpose(1, 0, *range(2, d.ndim)))
 
 
 @dataclass
@@ -172,30 +187,49 @@ class CartanAuditReport:
             "verdict": self.verdict,
             "seed": self.seed,
             "tolerances": dict(self.tolerances),
+            "margins": {key: _margin(self.tolerances[key], value) for key, value in
+                        (("codazzi", self.max_codazzi_obstruction),
+                         ("spread", self.sectional_spread))},
             "per_point": self.per_point,
         }
 
 
-def christoffel(space, x, g=None, dg=None):
+def _margin(tol, value):
+    """log10(tol / value), or None where that is not finite (a value of 0)."""
+    ratio = tol / value if value else math.inf
+    return math.log10(ratio) if 0.0 < ratio < math.inf else None
+
+
+def _inverse(g, x):
+    """g^-1; SingularMetric when max|g| max|g^-1| (|eigenvalue| max / min
+    for a diagonal g) exceeds 1 / DET_TOL, a test relative to g's scale."""
+    try:
+        ginv = np.linalg.inv(g)
+    except np.linalg.LinAlgError:       # exactly singular
+        ginv = np.full_like(g, np.inf)
+    cond = float(abs(g).max() * abs(ginv).max())
+    if not cond * DET_TOL < 1.0:        # a NaN fails too
+        raise SingularMetric("metric singular for its scale", cond=cond, point=list(x))
+    return ginv
+
+
+def christoffel(space, x, g=None, dg=None, ginv=None):
     """Levi-Civita connection coefficients gamma[k, i, j] at x; the metric
-    ``g`` and its derivative ``dg`` at x are evaluated unless passed."""
+    ``g``, its derivative ``dg`` and its inverse ``ginv`` at x are
+    evaluated unless passed."""
     x = np.asarray(x, dtype=float)
+    n = space.dimension
     if g is None:
         g = space.metric_at(x)
-    det = np.linalg.det(g)
-    if abs(det) < DET_TOL:
-        raise SingularMetric("metric determinant below threshold",
-                             det=float(det), point=list(x))
     if space.is_constant:
-        n = space.dimension
         return np.zeros((n, n, n))
+    if ginv is None:
+        ginv = _inverse(g, x)
     if dg is None:
         dg = space.metric_derivative_at(x)
-    ginv = np.linalg.inv(g)
-    b1 = np.transpose(dg, (1, 2, 0))   # b1[l,i,j] = dg[j,l,i]
-    b2 = np.transpose(dg, (1, 0, 2))   # b2[l,i,j] = dg[i,l,j]
-    b3 = np.transpose(dg, (2, 0, 1))   # b3[l,i,j] = dg[i,j,l]
-    gamma = 0.5 * np.einsum("kl,lij->kij", ginv, b1 + b2 - b3)
+    # Gamma_l,ij = d_i g_jl + d_j g_il - d_l g_ij, up to the factor 1/2
+    low = dg.transpose(1, 2, 0) + dg.transpose(1, 0, 2) - dg.transpose(2, 0, 1)
+    gamma = 0.5 * (ginv @ low.reshape(n, -1)).reshape(n, n, n)
     return 0.5 * (gamma + gamma.transpose(0, 2, 1))
 
 
@@ -209,32 +243,39 @@ def riemann(space, x):
     exact, or with a larger step against finite-difference noise.
     """
     x = np.asarray(x, dtype=float)
+    n = space.dimension
     g = space.metric_at(x)
-    dg = space.metric_derivative_at(x)
-    gamma = christoffel(space, x, g, dg)
     if space.is_constant:
-        low = np.zeros((space.dimension,) * 4)
+        gamma, dgamma = christoffel(space, x, g), np.zeros((n,) * 4)
+    elif space.metric_hessian is not None:
+        dg, ddg = space.metric_jet_at(x)
+        ginv = _inverse(g, x)
+        gamma = christoffel(space, x, g, dg, ginv)
+        # d_m Gamma_l,ij - d_m g_la Gamma^a_ij, as dlow[l, i, j, m]
+        dlow = 0.5 * (ddg.transpose(1, 2, 0, 3) + ddg.transpose(1, 0, 2, 3)
+                      - ddg.transpose(2, 0, 1, 3))
+        dlow -= (dg.transpose(0, 2, 1).reshape(n * n, n) @ gamma.reshape(n, -1)
+                 ).reshape(n, n, n, n).transpose(0, 2, 3, 1)
+        dgamma = (ginv @ dlow.reshape(n, -1)).reshape(n, n, n, n)
     else:
-        if space.metric_hessian is not None:
-            ddg = space.metric_hessian_at(x)
-            dlow = 0.5 * (np.transpose(ddg, (1, 2, 0, 3))     # d_m d_i g_jl
-                          + np.transpose(ddg, (1, 0, 2, 3))   # d_m d_j g_il
-                          - np.transpose(ddg, (2, 0, 1, 3)))  # d_m d_l g_ij
-            dgamma = np.einsum("kl,lijm->kijm", np.linalg.inv(g),
-                               dlow - np.einsum("lam,aij->lijm", dg, gamma))
-        elif space.has_analytic_derivative:
+        gamma = christoffel(space, x, g, space.metric_derivative_at(x))
+        if space.has_analytic_derivative:
             dgamma = central_diff4(lambda y: christoffel(space, y), x, 5e-4)
         else:
             dgamma = central_diff(lambda y: christoffel(space, y), x, 1e-3,
                                   scale_steps=True)
-        term1 = np.transpose(dgamma, (0, 2, 3, 1))  # d_i gamma[a, j, b]
-        term2 = np.transpose(dgamma, (0, 2, 1, 3))  # d_j gamma[a, i, b]
-        term3 = np.einsum("aip,pjb->abij", gamma, gamma)
-        term4 = np.einsum("ajp,pib->abij", gamma, gamma)
-        riem_up = term1 - term2 + term3 - term4
-        low = np.einsum("ka,alij->ijkl", g, riem_up)
+    # p[a, i, j, b] = Gamma^a_ip Gamma^p_jb
+    p = (gamma.reshape(n * n, n) @ gamma.reshape(n, -1)).reshape(n, n, n, n)
+    riem_up = (dgamma.transpose(0, 2, 3, 1)         # d_i gamma[a, j, b]
+               - dgamma.transpose(0, 2, 1, 3)       # d_j gamma[a, i, b]
+               + p.transpose(0, 3, 1, 2) - p.transpose(0, 3, 2, 1))
+    low = (g @ riem_up.reshape(n, -1)).reshape(n, n, n, n).transpose(2, 3, 0, 1)
     return CurvatureSample(point=x, metric=g, christoffel=gamma,
                            riemann_lowered=low)
+
+
+# the planes span{e_a, e_b}, a < b, of a 2- or 3-frame, np.triu_indices order
+_PLANES = {k: np.triu_indices(k, 1) for k in (2, 3)}
 
 
 def _frame_curvature(low, g, frames):
@@ -243,14 +284,14 @@ def _frame_curvature(low, g, frames):
     per index, and the sectional curvatures of the planes span{e_a, e_b},
     a < b, in np.triu_indices order; errors on light-like planes."""
     *lead, k, n = frames.shape
-    comp = np.broadcast_to(low, (*lead, *low.shape))
-    for _ in range(4):      # contract the first index, append the frame's
+    comp = low.reshape(n, -1).mT @ frames.mT     # matmul broadcasts low
+    for _ in range(3):      # contract the first index, append the frame's
         comp = comp.reshape(*lead, n, -1).mT @ frames.mT
     comp = comp.reshape(*lead, k, k, k, k)
     gram = frames @ g @ frames.mT
-    a, b = np.triu_indices(k, 1)
+    a, b = _PLANES[k]
     q = gram[..., a, a] * gram[..., b, b] - gram[..., a, b] ** 2
-    light = np.abs(q) < PLANE_TOL
+    light = abs(q) < PLANE_TOL
     if light.any():
         raise DegeneratePlane("plane is light-like",
                               gram=float(np.extract(light, q)[0]))
@@ -278,13 +319,8 @@ def geodesic(space, p, v, t_end, steps=256):
     if not space.in_box(p):
         raise LeftDomain("initial point outside coordinate box", point=list(p))
 
-    constant = space.is_constant
-
     def accel(x, xdot):
-        if constant:
-            return np.zeros_like(xdot)
-        gamma = christoffel(space, x)
-        return -np.einsum("kij,i,j->k", gamma, xdot, xdot)
+        return -np.einsum("kij,i,j->k", christoffel(space, x), xdot, xdot)
 
     h = float(t_end) / steps
     path = [(0.0, p.copy(), v.copy())]
@@ -342,22 +378,9 @@ def tg_patch(space, p, basis, radius, grid=5, steps=128):
     return np.asarray(points)
 
 
-# the ordered distinct assignments (a, b, c) of a triple's three vectors
-_ASSIGNMENTS = np.array([(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0),
-                         (2, 0, 1), (2, 1, 0)])
-
-
-def _audit_patterns(space):
-    """Causal-character triples drawable in this signature."""
-    n, index = space.dimension, space.signature.index
-    patterns = []
-    if n - index >= 3:
-        patterns.append((1, 1, 1))
-    if index >= 1 and n >= 3:
-        patterns.append((1, 1, -1))
-    if not patterns:
-        raise DegenerateSubspace("dimension too small for orthonormal triples")
-    return patterns
+# comp[a, b, a, c] for the orderings (a, b, c) of a triple, flat in (3, 3, 3, 3)
+_CODAZZI = np.array([30 * a + 9 * b + c
+                     for a, b, c in itertools.permutations(range(3))])
 
 
 def cartan_audit(space, points, triples_per_point=10, seed=0,
@@ -368,10 +391,8 @@ def cartan_audit(space, points, triples_per_point=10, seed=0,
     """
     if triples_per_point < 10:
         raise ValueError("triples_per_point must be >= 10")
-    if tol_codazzi is None:
-        tol_codazzi = 1e-6 if space.has_analytic_derivative else 1e-3
-    if tol_spread is None:
-        tol_spread = 1e-6 if space.has_analytic_derivative else 1e-3
+    tol = 1e-6 if space.has_analytic_derivative else 1e-3
+    tol_codazzi, tol_spread = (tol if t is None else t for t in (tol_codazzi, tol_spread))
 
     if isinstance(points, (int, np.integer)):
         rng = np.random.default_rng([seed, 0])
@@ -380,22 +401,25 @@ def cartan_audit(space, points, triples_per_point=10, seed=0,
     else:
         pts = [np.asarray(p, dtype=float) for p in points]
 
-    patterns = _audit_patterns(space)
-    rows = [patterns[t % len(patterns)] for t in range(triples_per_point)]
-    a, b, c = _ASSIGNMENTS.T
+    # causal characters the signature can hold; triple t takes pattern t % len
+    n, index = space.dimension, space.signature.index
+    patterns = [(1, 1, 1)] * (n - index >= 3) + [(1, 1, -1)] * (index >= 1 and n >= 3)
+    if not patterns:
+        raise DegenerateSubspace("dimension too small for orthonormal triples")
+    rows = np.resize(patterns, (triples_per_point, 3))
     per_point = []
     for i, x in enumerate(pts):
-        rng = np.random.default_rng([seed, i + 1])
         sample = riemann(space, x)
-        triples = draw_pseudo_orthonormal(rng, sample.metric, rows)
+        triples = draw_pseudo_orthonormal(np.random.default_rng([seed, i + 1]),
+                                          sample.metric, rows)
         comp, curvatures = _frame_curvature(sample.riemann_lowered,
                                             sample.metric, triples)
         # Codazzi obstruction: max |g(R(a,b)c, a)| over triples and assignments
-        obstruction = float(np.max(np.abs(comp[:, a, b, a, c])))
+        obstruction = abs(comp.reshape(triples_per_point, -1)[:, _CODAZZI]).max()
         per_point.append({"point": x.tolist(),
-                          "codazzi_obstruction": obstruction,
-                          "sectional_spread": float(np.max(curvatures)
-                                                    - np.min(curvatures))})
+                          "codazzi_obstruction": float(obstruction),
+                          "sectional_spread": float(curvatures.max()
+                                                    - curvatures.min())})
     # np.max, unlike max, lets a NaN through to fail the verdict
     max_obstruction, max_spread = (
         float(np.max([p[key] for p in per_point], initial=0.0))
@@ -426,16 +450,16 @@ def k_difference_identity(space, x, triple, mode):
     if mode not in ("spacelike", "mixed"):
         raise ValueError(f"unknown mode {mode!r}")
     x = np.asarray(x, dtype=float)
-    g = space.metric_at(x)
-    vx, vy, vz = (np.asarray(t, dtype=float) for t in triple)
-
-    eps = [float(v @ g @ v) for v in (vx, vy, vz)]
-    for i, v in enumerate((vx, vy, vz)):
-        if abs(abs(eps[i]) - 1.0) > 1e-8:
-            raise ValueError("triple is not g-orthonormal (bad norm)")
-    for a, b in ((vx, vy), (vx, vz), (vy, vz)):
-        if abs(float(a @ g @ b)) > 1e-8:
-            raise ValueError("triple is not g-orthonormal (not orthogonal)")
+    sample = riemann(space, x)
+    g, low = sample.metric, sample.riemann_lowered
+    frame = np.array(triple, dtype=float)
+    vx, vy, vz = frame
+    gram = frame @ g @ frame.T
+    eps = np.diag(gram)
+    if (abs(abs(eps) - 1.0) > 1e-8).any():
+        raise ValueError("triple is not g-orthonormal (bad norm)")
+    if (abs(gram - np.diag(eps)) > 1e-8).any():
+        raise ValueError("triple is not g-orthonormal (not orthogonal)")
     wanted = (1, 1, 1) if mode == "spacelike" else (1, 1, -1)
     got = tuple(1 if e > 0 else -1 for e in eps)
     if got != wanted:
@@ -443,8 +467,7 @@ def k_difference_identity(space, x, triple, mode):
             "triple causal characters do not match mode",
             mode=mode, characters=got)
 
-    low = riemann(space, x).riemann_lowered
-    k_xy, k_xz, _k_yz = _frame_curvature(low, g, np.array([vx, vy, vz]))[1]
+    k_xy, k_xz, _k_yz = _frame_curvature(low, g, frame)[1]
     lhs = float(k_xy - k_xz)
 
     if mode == "spacelike":

@@ -79,7 +79,7 @@ def _diagonal_metric(diag, index, box, sample_box, name):
     """AmbientSpace of the diagonal metric with the given entry expressions."""
     def on_diagonal(values):            # (N, ...) -> (N, N, ...)
         out = np.zeros(values.shape[:1] + values.shape)
-        out[range(len(diag)), range(len(diag))] = values
+        out.reshape(-1, *values.shape[1:])[::len(diag) + 1] = values
         return out
 
     return _expression_metric(ExpressionMap(diag, len(diag)), on_diagonal,
@@ -112,8 +112,9 @@ def desitter_metric(r, dim=4):
     cosh2 = _square(f"cosh(x{dim - 1}/{_coeff(r)})")
     diag = ["*".join([_coeff(r * r), cosh2] + _sines(0, k))
             for k in range(dim - 1)] + ["-1"]
-    box = np.vstack([*([[0.05, np.pi - 0.05]] * (dim - 1)), [-1.5, 1.5]])
-    sample = np.vstack([*([[0.4, 2.7]] * (dim - 1)), [-0.8, 0.8]])
+    # tau enters as tau / r, so its box scales with r
+    box = np.vstack([*([[0.05, np.pi - 0.05]] * (dim - 1)), [-1.5 * r, 1.5 * r]])
+    sample = np.vstack([*([[0.4, 2.7]] * (dim - 1)), [-0.8 * r, 0.8 * r]])
     return _diagonal_metric(diag, 1, box, sample, f"desitter:{r}")
 
 
@@ -140,12 +141,15 @@ def metric_from_expressions(entries, index, box=None):
 def _expression_metric(emap, expand, index, box, sample_box, name):
     """AmbientSpace whose metric, first and second derivatives are those
     of ``emap``, laid out as (N, N, ...) arrays by ``expand``; the
-    derivatives are exact, so curvature is too."""
-    return AmbientSpace(MetricSignature(emap.nvars, index),
-                        lambda x: expand(emap(x)),
-                        lambda x: expand(emap.jacobian(x)),
-                        lambda x: expand(emap.hessian(x)),
-                        box=box, sample_box=sample_box, name=name)
+    derivatives are exact, so curvature is too, and come from one plan."""
+    space = AmbientSpace(MetricSignature(emap.nvars, index),
+                         lambda x: expand(emap(x)),
+                         lambda x: expand(emap.jacobian(x)),
+                         lambda x: expand(emap.hessian(x)),
+                         box=box, sample_box=sample_box, name=name)
+    jet = emap.jet()
+    space.metric_jet = lambda x: expand(jet(x))
+    return space
 
 
 def load_metric(source):
@@ -291,19 +295,13 @@ def _require(cond, message, id_text):
 
 
 def _build_ambient(family, arg, id_text):
-    if family == "euclidean":
+    if family in ("euclidean", "minkowski"):
         nums = _parse_numbers(arg, id_text)
         _require(len(nums) == 1 and nums[0] == int(nums[0]) and nums[0] >= 2,
                  "expected an integer dimension >= 2", id_text)
         n = int(nums[0])
-        return euclidean_space(n), {"dimension": n}, {
-            "label": "constant-curvature", "sectional_curvature": 0.0}
-    if family == "minkowski":
-        nums = _parse_numbers(arg, id_text)
-        _require(len(nums) == 1 and nums[0] == int(nums[0]) and nums[0] >= 2,
-                 "expected an integer dimension >= 2", id_text)
-        n = int(nums[0])
-        return minkowski_space(n), {"dimension": n}, {
+        flat = euclidean_space if family == "euclidean" else minkowski_space
+        return flat(n), {"dimension": n}, {
             "label": "constant-curvature", "sectional_curvature": 0.0}
     if family in ("sphere", "hyperbolic", "desitter"):
         nums = _parse_numbers(arg, id_text)
@@ -315,8 +313,7 @@ def _build_ambient(family, arg, id_text):
         _require(dim >= 2, "dimension must be >= 2", id_text)
         builder = {"sphere": sphere_metric, "hyperbolic": hyperbolic_metric,
                    "desitter": desitter_metric}[family]
-        curv = {"sphere": 1.0 / r ** 2, "hyperbolic": -1.0 / r ** 2,
-                "desitter": 1.0 / r ** 2}[family]
+        curv = (-1.0 if family == "hyperbolic" else 1.0) / r ** 2
         return builder(r, dim), {"radius": r, "dimension": dim}, {
             "label": "constant-curvature", "sectional_curvature": curv}
     if family == "perturbed-minkowski":

@@ -300,6 +300,8 @@ def _run(plan, shape, x):
     v = slots + [x, x.shape[:-1]]
     for s, fn, a, b in steps:
         v[s] = fn(v[a]) if b is None else fn(v[a], v[b])
+    if x.ndim == 1:         # one point: every value is a scalar
+        return np.fromiter(map(v.__getitem__, outputs), float).reshape(shape)
     out = np.empty(x.shape[:-1] + (len(outputs),))
     for k, s in enumerate(outputs):
         out[..., k] = v[s]
@@ -325,11 +327,11 @@ class ExpressionMap:
             if bad:
                 raise ExpressionError("variable index out of range", indices=bad)
         k, n = len(self.components), nvars
-        grads = [diff(c, v, memo) for c in self.components for v in range(n)]
-        hess = [diff(g, v, memo) for g in grads for v in range(n)]
+        self._grads = [diff(c, v, memo) for c in self.components for v in range(n)]
+        self._hess = [diff(g, v, memo) for g in self._grads for v in range(n)]
         self._value = _compile(self.components), (k,)
-        self._jacobian = _compile(grads), (k, n)
-        self._hessian = _compile(hess), (k, n, n)
+        self._jacobian = _compile(self._grads), (k, n)
+        self._hessian = _compile(self._hess), (k, n, n)
 
     def __call__(self, x):
         return _run(*self._value, x)
@@ -339,3 +341,12 @@ class ExpressionMap:
 
     def hessian(self, x):
         return _run(*self._hessian, x)
+
+    def jet(self):
+        """x -> (..., k, n + n*n): each component's gradient, then its
+        Hessian, bit-identical to ``jacobian`` and ``hessian`` from one plan
+        run.  Compiles that plan on each call; charts never need it."""
+        k, n = len(self.components), self.nvars
+        trees = [t for c in range(k) for t in (self._grads[c * n:(c + 1) * n]
+                                               + self._hess[c * n * n:(c + 1) * n * n])]
+        return functools.partial(_run, _compile(trees), (k, n + n * n))

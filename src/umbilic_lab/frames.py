@@ -71,28 +71,30 @@ def draw_pseudo_orthonormal(rng, g, signs_wanted):
     """
     pattern = np.asarray(signs_wanted)
     rows = pattern.reshape(-1, pattern.shape[-1])
-    eig, vec = np.linalg.eigh(g)
-    frame = (vec / np.sqrt(np.abs(eig))).T              # g-orthonormal rows
-    spacelike, timelike = frame[eig > 0], frame[eig < 0]
-    bad = (((rows > 0).sum(axis=1) > len(spacelike))
-           | ((rows < 0).sum(axis=1) > len(timelike)))
+    eig, vec = np.linalg.eigh(g)            # ascending: timelike rows first
+    n, m = len(eig), int(np.searchsorted(eig, 0.0))     # m eigenvalues < 0
+    p = n - int(np.searchsorted(eig, 0.0, "right"))     # p eigenvalues > 0
+    frame = (vec / np.sqrt(abs(eig))).T                 # g-orthonormal rows
+    spacelike, timelike = frame[n - p:], frame[:m]
+    plus = rows > 0
+    rank = plus.cumsum(axis=1)              # the j-th +1 of a row has rank j
+    bad = (rank[:, -1] > p) | (rows.shape[1] - rank[:, -1] > m)
     if bad.any():
         raise SamplingExhausted(
             "signature cannot hold the requested causal characters",
             pattern=rows[bad.argmax()].tolist())
-    t, p = len(rows), len(spacelike)
+    t = len(rows)
     q, r = np.linalg.qr(rng.standard_normal((t, p, p)))
-    haar = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
-    basis = np.concatenate([haar.mT @ spacelike,
-                            np.broadcast_to(timelike, (t,) + timelike.shape)],
-                           axis=1)                      # (T, N, N) rows
-    if len(timelike):       # boost the plane of rows 0 and p
+    haar = q * np.sign(r.diagonal(axis1=1, axis2=2))[:, None]
+    basis = np.empty((t, p + m, n))                     # (T, N, N) rows
+    basis[:, :p], basis[:, p:] = haar.mT @ spacelike, timelike
+    if m:                   # boost the plane of rows 0 and p
         phi = rng.uniform(-MAX_RAPIDITY, MAX_RAPIDITY, (t, 1))
-        ch, sh, s0, e0 = np.cosh(phi), np.sinh(phi), basis[:, 0], basis[:, p]
+        ch, sh, s0, e0 = np.cosh(phi), np.sinh(phi), basis[:, 0], timelike[0]
         basis[:, 0], basis[:, p] = ch * s0 + sh * e0, sh * s0 + ch * e0
     # the j-th +1 of a pattern takes spacelike row j, a -1 the timelike row p
-    pick = np.where(rows > 0, np.cumsum(rows > 0, axis=1) - 1, p)
-    return basis[np.arange(t)[:, None], pick].reshape(pattern.shape + g.shape[:1])
+    pick = np.where(plus, rank - 1, p)
+    return basis[np.arange(t)[:, None], pick].reshape(pattern.shape + (n,))
 
 
 def unit_design(m):

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -487,3 +488,116 @@ def test_non_finite_metric_is_its_own_error(bad):
     assert exc.value.code == "non-finite-value"
     with pytest.raises(NonFiniteValue):
         AmbientSpace(MetricSignature(2), g)
+
+
+# --- the fused exact-curvature route ---
+
+# an off-diagonal table, positive definite on its box; its (i, j) and (j, i)
+# entries are different expressions of the same function
+OFF_DIAGONAL = catalog.metric_from_expressions(
+    [["2 + x1*x1", "x0*x1", "0.1*sin(x2)"],
+     ["x1*x0", "3 + cos(x0)", "0.2*x2"],
+     ["sin(x2)*0.1", "x2*0.2", "4 + x0*x1"]],
+    0, box=[[-0.5, 0.5]] * 3)
+FUSED_METRICS = [catalog.resolve(mid, kind="ambient").obj
+                 for mid in ("desitter:1", "sphere:1", "hyperbolic:1",
+                             "perturbed-minkowski:0.1")] + [OFF_DIAGONAL]
+
+
+def _same(a, b):
+    """Equal values and signs of zero."""
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def einsum_riemann(space, x):
+    """Lowered curvature from the exact derivatives by one einsum per
+    contraction: the reference the matmul route must agree with."""
+    g, dg, ddg = (space.metric_at(x), space.metric_derivative_at(x),
+                  space.metric_hessian_at(x))
+    ginv = np.linalg.inv(g)
+    gamma = 0.5 * np.einsum("kl,lij->kij", ginv, dg.transpose(1, 2, 0)
+                            + dg.transpose(1, 0, 2) - dg.transpose(2, 0, 1))
+    dlow = 0.5 * (ddg.transpose(1, 2, 0, 3) + ddg.transpose(1, 0, 2, 3)
+                  - ddg.transpose(2, 0, 1, 3))
+    dgamma = np.einsum("kl,lijm->kijm", ginv,
+                       dlow - np.einsum("lam,aij->lijm", dg, gamma))
+    riem_up = (dgamma.transpose(0, 2, 3, 1) - dgamma.transpose(0, 2, 1, 3)
+               + np.einsum("aip,pjb->abij", gamma, gamma)
+               - np.einsum("ajp,pib->abij", gamma, gamma))
+    return np.einsum("ka,alij->ijkl", g, riem_up)
+
+
+@pytest.mark.parametrize("space", FUSED_METRICS, ids=lambda s: s.name)
+def test_metric_jet_is_the_exact_derivatives_bit_for_bit(space):
+    n = space.dimension
+    for x in sample_points(space, 10, seed=4):
+        both = space.metric_jet(x)
+        assert _same(both[..., :n], space.metric_derivative(x))
+        assert _same(both[..., n:].reshape((n,) * 4), space.metric_hessian(x))
+        dg, ddg = space.metric_jet_at(x)
+        assert _same(dg, space.metric_derivative_at(x))
+        assert _same(ddg, space.metric_hessian_at(x))
+
+
+@pytest.mark.parametrize("space", FUSED_METRICS, ids=lambda s: s.name)
+def test_riemann_matches_the_einsum_reference(space):
+    for x in sample_points(space, 20, seed=6):
+        low, ref = riemann(space, x).riemann_lowered, einsum_riemann(space, x)
+        assert np.max(np.abs(low - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("mid", ["sphere:0.01", "desitter:0.01",
+                                 "desitter:2,5", "hyperbolic:1,4"])
+def test_drawn_patterns_in_any_order_and_scale(mid):
+    # a -1 anywhere in a pattern takes the timelike vector, the +1 entries
+    # the spacelike ones in order
+    space = catalog.resolve(mid, kind="ambient").obj
+    rows = [(1, 1, 1), (-1, 1, 1), (1, -1, 1)][:1 + 2 * space.signature.index]
+    want = np.array([np.diag(p) for p in rows], dtype=float)
+    for i, x in enumerate(sample_points(space, 20, seed=9)):
+        g = space.metric_at(x)
+        triples = draw_pseudo_orthonormal(np.random.default_rng(i), g, rows)
+        assert np.max(np.abs(triples @ g @ triples.mT - want)) <= 1e-12
+        bound = np.exp(MAX_RAPIDITY) / np.sqrt(np.min(np.abs(
+            np.linalg.eigvalsh(g))))
+        assert np.max(np.linalg.norm(triples, axis=-1)) <= bound * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("mid", ["sphere:0.01", "desitter:0.01"])
+def test_small_metrics_are_not_singular(mid):
+    # the determinant of a radius-r metric scales as r^(2N); the singularity
+    # test must not
+    space = catalog.resolve(mid, kind="ambient").obj
+    report = cartan_audit(space, 5, triples_per_point=10, seed=42)
+    assert report.verdict == "ConstantCurvatureCompatible", report.to_dict()
+
+
+def test_christoffel_rejects_a_metric_singular_for_its_scale():
+    space = catalog.resolve("sphere:1", kind="ambient").obj
+    x = np.array([1.0, 1.2, 0.9])
+    for g in (np.diag([1.0, 1.0, 1e-13]), 1e-6 * np.diag([1.0, 1.0, 1e-13]),
+              np.diag([1.0, 1.0, 0.0])):
+        with pytest.raises(SingularMetric):
+            christoffel(space, x, g=g)
+    # Gamma does not change when g is scaled by a constant
+    small = christoffel(space, x, g=1e-6 * space.metric_at(x),
+                        dg=1e-6 * space.metric_derivative_at(x))
+    np.testing.assert_allclose(small, christoffel(space, x), rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("mid,sign", [("euclidean:3", None), ("minkowski:4", None),
+                                      ("sphere:1", 1), ("desitter:1", 1),
+                                      ("perturbed-minkowski:0.1", -1)])
+def test_cartan_audit_reports_its_margins(mid, sign):
+    space = catalog.resolve(mid, kind="ambient").obj
+    report = cartan_audit(space, 5, triples_per_point=10, seed=42)
+    margins = json.loads(json.dumps(report.to_dict(), allow_nan=False))["margins"]
+    for key, value in (("codazzi", report.max_codazzi_obstruction),
+                       ("spread", report.sectional_spread)):
+        if sign is None:            # flat: a value of exactly 0 has no margin
+            assert value == 0.0 and margins[key] is None
+        else:
+            want = np.log10(report.tolerances[key] / value)
+            assert margins[key] == pytest.approx(want)
+            assert np.sign(margins[key]) == sign

@@ -85,3 +85,22 @@ def test_traced_riemann_makes_one_christoffel_call():
     assert layers["ambient.riemann.christoffel_per_call"] == 1
     assert layers["ambient.AmbientSpace.metric_at.calls"] == 1
     assert layers["numdiff.central_diff4.calls"] == 0
+
+
+def test_traced_one_point_cartan_audit_does_each_step_once():
+    # the per-point work of the benchmark's cartan-audit operation
+    space = catalog.resolve("desitter:1", kind="ambient").obj
+    t = tracer.Tracer()
+    t.install()
+    try:
+        ambient.cartan_audit(space, [np.array([1.0, 1.2, 0.9, 0.3])], seed=7)
+    finally:
+        t.uninstall()
+    layers = t.pass_metrics()
+    assert layers["ambient.cartan_audit.calls"] == 1
+    assert layers["ambient.riemann.calls"] == 1
+    assert layers["ambient.christoffel.calls"] == 1
+    assert layers["ambient.AmbientSpace.metric_at.calls"] == 1
+    assert layers["frames.draw_pseudo_orthonormal.calls"] == 1
+    assert layers["numdiff.central_diff.calls"] == 0
+    assert layers["numdiff.central_diff4.calls"] == 0

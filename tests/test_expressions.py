@@ -156,3 +156,19 @@ def test_fold_memo_keeps_the_sign_of_zero():
     assert np.signbit(neg[1][1]) and not np.signbit(pos[1][1])
     assert np.signbit(evaluate(neg, np.zeros(1)))
     assert not np.signbit(evaluate(pos, np.zeros(1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(trees=st.lists(_TREES, min_size=1, max_size=3),
+       seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 6))
+def test_jet_is_jacobian_then_hessian_bit_for_bit(trees, seed, batch):
+    rng = np.random.default_rng(seed)
+    with np.errstate(all="ignore"):
+        emap = ExpressionMap(trees, 2)
+        jet = emap.jet()
+        for x in (rng.uniform(-2, 2, 2), rng.uniform(-2, 2, (batch, 2))):
+            both = jet(x)
+            assert both.shape == x.shape[:-1] + (len(trees), 6)
+            assert _same(both[..., :2], emap.jacobian(x))
+            assert _same(both[..., 2:].reshape(both.shape[:-1] + (2, 2)),
+                         emap.hessian(x))
