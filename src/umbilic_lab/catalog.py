@@ -2,7 +2,7 @@
 
 Ids follow a small grammar, e.g. "sphere:1", "ellipsoid:1,2,3",
 "torus:2,0.5", "graph:x0^2-x1^2", "minkowski:4", "perturbed-minkowski:0.1".
-Some families accept an optional trailing dimension parameter
+Some families accept an optional trailing dimension, an integer >= 2
 ("sphere:1,3" is the unit 3-sphere in R^4).  In all Lorentzian entries the
 timelike coordinate is the last one.
 """
@@ -289,6 +289,17 @@ def _parse_numbers(arg_text, id_text):
     return nums
 
 
+def _value_and_dim(arg, id_text, name, default_dim):
+    """(value, dim) of "value[,dim]": a positive value and an integer
+    dimension >= 2, ``default_dim`` when the id gives none."""
+    nums = _parse_numbers(arg, id_text)
+    _require(1 <= len(nums) <= 2 and nums[0] > 0, f"expected {name}[,dim]", id_text)
+    dim = nums[1] if len(nums) == 2 else default_dim
+    _require(dim == int(dim) and dim >= 2, "dimension must be an integer >= 2",
+             id_text)
+    return nums[0], int(dim)
+
+
 def _require(cond, message, id_text):
     if not cond:
         raise MalformedParameters(f"{id_text!r}: {message}")
@@ -304,24 +315,15 @@ def _build_ambient(family, arg, id_text):
         return flat(n), {"dimension": n}, {
             "label": "constant-curvature", "sectional_curvature": 0.0}
     if family in ("sphere", "hyperbolic", "desitter"):
-        nums = _parse_numbers(arg, id_text)
-        _require(1 <= len(nums) <= 2 and nums[0] > 0, "expected radius[,dim]",
-                 id_text)
-        r = nums[0]
-        default_dim = 4 if family == "desitter" else 3
-        dim = int(nums[1]) if len(nums) == 2 else default_dim
-        _require(dim >= 2, "dimension must be >= 2", id_text)
+        r, dim = _value_and_dim(arg, id_text, "radius",
+                                4 if family == "desitter" else 3)
         builder = {"sphere": sphere_metric, "hyperbolic": hyperbolic_metric,
                    "desitter": desitter_metric}[family]
         curv = (-1.0 if family == "hyperbolic" else 1.0) / r ** 2
         return builder(r, dim), {"radius": r, "dimension": dim}, {
             "label": "constant-curvature", "sectional_curvature": curv}
     if family == "perturbed-minkowski":
-        nums = _parse_numbers(arg, id_text)
-        _require(1 <= len(nums) <= 2 and nums[0] > 0, "expected eps[,dim]",
-                 id_text)
-        eps = nums[0]
-        dim = int(nums[1]) if len(nums) == 2 else 4
+        eps, dim = _value_and_dim(arg, id_text, "eps", 4)
         return perturbed_minkowski(eps, dim), {"eps": eps, "dimension": dim}, {
             "label": "obstructed"}
     raise UnknownCatalogId(f"unknown ambient id {id_text!r}")
@@ -329,12 +331,7 @@ def _build_ambient(family, arg, id_text):
 
 def _build_immersion(family, arg, id_text):
     if family == "sphere":
-        nums = _parse_numbers(arg, id_text)
-        _require(1 <= len(nums) <= 2 and nums[0] > 0, "expected radius[,m]",
-                 id_text)
-        r = nums[0]
-        m = int(nums[1]) if len(nums) == 2 else 2
-        _require(m >= 2, "parameter dimension must be >= 2", id_text)
+        r, m = _value_and_dim(arg, id_text, "radius", 2)
         im = _ellipsoid([r] * (m + 1), id_text)
         truth = {"label": "umbilic-everywhere", "is_round_sphere": True,
                  "radius": r}
@@ -433,11 +430,7 @@ def _build_immersion(family, arg, id_text):
         return (im, {"expression": arg, "param_dim": im.param_dim},
                 {"label": "unknown"}, {})
     if family == "hyperboloid-sheet":
-        nums = _parse_numbers(arg, id_text)
-        _require(1 <= len(nums) <= 2 and nums[0] > 0, "expected radius[,m]",
-                 id_text)
-        r = nums[0]
-        m = int(nums[1]) if len(nums) == 2 else 2
+        r, m = _value_and_dim(arg, id_text, "radius", 2)
         coords = [f"x{i}" for i in range(m)]
         # the upper sheet of radius r, the graph of sqrt(r^2 + |u|^2), with
         # |u|^2 summed first as numpy sums it

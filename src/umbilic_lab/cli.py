@@ -84,6 +84,15 @@ def _count(args, flag, default):
     return default if value is None else value
 
 
+def _positive(args, flag, default=None):
+    """The finite positive number given for ``--flag``, or ``default``."""
+    value = getattr(args, flag)
+    if value is not None and (type(value) not in (int, float)
+                              or not math.isfinite(value) or value <= 0):
+        raise ValueError(f"--{flag} must be finite and positive, got {value!r}")
+    return default if value is None else value
+
+
 def _resolve_dirs(im, rep, dirs_text, s, seed):
     if dirs_text.startswith("angles:"):
         angles = [np.radians(float(a)) for a in dirs_text[7:].split(",")]
@@ -105,7 +114,7 @@ def cmd_analyze(args):
     counts = _parse_grid(args.grid or "10")
     grid = verifier._grid_points(im, counts, margin=0.02)
     counts = counts * im.param_dim if len(counts) == 1 else counts
-    tol = args.tol if args.tol is not None else 1e-6
+    tol = _positive(args, "tol", 1e-6)
     rep = shape_report(im, grid)
     kappas = (rep.principal_curvatures.tolist()
               if rep.principal_curvatures is not None else [None] * len(grid))
@@ -152,12 +161,9 @@ def cmd_slice(args):
     rep = shape_report(im, q)
     dirs = _resolve_dirs(im, rep, args.dirs, s, args.seed)
     spec = make_slice_spec(im, rep, dirs)
-    if args.radius is not None:
-        radius = args.radius
-    elif args.taylor:
-        radius = taylor_trace_radius(rep)
-    else:
-        radius = default_trace_radius(rep)
+    radius = _positive(args, "radius")
+    if radius is None:
+        radius = (taylor_trace_radius if args.taylor else default_trace_radius)(rep)
     res = trace_slice(im, spec, radius=radius,
                       samples_per_dim=_count(args, "samples", 8))
     slice_shape(res)
@@ -177,10 +183,11 @@ def cmd_slice(args):
 
 
 def cmd_verify(args):
+    tol = _positive(args, "tol")
     reports = verifier.run_suite(
         args.suite, args.surface, n_points=_count(args, "samples", 20),
         seed=args.seed, grid=_parse_grid(args.grid or "5"),
-        **({} if args.tol is None else {"tol": args.tol}))
+        **({} if tol is None else {"tol": tol}))
     payload = {"schema_version": SCHEMA_VERSION,
                "reports": [r.to_dict() for r in reports]}
     _emit(payload, args.out)
@@ -188,13 +195,14 @@ def cmd_verify(args):
 
 
 def cmd_audit_cartan(args):
+    tol = _positive(args, "tol")
     entry = resolve(args.metric, kind="ambient")
     space = entry.obj
     report = ambient_ops.cartan_audit(
         space, _count(args, "points", 5),
         triples_per_point=_count(args, "samples", 10),
         seed=args.seed,
-        tol_codazzi=args.tol, tol_spread=args.tol)
+        tol_codazzi=tol, tol_spread=tol)
     payload = report.to_dict()
     payload["metric"] = args.metric
     _emit(payload, args.out)
@@ -207,9 +215,11 @@ def cmd_catalog(args):
     return 0
 
 
-def _add_common(p):
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
+def _add_common(p, seed=True, tol=True):
+    if seed:
+        p.add_argument("--seed", type=int, default=None)
+    if tol:
+        p.add_argument("--tol", type=float, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--config", default=None,
                    help="JSON file with defaults for any flag")
@@ -225,7 +235,7 @@ def build_parser():
     p.add_argument("--surface", required=True)
     p.add_argument("--grid", default=None, help="AxB or A, default 10 per axis")
     p.add_argument("--format", choices=("json", "csv"), default=None)
-    _add_common(p)
+    _add_common(p)      # analyze draws nothing, but scripts pass --seed
 
     p = sub.add_parser("slice", help="trace one normal slice and fit models")
     p.add_argument("--surface", required=True)
@@ -238,7 +248,7 @@ def build_parser():
     p.add_argument("--taylor", action="store_true",
                    help="use the small Taylor-window trace radius")
     p.add_argument("--format", choices=("json", "csv"), default=None)
-    _add_common(p)
+    _add_common(p, tol=False)
 
     p = sub.add_parser("verify", help="run a theorem verification suite")
     p.add_argument("suite", choices=sorted(
@@ -257,7 +267,7 @@ def build_parser():
     _add_common(p)
 
     p = sub.add_parser("catalog", help="list built-in metrics and surfaces")
-    _add_common(p)
+    _add_common(p, seed=False, tol=False)
     return parser
 
 

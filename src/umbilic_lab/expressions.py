@@ -1,21 +1,21 @@
 """Minimal arithmetic expression grammar for custom metrics and surfaces.
 
 Supported: + - * / ^  sin cos sinh cosh exp sqrt, numeric literals, variables
-x0 ... x{N-1}.  Expressions parse to a small AST that evaluates on numpy
-arrays and differentiates symbolically, so expression-defined maps get
-analytic Jacobians and Hessians.
+x0 ... x{N-1}, read by Python's own parser.  Expressions parse to a small
+tree that evaluates on numpy arrays and differentiates symbolically, so
+expression-defined maps get analytic Jacobians and Hessians.
 """
 
+import ast
 import functools
 import math
 import operator
 import re
+import warnings
 
 import numpy as np
 
 from .errors import ExpressionError
-
-_TOKEN = re.compile(r"\s*(?:(\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?|([A-Za-z_]\w*)|(\*\*|[()+\-*/^,]))")
 
 FUNCTIONS = {
     "sin": (np.sin, lambda a: ("cos", a)),
@@ -29,114 +29,59 @@ _ARITH = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
           "div": operator.truediv}
 _OPS = {**_ARITH, "pow": operator.pow, "neg": operator.neg,
         **{name: fn for name, (fn, _d) in FUNCTIONS.items()}}
-
-
-def tokenize(text):
-    tokens, pos = [], 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip() == "":
-                break
-            raise ExpressionError(f"cannot tokenize {text[pos:]!r}", expression=text)
-        num, ident, op = m.groups()
-        if num is not None:
-            tokens.append(("num", float(text[m.start():m.end()].strip())))
-        elif ident is not None:
-            tokens.append(("ident", ident))
-        else:
-            tokens.append(("op", "^" if op == "**" else op))
-        pos = m.end()
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens, text):
-        self.tokens = tokens
-        self.text = text
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None)
-
-    def take(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
-
-    def expect_op(self, op):
-        kind, val = self.take()
-        if kind != "op" or val != op:
-            raise ExpressionError(f"expected {op!r}", expression=self.text)
-
-    def parse(self):
-        node = self.expr()
-        if self.i != len(self.tokens):
-            raise ExpressionError("trailing input", expression=self.text)
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            _, op = self.take()
-            rhs = self.term()
-            node = ("add" if op == "+" else "sub", node, rhs)
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
-            _, op = self.take()
-            rhs = self.factor()
-            node = ("mul" if op == "*" else "div", node, rhs)
-        return node
-
-    def factor(self):
-        # unary minus binds looser than ^, so -x0^2 means -(x0^2)
-        if self.peek() == ("op", "-"):
-            self.take()
-            return ("neg", self.factor())
-        if self.peek() == ("op", "+"):
-            self.take()
-            return self.factor()
-        node = self.primary()
-        if self.peek() == ("op", "^"):
-            self.take()
-            return ("pow", node, self.factor())  # right-associative
-        return node
-
-    def primary(self):
-        kind, val = self.take()
-        if kind == "num":
-            return ("const", val)
-        if kind == "ident":
-            if val in FUNCTIONS:
-                self.expect_op("(")
-                arg = self.expr()
-                self.expect_op(")")
-                return (val, arg)
-            m = re.fullmatch(r"x(\d+)", val)
-            if not m:
-                raise ExpressionError(f"unknown identifier {val!r}", expression=self.text)
-            return ("var", int(m.group(1)))
-        if kind == "op" and val == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        raise ExpressionError("unexpected token", expression=self.text, token=val)
+_NUMBER = re.compile(r"(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?", re.ASCII)
+_BINARY = {ast.Add: "add", ast.Sub: "sub", ast.Mult: "mul", ast.Div: "div",
+           ast.Pow: "pow"}
 
 
 def parse(text):
-    return _Parser(tokenize(text), text).parse()
+    """The tree of ``text``, Python arithmetic with ``^`` for ``**``, read by
+    ``ast.parse`` and never run; integer literals may keep leading zeros."""
+    source = re.sub(r"\s+", " ", text).strip()
+    if re.search(r"[^0-9A-Za-z_.+\-*/^() ]", source):
+        raise ExpressionError("expression text must be ASCII arithmetic",
+                              expression=text)
+    source = re.sub(r"(?<![\w.])0+(?=\d+(?![\w.]))", "", source.replace("^", "**"))
+    try:
+        with warnings.catch_warnings():     # "1if x0 else 2" warns, then is rejected
+            warnings.simplefilter("ignore", SyntaxWarning)
+            return _tree(ast.parse(source, mode="eval").body, source)
+    except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
+        raise ExpressionError(f"cannot parse: {str(exc) or 'nests too deeply'}",
+                              expression=text) from None
+
+
+def _tree(node, source):
+    """The expression tuple of one ``ast`` node of the grammar."""
+    kind = type(node)
+    if kind is ast.BinOp and type(node.op) in _BINARY:
+        return (_BINARY[type(node.op)], _tree(node.left, source),
+                _tree(node.right, source))
+    if kind is ast.UnaryOp and type(node.op) in (ast.USub, ast.UAdd):
+        arg = _tree(node.operand, source)
+        return ("neg", arg) if type(node.op) is ast.USub else arg
+    # in "(sin)(x0)" the name starts after the call: not a call of sin
+    if (kind is ast.Call and type(node.func) is ast.Name
+            and node.func.id in FUNCTIONS and len(node.args) == 1
+            and not node.keywords and node.func.col_offset == node.col_offset):
+        return (node.func.id, _tree(node.args[0], source))
+    if kind is ast.Name and re.fullmatch(r"x\d+", node.id):
+        return ("var", int(node.id[1:]))
+    literal = source[node.col_offset:node.end_col_offset]
+    if kind is ast.Constant and _NUMBER.fullmatch(literal):
+        return ("const", float(literal))
+    raise ValueError(f"{literal!r} is not in the grammar")
 
 
 def free_vars(node):
-    op = node[0]
-    if op == "const":
-        return set()
-    if op == "var":
-        return {node[1]}
-    return set().union(*(free_vars(c) for c in node[1:]))
+    found, todo = set(), [node]
+    while todo:
+        node = todo.pop()
+        if node[0] == "var":
+            found.add(node[1])
+        elif node[0] != "const":
+            todo.extend(node[1:])
+    return found
 
 
 def _is_const(node, value=None):
@@ -320,18 +265,21 @@ class ExpressionMap:
         self.nvars = nvars
         # equal subtrees are one node, so each is differentiated once
         memo = {}
-        self.components = [_share(parse(t) if isinstance(t, str) else t, memo)
-                           for t in component_texts]
-        for c in self.components:
-            bad = [v for v in free_vars(c) if v >= nvars]
-            if bad:
-                raise ExpressionError("variable index out of range", indices=bad)
-        k, n = len(self.components), nvars
-        self._grads = [diff(c, v, memo) for c in self.components for v in range(n)]
-        self._hess = [diff(g, v, memo) for g in self._grads for v in range(n)]
-        self._value = _compile(self.components), (k,)
-        self._jacobian = _compile(self._grads), (k, n)
-        self._hessian = _compile(self._hess), (k, n, n)
+        try:    # sharing, derivatives and plans recurse once per tree level
+            self.components = [_share(parse(t) if isinstance(t, str) else t, memo)
+                               for t in component_texts]
+            for c in self.components:
+                bad = [v for v in free_vars(c) if v >= nvars]
+                if bad:
+                    raise ExpressionError("variable index out of range", indices=bad)
+            k, n = len(self.components), nvars
+            self._grads = [diff(c, v, memo) for c in self.components for v in range(n)]
+            self._hess = [diff(g, v, memo) for g in self._grads for v in range(n)]
+            self._value = _compile(self.components), (k,)
+            self._jacobian = _compile(self._grads), (k, n)
+            self._hessian = _compile(self._hess), (k, n, n)
+        except RecursionError:
+            raise ExpressionError("expression nests too deeply") from None
 
     def __call__(self, x):
         return _run(*self._value, x)

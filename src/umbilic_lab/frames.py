@@ -98,13 +98,8 @@ def draw_pseudo_orthonormal(rng, g, signs_wanted):
 
 
 def unit_design(m):
-    """DESIGN_SIZE deterministic unit directions in R^m (one when m = 1),
-    over which the umbilicity defect is sampled in higher codimension."""
-    if m == 1:
-        return np.array([[1.0]])
-    if m == 2:
-        ang = np.linspace(0.0, 2.0 * np.pi, DESIGN_SIZE, endpoint=False)
-        return np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    """DESIGN_SIZE deterministic unit directions in R^m, over which the
+    umbilicity defect is sampled in higher codimension."""
     rng = np.random.default_rng(987654321)
     pts = rng.standard_normal((DESIGN_SIZE, m))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)

@@ -246,3 +246,23 @@ def test_list_catalog_schema():
         assert set(e) >= {"id", "kind", "parameters", "ground_truth", "domain"}
     ids = {e["id"] for e in entries}
     assert {"sphere:1", "minkowski:4", "hyperbolic-paraboloid"} <= ids
+
+
+@pytest.mark.parametrize("id_text,kind", [
+    ("perturbed-minkowski:0.1,1", "ambient"),   # was an IndexError
+    ("perturbed-minkowski:0.1,0", "ambient"),
+    ("sphere:1,3.7", "ambient"),                # was read as dimension 3
+    ("sphere:1,2.9", "immersion"),              # was read as m = 2
+    ("hyperboloid-sheet:1,1", "immersion"),     # was accepted
+    ("hyperboloid-sheet:1,0", "immersion"),     # was an expression error
+])
+def test_trailing_dimension_must_be_an_integer_at_least_two(id_text, kind):
+    with pytest.raises(MalformedParameters) as err:
+        resolve(id_text, kind=kind)
+    assert err.value.code == "malformed-parameters"
+
+
+def test_trailing_dimension_is_read_alike_by_every_family():
+    assert resolve("perturbed-minkowski:0.1,2", kind="ambient").obj.dimension == 2
+    assert resolve("sphere:1,3.0", kind="ambient").obj.dimension == 3
+    assert resolve("hyperboloid-sheet:1,2").obj.param_dim == 2

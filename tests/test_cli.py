@@ -371,3 +371,54 @@ def test_analyze_computes_its_grid_in_one_stacked_pass(capsys, monkeypatch):
                            "--grid", "4x4")
     assert code == 0 and len(json.loads(out)["rows"]) == 16
     assert calls == [(16, 2)]
+
+
+def test_too_deep_an_expression_exits_2_with_one_expression_error(capsys):
+    # 500 terms nest 500 levels deep: was a RecursionError traceback, exit 1
+    surface = "graph:" + "+".join(["x0"] * 500)
+    code, out, err = run_cli(capsys, "analyze", "--surface", surface)
+    assert code == 2 and out == ""
+    assert one_strict_json_line(err)["code"] == "expression-error"
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--surface", "sphere:1", "--grid", "2", "--tol", "nan"],
+    ["analyze", "--surface", "sphere:1", "--grid", "2", "--tol", "-1"],
+    ["verify", "theorem2", "--surface", "sphere:1", "--samples", "2",
+     "--tol", "nan"],
+    ["audit-cartan", "--metric", "sphere:1", "--points", "1", "--tol", "nan"],
+    ["audit-cartan", "--metric", "sphere:1", "--points", "1", "--tol", "-1"],
+    ["audit-cartan", "--metric", "sphere:1", "--points", "1", "--tol", "0"],
+    ["slice", "--surface", "sphere:1", "--radius", "nan"],
+    ["slice", "--surface", "sphere:1", "--radius", "-0.5"],
+])
+def test_floats_must_be_finite_and_positive(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    diag = one_strict_json_line(err)
+    assert diag["code"] == "invalid-input" and argv[-2] in diag["message"]
+
+
+@pytest.mark.parametrize("value", ["1e-6", True, -2, float("inf")])
+def test_config_floats_are_checked_too(capsys, tmp_path, value):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"tol": value}))
+    code, out, err = run_cli(capsys, "analyze", "--surface", "sphere:1",
+                             "--grid", "2", "--config", str(conf))
+    assert code == 2 and out == ""
+    assert one_strict_json_line(err)["code"] == "invalid-input"
+
+
+@pytest.mark.parametrize("argv", [["slice", "--surface", "sphere:1", "--tol", "1"],
+                                  ["catalog", "--seed", "3"],
+                                  ["catalog", "--tol", "1"]])
+def test_flags_that_nothing_reads_are_gone(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_analyze_still_takes_seed(capsys):
+    code, _, _ = run_cli(capsys, "analyze", "--surface", "sphere:1", "--grid", "2",
+                         "--seed", "3")
+    assert code == 0

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from umbilic_lab.errors import ExpressionError
-from umbilic_lab.expressions import (_OPS, ExpressionMap, _simp, diff,
+from umbilic_lab.expressions import (_OPS, FUNCTIONS, ExpressionMap, _simp, diff,
                                      free_vars, parse)
 from umbilic_lab.numdiff import jacobian_fd
 
@@ -172,3 +172,89 @@ def test_jet_is_jacobian_then_hessian_bit_for_bit(trees, seed, batch):
             assert _same(both[..., :2], emap.jacobian(x))
             assert _same(both[..., 2:].reshape(both.shape[:-1] + (2, 2)),
                          emap.hessian(x))
+
+
+# -- the front end: Python's own parser, with ^ for **
+
+_PREC = {"add": 1, "sub": 1, "mul": 2, "div": 2, "neg": 3, "pow": 4}
+_SYMBOL = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
+# non-negative constants: a negative value is a neg node
+_ALL_TREES = st.recursive(
+    st.one_of(st.tuples(st.just("const"),
+                        st.sampled_from([0.0, 2.5, 1e-05, 1e+300, 1.0, 7.0])),
+              st.tuples(st.just("var"), st.integers(0, 12))),
+    lambda kids: st.one_of(
+        st.tuples(st.sampled_from(["add", "sub", "mul", "div", "pow"]), kids, kids),
+        st.tuples(st.sampled_from(["neg", *FUNCTIONS]), kids)),
+    max_leaves=10)
+
+
+def _render(tree, draw):
+    """(tokens, binding strength) of ``tree``, with minimal or, at random,
+    extra parentheses, and ^ or ** for a power."""
+    op = tree[0]
+    if op == "const":
+        return [repr(tree[1])], 5
+    if op == "var":
+        return [f"x{tree[1]}"], 5
+    if op in FUNCTIONS:
+        return [op, "(", *_render(tree[1], draw)[0], ")"], 5
+
+    def kid(node, least):
+        tokens, strength = _render(node, draw)
+        return ["(", *tokens, ")"] if strength < least or draw(st.booleans()) else tokens
+
+    if op == "neg":
+        return ["-", *kid(tree[1], 3)], 3
+    if op == "pow":     # -a^b is -(a^b), and a^-b a power of -b
+        return [*kid(tree[1], 5), draw(st.sampled_from(["^", "**"])), *kid(tree[2], 3)], 4
+    strength = _PREC[op]
+    return [*kid(tree[1], strength), _SYMBOL[op], *kid(tree[2], strength + 1)], strength
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree=_ALL_TREES, data=st.data())
+def test_parse_reads_back_every_rendered_tree(tree, data):
+    tokens, _ = _render(tree, data.draw)
+    space = st.sampled_from(["", "", " ", "  ", "\t", "\n", "\xa0"])
+    text = "".join(data.draw(space) + t for t in tokens) + data.draw(space)
+    assert repr(parse(text)) == repr(tree)
+
+
+@pytest.mark.parametrize("text,tree", [
+    ("07", ("const", 7.0)),
+    ("x007", ("var", 7)),
+    ("1e05", ("const", 1e5)),
+    ("1.", ("const", 1.0)),
+    (".5", ("const", 0.5)),
+    ("1.e3", ("const", 1000.0)),
+    ("1E+2", ("const", 100.0)),
+    ("2^3^2", ("pow", ("const", 2.0), ("pow", ("const", 3.0), ("const", 2.0)))),
+    ("-x0^2", ("neg", ("pow", ("var", 0), ("const", 2.0)))),
+    ("x0^-2", ("pow", ("var", 0), ("neg", ("const", 2.0)))),
+    ("--x0", ("neg", ("neg", ("var", 0)))),
+    ("+x0", ("var", 0)),
+    ("x0\xa0*\xa02", ("mul", ("var", 0), ("const", 2.0))),  # no-break spaces
+])
+def test_parse_edge_cases(text, tree):
+    assert repr(parse(text)) == repr(tree)
+
+
+@pytest.mark.parametrize("text", [
+    "", "x0 +", "sin(x0,)", "sin(x0, x1)", "sin()", "x0 # c", "1_0", "0x1", "1j",
+    "x0.real", "x0[0]", "True", "(x0 := 1)", "x0 if x1 else 2", "'1'",
+    "x٣", "(sin)(x0)", "__import__(x0)", "ｘ0",
+    "(" * 300 + "x0" + ")" * 300, "-" * 100000 + "x0"])
+def test_parse_rejects_text_outside_the_grammar(text):
+    with pytest.raises(ExpressionError) as err:
+        parse(text)
+    assert err.value.context == {"expression": text}
+
+
+def test_too_deep_a_tree_is_an_expression_error():
+    with pytest.raises(ExpressionError, match="nests too deeply"):
+        ExpressionMap(["+".join(["x0"] * 500)], 1)
+    deep = ("var", 3)
+    for _ in range(5000):
+        deep = ("neg", deep)
+    assert free_vars(deep) == {3}

@@ -485,3 +485,12 @@ def test_clifford_torus_defect():
     im = clifford_torus()
     rep = shape_report(im, np.array(random_params(im, 6, seed=2)))
     np.testing.assert_allclose(rep.umbilicity_defect, 1.0, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_one_dimensional_defect_is_exactly_zero(n):
+    # Phi_a = II_a - h_a I vanishes on a 1 x 1 form
+    ii = np.random.default_rng(n).standard_normal((30, 1, 1, n))
+    defect, _ = umbilicity_defect(ii)
+    assert np.array_equal(defect, np.zeros(30))
+    assert umbilicity_defect(ii[0])[0] == 0.0
