@@ -22,11 +22,9 @@ from .errors import (CausalCharacterMismatch, DegeneratePlane,
                      DegenerateSubspace, InvalidMetric, LeftDomain,
                      NonFiniteValue, SingularMetric)
 from .frames import draw_pseudo_orthonormal
-from .numdiff import central_diff, central_diff4
 
 DET_TOL = 1e-12
 PLANE_TOL = 1e-10
-FD_STEP = 1e-5          # central-difference step of a metric without dmetric
 
 
 @dataclass(frozen=True)
@@ -47,10 +45,11 @@ class AmbientSpace:
     """A coordinate patch with a metric evaluator.
 
     ``metric`` is either a constant (N, N) array or a callable point ->
-    (N, N) array.  ``metric_derivative``, when given, returns the (N, N, N)
-    array dg[i,j,k] = d g_ij / d x_k, and ``metric_hessian`` the (N, N, N, N)
-    array ddg[i,j,a,b] = d_a d_b g_ij; with both, curvature is exact.  A builder
-    may set ``metric_jet``: x -> (N, N, N + N*N), dg then ddg flattened, at once.
+    (N, N) array.  A callable metric comes with ``metric_derivative``, the
+    (N, N, N) array dg[i,j,k] = d g_ij / d x_k, and ``metric_hessian``, the
+    (N, N, N, N) array ddg[i,j,a,b] = d_a d_b g_ij, so curvature is exact.  A
+    builder may set ``metric_jet``: x -> (N, N, N + N*N), dg then ddg
+    flattened, at once.
     ``box`` is the trusted coordinate region; leaving it is an error, never
     an extrapolation.
     """
@@ -85,10 +84,6 @@ class AmbientSpace:
         """True when the metric is one constant matrix (a flat chart)."""
         return self._const_g is not None
 
-    @property
-    def has_analytic_derivative(self):
-        return self._const_g is not None or self.metric_derivative is not None
-
     def _validate(self, g, x):
         if g.shape != (self.dimension, self.dimension):
             raise InvalidMetric("metric has wrong shape", shape=g.shape)
@@ -115,11 +110,7 @@ class AmbientSpace:
     def metric_derivative_at(self, x):
         if self._const_g is not None:
             return np.zeros((self.dimension,) * 3)
-        if self.metric_derivative is not None:
-            dg = np.asarray(self.metric_derivative(np.asarray(x, dtype=float)), dtype=float)
-        else:
-            dg = central_diff(self.metric_at, x, FD_STEP)
-        return _symmetrized(dg)
+        return _symmetrized(np.asarray(self.metric_derivative(np.asarray(x, float)), float))
 
     def metric_hessian_at(self, x):
         """ddg[i,j,a,b] = d_a d_b g_ij, symmetrized in (i, j) and (a, b)."""
@@ -234,20 +225,16 @@ def christoffel(space, x, g=None, dg=None, ginv=None):
 
 
 def riemann(space, x):
-    """Curvature tensor at x as a CurvatureSample.
-
-    With a metric Hessian, dGamma is exact:
+    """Curvature tensor at x as a CurvatureSample, with dGamma exact:
         d_m Gamma^k_ij = g^kl (d_m Gamma_l,ij - d_m g_la Gamma^a_ij),
         d_m Gamma_l,ij = (d_m d_i g_jl + d_m d_j g_il - d_m d_l g_ij) / 2.
-    Else it is differenced, fourth order when first derivatives of g are
-    exact, or with a larger step against finite-difference noise.
     """
     x = np.asarray(x, dtype=float)
     n = space.dimension
     g = space.metric_at(x)
     if space.is_constant:
         gamma, dgamma = christoffel(space, x, g), np.zeros((n,) * 4)
-    elif space.metric_hessian is not None:
+    else:
         dg, ddg = space.metric_jet_at(x)
         ginv = _inverse(g, x)
         gamma = christoffel(space, x, g, dg, ginv)
@@ -257,13 +244,6 @@ def riemann(space, x):
         dlow -= (dg.transpose(0, 2, 1).reshape(n * n, n) @ gamma.reshape(n, -1)
                  ).reshape(n, n, n, n).transpose(0, 2, 3, 1)
         dgamma = (ginv @ dlow.reshape(n, -1)).reshape(n, n, n, n)
-    else:
-        gamma = christoffel(space, x, g, space.metric_derivative_at(x))
-        if space.has_analytic_derivative:
-            dgamma = central_diff4(lambda y: christoffel(space, y), x, 5e-4)
-        else:
-            dgamma = central_diff(lambda y: christoffel(space, y), x, 1e-3,
-                                  scale_steps=True)
     # p[a, i, j, b] = Gamma^a_ip Gamma^p_jb
     p = (gamma.reshape(n * n, n) @ gamma.reshape(n, -1)).reshape(n, n, n, n)
     riem_up = (dgamma.transpose(0, 2, 3, 1)         # d_i gamma[a, j, b]
@@ -391,8 +371,7 @@ def cartan_audit(space, points, triples_per_point=10, seed=0,
     """
     if triples_per_point < 10:
         raise ValueError("triples_per_point must be >= 10")
-    tol = 1e-6 if space.has_analytic_derivative else 1e-3
-    tol_codazzi, tol_spread = (tol if t is None else t for t in (tol_codazzi, tol_spread))
+    tol_codazzi, tol_spread = (1e-6 if t is None else t for t in (tol_codazzi, tol_spread))
 
     if isinstance(points, (int, np.integer)):
         rng = np.random.default_rng([seed, 0])

@@ -2,9 +2,9 @@
 
 Ids follow a small grammar, e.g. "sphere:1", "ellipsoid:1,2,3",
 "torus:2,0.5", "graph:x0^2-x1^2", "minkowski:4", "perturbed-minkowski:0.1".
-Some families accept an optional trailing dimension, an integer >= 2
-("sphere:1,3" is the unit 3-sphere in R^4).  In all Lorentzian entries the
-timelike coordinate is the last one.
+Some families accept an optional trailing dimension, an integer from 2 to
+MAX_DIMENSION ("sphere:1,3" is the unit 3-sphere in R^4).  In all
+Lorentzian entries the timelike coordinate is the last one.
 """
 
 import difflib
@@ -23,6 +23,7 @@ AMBIENT_FAMILIES = ("euclidean", "minkowski", "sphere", "hyperbolic",
 IMMERSION_FAMILIES = ("sphere", "ellipsoid", "hyperbolic-paraboloid",
                       "elliptic-paraboloid", "cylinder", "torus", "graph",
                       "hyperboloid-sheet", "minkowski-graph")
+MAX_DIMENSION = 16      # building a curved metric grows as its dimension cubed
 
 
 @dataclass
@@ -291,12 +292,12 @@ def _parse_numbers(arg_text, id_text):
 
 def _value_and_dim(arg, id_text, name, default_dim):
     """(value, dim) of "value[,dim]": a positive value and an integer
-    dimension >= 2, ``default_dim`` when the id gives none."""
+    dimension from 2 to MAX_DIMENSION, ``default_dim`` when the id gives none."""
     nums = _parse_numbers(arg, id_text)
     _require(1 <= len(nums) <= 2 and nums[0] > 0, f"expected {name}[,dim]", id_text)
     dim = nums[1] if len(nums) == 2 else default_dim
-    _require(dim == int(dim) and dim >= 2, "dimension must be an integer >= 2",
-             id_text)
+    _require(dim == int(dim) and 2 <= dim <= MAX_DIMENSION,
+             f"dimension must be an integer from 2 to {MAX_DIMENSION}", id_text)
     return nums[0], int(dim)
 
 
@@ -308,8 +309,9 @@ def _require(cond, message, id_text):
 def _build_ambient(family, arg, id_text):
     if family in ("euclidean", "minkowski"):
         nums = _parse_numbers(arg, id_text)
-        _require(len(nums) == 1 and nums[0] == int(nums[0]) and nums[0] >= 2,
-                 "expected an integer dimension >= 2", id_text)
+        _require(len(nums) == 1 and nums[0] == int(nums[0])
+                 and 2 <= nums[0] <= MAX_DIMENSION,
+                 f"expected an integer dimension from 2 to {MAX_DIMENSION}", id_text)
         n = int(nums[0])
         flat = euclidean_space if family == "euclidean" else minkowski_space
         return flat(n), {"dimension": n}, {
@@ -340,8 +342,8 @@ def _build_immersion(family, arg, id_text):
         return im, {"radius": r, "param_dim": m}, truth, closed
     if family == "ellipsoid":
         semi = _parse_numbers(arg, id_text)
-        _require(len(semi) >= 3 and all(s > 0 for s in semi),
-                 "expected at least 3 positive semiaxes", id_text)
+        _require(3 <= len(semi) <= MAX_DIMENSION + 1 and all(s > 0 for s in semi),
+                 f"expected 3 to {MAX_DIMENSION + 1} positive semiaxes", id_text)
         m = len(semi) - 1
         im = _ellipsoid(semi, id_text)
         if np.allclose(semi, semi[0]):

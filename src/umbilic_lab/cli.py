@@ -95,7 +95,9 @@ def _positive(args, flag, default=None):
 
 def _resolve_dirs(im, rep, dirs_text, s, seed):
     if dirs_text.startswith("angles:"):
-        angles = [np.radians(float(a)) for a in dirs_text[7:].split(",")]
+        angles = np.radians([float(a) for a in dirs_text[7:].split(",")])
+        if not np.isfinite(angles).all():
+            raise ValueError(f"--dirs {dirs_text!r} needs finite angles")
         if im.param_dim != 2:
             raise UmbilicLabError("angle directions need a 2-parameter surface")
         e1, e2 = rep.tangent_frame
@@ -158,6 +160,8 @@ def cmd_slice(args):
     im = entry.obj
     q = _parse_point(args.point) if args.point else im.domain.mean(axis=1)
     s = _count(args, "s", 1)
+    if s > im.param_dim:
+        raise ValueError(f"--s {s} exceeds the surface dimension {im.param_dim}")
     rep = shape_report(im, q)
     dirs = _resolve_dirs(im, rep, args.dirs, s, args.seed)
     spec = make_slice_spec(im, rep, dirs)

@@ -16,24 +16,21 @@ from .errors import (DegenerateInducedMetric, LeftDomain, NonFiniteValue,
                      NonUnitDirection, RankDeficient, UmbilicLabError)
 from .frames import (DESIGN_SIZE, complement_basis, pseudo_gram_schmidt,
                      unit_design)
-from .numdiff import hessian_fd, jacobian_fd
 
 RANK_TOL = 1e-10
-FD_STEP = 1e-5             # central-difference step of the Jacobian rungs
-FD_HESSIAN_STEP = 3e-4     # second-difference step of the "fd" rung
 
 
 class Immersion:
-    """A map u in R^m -> R^N into an AmbientSpace, with derivative ladder.
+    """A map u in R^m -> R^N into an AmbientSpace.
 
-    ``jacobian`` and ``hessian`` are optional analytic evaluators; absent
-    ones fall back to central differences (the rung actually used is
-    recorded on every ShapeReport).  ``orientation`` fixes the reported
-    sign of hypersurface normals: one of None, "inward", "upward",
-    "future", or a callable (u, p, nu) -> bool meaning "keep this sign".
+    ``jacobian`` (u -> (N, m)) and ``hessian`` (u -> (N, m, m)) are the
+    analytic derivatives of ``map_fn``; an ExpressionMap supplies all three.
+    ``orientation`` fixes the reported sign of hypersurface normals: one of
+    None, "inward", "upward", "future", or a callable (u, p, nu) -> bool
+    meaning "keep this sign".
     """
 
-    def __init__(self, param_dim, ambient, map_fn, jacobian=None, hessian=None,
+    def __init__(self, param_dim, ambient, map_fn, jacobian, hessian,
                  domain=None, allow_timelike=False, orientation=None,
                  center=None, name=""):
         self.param_dim = int(param_dim)
@@ -53,14 +50,6 @@ class Immersion:
     def codim(self):
         return self.ambient.dimension - self.param_dim
 
-    @property
-    def derivative_rung(self):
-        if self._hessian is not None:
-            return "analytic"
-        if self._jacobian is not None:
-            return "jacobian-fd"
-        return "fd"
-
     def in_domain(self, u):
         """Domain test of one point (m,) or of each row of a (K, m) batch."""
         u = np.asarray(u, dtype=float)
@@ -71,26 +60,17 @@ class Immersion:
         return np.asarray(self.map_fn(np.asarray(u, dtype=float)), dtype=float)
 
     def jacobian_at(self, u):
-        u = np.asarray(u, dtype=float)
-        if self._jacobian is not None:
-            return np.asarray(self._jacobian(u), dtype=float)
-        return jacobian_fd(self.point, u, FD_STEP)
+        return np.asarray(self._jacobian(np.asarray(u, dtype=float)), dtype=float)
 
     def hessian_at(self, u):
-        u = np.asarray(u, dtype=float)
-        if self._hessian is not None:
-            h = np.asarray(self._hessian(u), dtype=float)
-        elif self._jacobian is not None:
-            h = jacobian_fd(self.jacobian_at, u, FD_STEP)
-        else:
-            h = hessian_fd(self.point, u, FD_HESSIAN_STEP)
+        h = np.asarray(self._hessian(np.asarray(u, dtype=float)), dtype=float)
         return 0.5 * (h + np.swapaxes(h, -1, -2))
 
 
 @dataclass
 class ShapeReport:
     """Extrinsic data of an immersion at one point, or of a (K, m) batch:
-    then every field but the rung gains a leading K axis (see ``row``)."""
+    then every field gains a leading K axis (see ``row``)."""
 
     u: np.ndarray
     p: np.ndarray
@@ -105,7 +85,6 @@ class ShapeReport:
     principal_curvatures: np.ndarray | None
     principal_directions: np.ndarray | None
     umbilicity_defect: float
-    derivative_rung: str
     scalars: dict = field(default_factory=dict)
 
     @property
@@ -290,18 +269,11 @@ def shape_report(im, u):
         shape_operator=shape_op,
         principal_curvatures=principal, principal_directions=principal_dirs,
         umbilicity_defect=defect,
-        derivative_rung=im.derivative_rung,
         scalars={"h_norm_abs": h_norm})
 
 
-def default_umbilic_tol(im):
-    return 1e-6 if im.derivative_rung == "analytic" else 1e-4
-
-
-def is_umbilic(im, u, tol=None):
+def is_umbilic(im, u, tol=1e-6):
     """True iff the umbilicity defect at u is below tol."""
-    if tol is None:
-        tol = default_umbilic_tol(im)
     return shape_report(im, u).umbilicity_defect <= tol
 
 

@@ -310,8 +310,7 @@ def _trace_block(im, specs, radii, samples_per_dim):
                 w=d @ (sp.report.normal_frame @ g).T * np.asarray(
                     sp.report.normal_signs, dtype=float),
                 radius=rad, residuals=fnorm[lo:hi][ok], failures=failures,
-                provenance={"derivative_rung": im.derivative_rung,
-                            "samples_per_dim": samples_per_dim,
+                provenance={"samples_per_dim": samples_per_dim,
                             "requested_radius": float(radii[k]),
                             "radius_halvings": attempt,
                             "newton_iterations": int(steps[k]),

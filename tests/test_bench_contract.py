@@ -63,6 +63,23 @@ def test_small_pass_of_each_workload_is_correct(name):
     assert workloads.over_ceiling(result.failures) == {}
 
 
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_traced_small_pass_makes_no_finite_difference_call(name):
+    # every chart and metric of the workloads has analytic derivatives
+    workload = workloads.WORKLOADS[name](42, small=True)
+    t = tracer.Tracer()
+    t.install()
+    try:
+        workloads.run_pass(workload.tasks(), t)
+    finally:
+        t.uninstall()
+    layers = t.pass_metrics()
+    assert t.spans
+    leaves = [n for n in tracer.LEAVES if n.startswith("numdiff.")]
+    assert len(leaves) == 4
+    assert {n: layers[f"{n}.calls"] for n in leaves} == dict.fromkeys(leaves, 0)
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_small_cartan_audit_pass_has_no_failures(seed):
     workload = workloads.CartanAudit(seed, small=True)

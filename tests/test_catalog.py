@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from umbilic_lab.catalog import (implicit_principal_curvatures, list_catalog,
-                                 load_immersion, load_metric, resolve)
+from umbilic_lab.catalog import (MAX_DIMENSION, implicit_principal_curvatures,
+                                 list_catalog, load_immersion, load_metric,
+                                 resolve)
 from umbilic_lab.errors import (LeftDomain, MalformedParameters,
                                 UnknownCatalogId)
 from umbilic_lab.immersion import shape_report
@@ -203,7 +204,7 @@ def test_load_metric_expressions(tmp_path):
     path = tmp_path / "metric.json"
     path.write_text(json.dumps(spec))
     space = load_metric(str(path))
-    assert space.has_analytic_derivative
+    assert space.metric_hessian is not None
     from umbilic_lab.ambient import riemann
     s = riemann(space, np.array([1.3, 0.8]))
     assert np.max(np.abs(s.riemann_lowered)) < 1e-10  # flat polar plane
@@ -260,6 +261,27 @@ def test_trailing_dimension_must_be_an_integer_at_least_two(id_text, kind):
     with pytest.raises(MalformedParameters) as err:
         resolve(id_text, kind=kind)
     assert err.value.code == "malformed-parameters"
+
+
+@pytest.mark.parametrize("id_text,kind", [
+    ("sphere:1,17", "ambient"), ("hyperbolic:1,17", "ambient"),
+    ("desitter:1,17", "ambient"), ("perturbed-minkowski:0.1,17", "ambient"),
+    ("euclidean:17", "ambient"), ("minkowski:17", "ambient"),
+    ("sphere:1,17", "immersion"), ("hyperboloid-sheet:1,17", "immersion"),
+    ("ellipsoid:" + ",".join(["1"] * 18), "immersion"),
+])
+def test_dimensions_are_capped(id_text, kind):
+    # building a curved metric grows as d^3: an id just over the cap is
+    # refused before anything is built
+    with pytest.raises(MalformedParameters) as err:
+        resolve(id_text, kind=kind)
+    assert err.value.code == "malformed-parameters"
+
+
+def test_dimensions_at_the_cap_resolve():
+    assert MAX_DIMENSION == 16
+    assert resolve("minkowski:16", kind="ambient").obj.dimension == 16
+    assert resolve("sphere:1,16", kind="ambient").obj.dimension == 16
 
 
 def test_trailing_dimension_is_read_alike_by_every_family():

@@ -223,6 +223,9 @@ def test_analyze_bad_grid_exit_2(capsys, surface, grid):
     ["verify", "theorem2", "--surface", "sphere:1", "--samples", "0"],
     ["slice", "--surface", "sphere:1", "--samples", "0"],
     ["slice", "--surface", "sphere:1", "--s", "0"],
+    # more directions than the surface has were cut to m
+    ["slice", "--surface", "sphere:1", "--s", "3"],
+    ["slice", "--surface", "sphere:1", "--s", "3", "--dirs", "random"],
 ])
 def test_bad_counts_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -391,6 +394,9 @@ def test_too_deep_an_expression_exits_2_with_one_expression_error(capsys):
     ["audit-cartan", "--metric", "sphere:1", "--points", "1", "--tol", "0"],
     ["slice", "--surface", "sphere:1", "--radius", "nan"],
     ["slice", "--surface", "sphere:1", "--radius", "-0.5"],
+    # non-finite angles failed in the frame code ("SVD did not converge")
+    ["slice", "--surface", "sphere:1", "--dirs", "angles:nan"],
+    ["slice", "--surface", "sphere:1", "--dirs", "angles:30,-inf"],
 ])
 def test_floats_must_be_finite_and_positive(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

@@ -30,6 +30,43 @@ def random_params(im, n, seed=0, margin=0.15):
     return [lo + rng.random(im.param_dim) * (hi - lo) for _ in range(n)]
 
 
+def _linear(coeffs, terms, offset):
+    """The expression tree of offset + sum_j coeffs[j] * terms[j]."""
+    tree = ("const", float(offset))
+    for c, term in zip(coeffs, terms):
+        tree = ("add", tree, ("mul", ("const", float(c)), term))
+    return tree
+
+
+def moved(im, motion=None, shift=None, reparam=None, offset=None, flip=False):
+    """``im`` composed as v -> motion @ chart(v @ reparam + offset) + shift,
+    its chart an ExpressionMap with substituted variables.  Its normal at v
+    is the motion's image of ``im``'s normal at v @ reparam + offset, or the
+    opposite one under ``flip``."""
+    n, m = im.ambient.dimension, im.param_dim
+    motion = np.eye(n) if motion is None else np.asarray(motion, dtype=float)
+    shift = np.zeros(n) if shift is None else shift
+    reparam = np.eye(m) if reparam is None else np.asarray(reparam, dtype=float)
+    offset = np.zeros(m) if offset is None else offset
+    params = [_linear(reparam[:, k], [("var", j) for j in range(m)], offset[k])
+              for k in range(m)]
+
+    def substituted(node):
+        if node[0] == "var":
+            return params[node[1]]
+        return node if node[0] == "const" else (node[0], *map(substituted, node[1:]))
+
+    comps = [substituted(c) for c in im.map_fn.components]
+    chart = ExpressionMap([_linear(row, comps, t) for row, t in zip(motion, shift)], m)
+
+    def keep(v, p, nu):
+        before = frames(im, v @ reparam + offset)[1][0]
+        return (np.linalg.solve(motion, nu) @ before > 0) != flip
+
+    return Immersion(m, im.ambient, chart, chart.jacobian, chart.hessian,
+                     domain=[[-1e3, 1e3]] * m, orientation=keep)
+
+
 # --- frames ---
 
 def test_shape_report_evaluates_each_point_once(monkeypatch):
@@ -92,10 +129,9 @@ def test_frames_pseudo_orthonormality():
 
 
 def test_frames_rank_deficient():
-    collapsed = Immersion(2, catalog.euclidean_space(3),
-                          lambda u: np.stack([u[..., 0], u[..., 0],
-                                              np.zeros_like(u[..., 0])], axis=-1),
-                          domain=[[-1, 1], [-1, 1]])
+    chart = ExpressionMap(["x0", "x0", "0"], 2)
+    collapsed = Immersion(2, catalog.euclidean_space(3), chart, chart.jacobian,
+                          chart.hessian, domain=[[-1, 1], [-1, 1]])
     with pytest.raises(RankDeficient):
         frames(collapsed, [0.1, 0.1])
 
@@ -150,18 +186,10 @@ def test_ii_symmetry_invariant():
 
 
 def test_ii_curved_ambient_latitude_circle():
-    # latitude circle at colatitude th0 in the round 2-sphere: geodesic
-    # curvature cot(th0); exercises the ambient Christoffel correction
-    sp2 = catalog.sphere_metric(1.0, dim=2)
-    th0 = 0.8
-
-    def curve(u):
-        u = np.asarray(u, dtype=float)
-        return np.stack([np.full(u.shape[:-1], th0), u[..., 0]], axis=-1)
-
-    im = Immersion(1, sp2, curve, domain=[[0.5, 2.5]])
-    ii = second_fundamental_form(im, [1.3])
-    assert abs(ii[0, 0, 0]) == pytest.approx(1.0 / np.tan(th0), abs=1e-6)
+    # latitude circle at colatitude 0.8 in the round 2-sphere: geodesic
+    # curvature cot(0.8); exercises the ambient Christoffel correction
+    ii = second_fundamental_form(latitude_circle(), [1.3])
+    assert abs(ii[0, 0, 0]) == pytest.approx(1.0 / np.tan(0.8), abs=1e-6)
 
 
 # --- shape report ---
@@ -219,13 +247,7 @@ def test_shape_report_frame_invariance_under_rotation():
     angle = 0.61
     rot = np.array([[np.cos(angle), -np.sin(angle)],
                     [np.sin(angle), np.cos(angle)]])
-
-    def rotated_map(u):
-        return base.point(np.asarray(u) @ rot)  # reparametrize by rot^T
-
-    rotated = Immersion(2, base.ambient, rotated_map,
-                        domain=[[-10, 10], [-10, 10]],
-                        orientation="inward", center=np.zeros(3))
+    rotated = moved(base, reparam=rot)      # reparametrize by rot^T
     rep1 = shape_report(rotated, rot @ u0)
     np.testing.assert_allclose(rep1.p, rep0.p, atol=1e-12)
     np.testing.assert_allclose(rep1.principal_curvatures,
@@ -234,21 +256,89 @@ def test_shape_report_frame_invariance_under_rotation():
                                                    abs=1e-6)
 
 
-def test_derivative_rung_recorded():
-    chart = catalog.resolve("torus:2,0.5").obj.map_fn
-    amb = catalog.euclidean_space(3)
-    dom = [[-3, 3], [-3, 3]]
-    u = np.array([0.7, -1.2])
-    reps = {}
-    for jac, hess, rung in [(chart.jacobian, chart.hessian, "analytic"),
-                            (chart.jacobian, None, "jacobian-fd"),
-                            (None, None, "fd")]:
-        im = Immersion(2, amb, chart, jac, hess, domain=dom)
-        rep = shape_report(im, u)
-        assert rep.derivative_rung == rung
-        reps[rung] = rep.principal_curvatures
-    np.testing.assert_allclose(reps["jacobian-fd"], reps["analytic"], atol=1e-7)
-    np.testing.assert_allclose(reps["fd"], reps["analytic"], atol=1e-5)
+# --- invariance properties ---
+
+EUCLIDEAN_SURFACES = ["ellipsoid:1,2,3", "torus:2,0.5", "hyperbolic-paraboloid",
+                      "elliptic-paraboloid:1,3", "cylinder:1"]
+FRACTION = st.floats(0.1, 0.9)
+
+
+def _inside(im, fractions):
+    lo, hi = im.domain[:, 0], im.domain[:, 1]
+    return lo + np.asarray(fractions) * (hi - lo)
+
+
+def _rotation(a, b, c):
+    """Rz(a) Ry(b) Rz(c) on R^3."""
+    def rz(t):
+        return np.array([[np.cos(t), -np.sin(t), 0], [np.sin(t), np.cos(t), 0],
+                         [0, 0, 1]])
+    ry = np.array([[np.cos(b), 0, np.sin(b)], [0, 1, 0], [-np.sin(b), 0, np.cos(b)]])
+    return rz(a) @ ry @ rz(c)
+
+
+def assert_same_curvatures(got, want, flip=False):
+    """Equal principal curvatures (negated under ``flip``) and defects."""
+    kappa = -want.principal_curvatures[::-1] if flip else want.principal_curvatures
+    tol = 1e-9 * max(1.0, np.max(np.abs(kappa)))
+    np.testing.assert_allclose(got.principal_curvatures, kappa, rtol=0, atol=tol)
+    assert got.umbilicity_defect == pytest.approx(want.umbilicity_defect, abs=tol)
+
+
+@settings(max_examples=15, deadline=None)
+@given(sid=st.sampled_from(EUCLIDEAN_SURFACES),
+       angles=st.tuples(*[st.floats(-np.pi, np.pi)] * 3),
+       shift=st.tuples(*[st.floats(-5.0, 5.0)] * 3), at=st.tuples(FRACTION, FRACTION))
+def test_rigid_motion_keeps_curvatures(sid, angles, shift, at):
+    im = surface(sid)
+    u = _inside(im, at)
+    after = moved(im, motion=_rotation(*angles), shift=np.array(shift))
+    assert_same_curvatures(shape_report(after, u), shape_report(im, u))
+
+
+@settings(max_examples=15, deadline=None)
+@given(sid=st.sampled_from(EUCLIDEAN_SURFACES + ["hyperboloid-sheet:1"]),
+       scales=st.tuples(*[st.floats(0.5, 2.0)] * 2), signs=st.tuples(
+           *[st.sampled_from([-1.0, 1.0])] * 2), angle=st.floats(-np.pi, np.pi),
+       shear=st.floats(-1.0, 1.0), offset=st.tuples(*[st.floats(-1.0, 1.0)] * 2),
+       at=st.tuples(FRACTION, FRACTION))
+def test_affine_reparametrisation_keeps_curvatures(sid, scales, signs, angle, shear,
+                                                   offset, at):
+    im = surface(sid)
+    rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    reparam = np.diag(np.multiply(scales, signs)) @ rot @ [[1.0, shear], [0.0, 1.0]]
+    u = _inside(im, at)
+    v = np.linalg.solve(reparam.T, u - offset)          # v @ reparam + offset = u
+    after = moved(im, reparam=reparam, offset=np.array(offset))
+    assert_same_curvatures(shape_report(after, v), shape_report(im, u))
+
+
+@settings(max_examples=15, deadline=None)
+@given(sid=st.sampled_from(EUCLIDEAN_SURFACES + ["hyperboloid-sheet:1"]),
+       at=st.tuples(FRACTION, FRACTION))
+def test_flipped_orientation_negates_curvatures(sid, at):
+    im = surface(sid)
+    u = _inside(im, at)
+    assert_same_curvatures(shape_report(moved(im, flip=True), u),
+                           shape_report(im, u), flip=True)
+
+
+@settings(max_examples=15, deadline=None)
+@given(sid=st.sampled_from(["hyperboloid-sheet:0.7",
+                            "minkowski-graph:0.2*x0^2+0.1*x1^2"]),
+       rapidity=st.floats(-1.0, 1.0), direction=st.floats(-np.pi, np.pi),
+       at=st.tuples(FRACTION, FRACTION))
+def test_lorentz_boost_keeps_curvatures(sid, rapidity, direction, at):
+    im = surface(sid)
+    n = np.array([np.cos(direction), np.sin(direction), 0.0])
+    t = np.array([0.0, 0.0, 1.0])
+    boost = (np.eye(3) + (np.cosh(rapidity) - 1.0) * (np.outer(n, n) + np.outer(t, t))
+             + np.sinh(rapidity) * (np.outer(n, t) + np.outer(t, n)))
+    eta = im.ambient.metric_at(np.zeros(3))
+    np.testing.assert_allclose(boost.T @ eta @ boost, eta, atol=1e-12)
+    u = _inside(im, at)
+    assert_same_curvatures(shape_report(moved(im, motion=boost), u),
+                           shape_report(im, u))
 
 
 # --- is_umbilic ---
@@ -258,14 +348,6 @@ def test_is_umbilic_cases():
     assert not is_umbilic(surface("hyperbolic-paraboloid"), [0.0, 0.0],
                           tol=1e-6)
     assert is_umbilic(surface("hyperboloid-sheet:1"), [0.6, -0.8], tol=1e-6)
-
-
-def test_is_umbilic_fd_tolerance_default():
-    chart = catalog.resolve("torus:2,0.5").obj.map_fn
-    im_fd = Immersion(2, catalog.euclidean_space(3), chart,
-                      domain=[[-3, 3], [-3, 3]])
-    # the default tolerance loosens to 1e-4 on the fd rung
-    assert not is_umbilic(im_fd, [0.7, -1.2])
 
 
 # --- normal curvature ---
@@ -343,13 +425,11 @@ def clifford_torus():
 
 
 def latitude_circle():
-    """A latitude circle of the round 2-sphere: a curved ambient."""
-    def curve(u):
-        u = np.asarray(u, dtype=float)
-        return np.stack([np.full(u.shape[:-1], 0.8), u[..., 0]], axis=-1)
-
-    return Immersion(1, catalog.sphere_metric(1.0, dim=2), curve,
-                     domain=[[0.5, 2.5]])
+    """The latitude circle at colatitude 0.8 of the round 2-sphere: a
+    curved ambient."""
+    chart = ExpressionMap(["0.8", "x0"], 1)
+    return Immersion(1, catalog.sphere_metric(1.0, dim=2), chart, chart.jacobian,
+                     chart.hessian, domain=[[0.5, 2.5]])
 
 
 @pytest.mark.parametrize("make", [

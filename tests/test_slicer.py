@@ -7,6 +7,7 @@ from scipy.optimize import minimize
 from umbilic_lab import catalog
 from umbilic_lab.errors import (DegenerateFit, DegenerateSubspace,
                                 UnsupportedAmbient, WrongCausalType)
+from umbilic_lab.expressions import ExpressionMap
 from umbilic_lab.immersion import Immersion, shape_report
 from umbilic_lab.slicer import (_ball_grid, _newton_trace, build_slice,
                                 fit_hyperbolic, fit_sphere, identity_check,
@@ -27,6 +28,13 @@ def random_params(im, n, seed=0, margin=0.2):
     pad = margin * (hi - lo)
     lo, hi = lo + pad, hi - pad
     return [lo + rng.random(im.param_dim) * (hi - lo) for _ in range(n)]
+
+
+def coord_sheet(ambient):
+    """The coordinate sheet (x0, x1, 1.2) of a curved 3-dimensional ambient."""
+    chart = ExpressionMap(["x0", "x1", "1.2"], 2)
+    return Immersion(2, ambient, chart, chart.jacobian, chart.hessian,
+                     domain=[[0.5, 2.5], [0.5, 2.5]])
 
 
 def tangent_dirs(im, u, rng, s):
@@ -65,14 +73,7 @@ def test_build_slice_hyperboloid_vertex_timelike_plane():
 
 
 def test_build_slice_requires_flat_ambient():
-    sp3 = catalog.sphere_metric(1.0, dim=3)
-    from umbilic_lab.immersion import Immersion
-
-    def coord_sheet(u):
-        u = np.asarray(u, dtype=float)
-        return np.concatenate([u, np.full(u.shape[:-1] + (1,), 1.2)], axis=-1)
-
-    im = Immersion(2, sp3, coord_sheet, domain=[[0.5, 2.5], [0.5, 2.5]])
+    im = coord_sheet(catalog.sphere_metric(1.0, dim=3))
     rep = shape_report(im, [1.0, 1.0])
     spec = make_slice_spec(im, rep, rep.tangent_frame[:1])
     with pytest.raises(UnsupportedAmbient):
@@ -121,7 +122,8 @@ def test_trace_slice_jacobians_are_newton_batches(monkeypatch):
     def no_lstsq(*args, **kwargs):
         raise AssertionError("trace_slice solved a least-squares problem")
 
-    im = Immersion(2, base.ambient, base.map_fn, jacobian, domain=base.domain)
+    im = Immersion(2, base.ambient, base.map_fn, jacobian, base._hessian,
+                   domain=base.domain)
     monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
     res = trace_slice(im, spec, radius=0.3)
     assert res.failures == 0 and shapes
@@ -309,7 +311,8 @@ def test_newton_singular_sample_spares_the_batch():
         jac[np.all(u == seeds[bad], axis=-1)] = 0.0
         return jac
 
-    im = Immersion(2, base.ambient, base.map_fn, jacobian, domain=base.domain)
+    im = Immersion(2, base.ambient, base.map_fn, jacobian, base._hessian,
+                   domain=base.domain)
     rows = np.concatenate([build_slice(im, spec), dirs])    # g = I
     *_, good = _newton_trace(im, np.repeat(rows[None], len(seeds), axis=0),
                              np.repeat(spec.q[None], len(seeds), axis=0),
@@ -597,7 +600,8 @@ def test_singular_sample_is_counted_as_singular():
         jac[np.all(u == seeds[0][0], axis=-1)] = 0.0
         return jac
 
-    im = Immersion(2, base.ambient, base.map_fn, jacobian, domain=base.domain)
+    im = Immersion(2, base.ambient, base.map_fn, jacobian, base._hessian,
+                   domain=base.domain)
     res = trace_slice(im, spec, radius=0.2, samples_per_dim=4)
     assert res.provenance["failures_by_reason"]["singular"] == 1
     assert res.failures == 1
@@ -687,14 +691,7 @@ def test_trace_slices_traces_a_block_when_its_first_result_is_asked(monkeypatch)
 
 
 def test_trace_slices_checks_the_ambient_before_any_block():
-    from umbilic_lab.immersion import Immersion
-
-    def coord_sheet(u):
-        u = np.asarray(u, dtype=float)
-        return np.concatenate([u, np.full(u.shape[:-1] + (1,), 1.2)], axis=-1)
-
-    im = Immersion(2, catalog.sphere_metric(1.0, dim=3), coord_sheet,
-                   domain=[[0.5, 2.5], [0.5, 2.5]])
+    im = coord_sheet(catalog.sphere_metric(1.0, dim=3))
     rep = shape_report(im, [1.0, 1.0])
     with pytest.raises(UnsupportedAmbient):     # at the call, not at next()
         slicer.trace_slices(im, [make_slice_spec(im, rep, rep.tangent_frame[:1])])
