@@ -124,9 +124,6 @@ class AmbientSpace:
         both, n = self.metric_jet(np.asarray(x, dtype=float)), self.dimension
         return _symmetrized(both[..., :n]), _symmetrized(both[..., n:].reshape((n,) * 4))
 
-    def inner(self, x, u, v):
-        return float(u @ self.metric_at(x) @ v)
-
     def in_box(self, x):
         return bool(np.all(x >= self.box[:, 0] - 1e-9)
                     and np.all(x <= self.box[:, 1] + 1e-9))
@@ -147,16 +144,6 @@ class CurvatureSample:
     metric: np.ndarray          # g[i, j]
     christoffel: np.ndarray     # gamma[k, i, j]
     riemann_lowered: np.ndarray  # lowered[i, j, k, l] = g(R(e_i,e_j)e_l, e_k)
-
-    def symmetry_violations(self):
-        r = self.riemann_lowered
-        return {
-            "antisym_first_pair": float(np.max(np.abs(r + r.transpose(1, 0, 2, 3)))),
-            "antisym_second_pair": float(np.max(np.abs(r + r.transpose(0, 1, 3, 2)))),
-            "pair_symmetry": float(np.max(np.abs(r - r.transpose(2, 3, 0, 1)))),
-            "first_bianchi": float(np.max(np.abs(
-                r + r.transpose(0, 2, 3, 1) + r.transpose(0, 3, 1, 2)))),
-        }
 
 
 @dataclass
@@ -299,14 +286,18 @@ def geodesic(space, p, v, t_end, steps=256):
     if not space.in_box(p):
         raise LeftDomain("initial point outside coordinate box", point=list(p))
 
-    def accel(x, xdot):
-        return -np.einsum("kij,i,j->k", christoffel(space, x), xdot, xdot)
+    def accel(x, xdot, first=False):
+        # g is validated at a step's first stage; later stages check it finite
+        # here and for its scale in christoffel's inverse
+        g = (space.metric_at(x) if first or space.is_constant else NonFiniteValue.check(
+            np.asarray(space._metric_fn(x), dtype=float), "metric", x))
+        return -np.einsum("kij,i,j->k", christoffel(space, x, g), xdot, xdot)
 
     h = float(t_end) / steps
     path = [(0.0, p.copy(), v.copy())]
     x, xd = p.copy(), v.copy()
     for k in range(steps):
-        k1x, k1v = xd, accel(x, xd)
+        k1x, k1v = xd, accel(x, xd, True)
         k2x, k2v = xd + 0.5 * h * k1v, accel(x + 0.5 * h * k1x, xd + 0.5 * h * k1v)
         k3x, k3v = xd + 0.5 * h * k2v, accel(x + 0.5 * h * k2x, xd + 0.5 * h * k2v)
         k4x, k4v = xd + h * k3v, accel(x + h * k3x, xd + h * k3v)

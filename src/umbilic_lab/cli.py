@@ -55,49 +55,52 @@ def _emit(payload, out_path, as_csv=False):
         sys.stdout.write(text)
 
 
-def _parse_point(text):
-    parts = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if "=" in tok:
-            tok = tok.split("=", 1)[1]
-        parts.append(float(tok))
-    if not all(map(math.isfinite, parts)):
-        raise ValueError(f"--point {text!r} needs finite coordinates")
-    return np.asarray(parts, dtype=float)
+def _numbers(flag, text, kind=float, sep=","):
+    """The finite numbers of type ``kind`` in ``text`` split at ``sep`` (a
+    token may carry a name, as in u0=0.5), or an error naming ``--flag``."""
+    try:
+        values = [kind(tok.split("=", 1)[-1]) for tok in text.lower().split(sep)]
+    except (AttributeError, ValueError):    # AttributeError: not text
+        raise ValueError(f"--{flag} {text!r} is not a {sep!r}-separated list "
+                         f"of {kind.__name__} numbers") from None
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"--{flag} {text!r} needs finite numbers")
+    return values
 
 
-def _parse_grid(text):
+def _grid(flag, text):
     """Positive counts from "AxB..."; ``verifier._grid_points`` checks that
     there is one for every axis or one per axis."""
-    counts = [int(t) for t in text.lower().split("x")]
+    counts = _numbers(flag, text, int, "x")
     if min(counts) < 1:
-        raise ValueError(f"grid {text!r} needs positive integer counts")
+        raise ValueError(f"--{flag} {text!r} needs positive integer counts")
     return counts
 
 
-def _count(args, flag, default):
-    """The positive integer given for ``--flag``, or ``default`` if omitted."""
-    value = getattr(args, flag)
-    if value is not None and (type(value) is not int or value < 1):
+def _count(flag, value):
+    """``value`` for ``--flag``: a positive integer."""
+    if type(value) is not int or value < 1:
         raise ValueError(f"--{flag} must be a positive integer, got {value!r}")
-    return default if value is None else value
+    return value
 
 
-def _positive(args, flag, default=None):
-    """The finite positive number given for ``--flag``, or ``default``."""
-    value = getattr(args, flag)
-    if value is not None and (type(value) not in (int, float)
-                              or not math.isfinite(value) or value <= 0):
+def _positive(flag, value):
+    """``value`` for ``--flag``: a finite positive number."""
+    if (type(value) not in (int, float) or not math.isfinite(value)
+            or value <= 0):
         raise ValueError(f"--{flag} must be finite and positive, got {value!r}")
-    return default if value is None else value
+    return value
+
+
+# the parser of each flag's value, from the command line or a config file
+PARSERS = {"s": _count, "samples": _count, "points": _count, "tol": _positive,
+           "radius": _positive, "grid": _grid,
+           "point": lambda flag, text: np.asarray(_numbers(flag, text))}
 
 
 def _resolve_dirs(im, rep, dirs_text, s, seed):
     if dirs_text.startswith("angles:"):
-        angles = np.radians([float(a) for a in dirs_text[7:].split(",")])
-        if not np.isfinite(angles).all():
-            raise ValueError(f"--dirs {dirs_text!r} needs finite angles")
+        angles = np.radians(_numbers("dirs", dirs_text[7:]))
         if im.param_dim != 2:
             raise UmbilicLabError("angle directions need a 2-parameter surface")
         e1, e2 = rep.tangent_frame
@@ -106,17 +109,17 @@ def _resolve_dirs(im, rep, dirs_text, s, seed):
         return rep.principal_directions[:s]
     if dirs_text == "random":
         rng = np.random.default_rng([seed, 7])
-        return verifier._random_tangent_dirs(rep, rng, s)
+        return verifier._random_tangent_dirs(rep, [rng], s)[0]
     raise UmbilicLabError(f"cannot parse directions {dirs_text!r}")
 
 
 def cmd_analyze(args):
     entry = resolve(args.surface)
     im = entry.obj
-    counts = _parse_grid(args.grid or "10")
+    counts = args.grid or [10]
     grid = verifier._grid_points(im, counts, margin=0.02)
     counts = counts * im.param_dim if len(counts) == 1 else counts
-    tol = _positive(args, "tol", 1e-6)
+    tol = args.tol or 1e-6
     rep = shape_report(im, grid)
     kappas = (rep.principal_curvatures.tolist()
               if rep.principal_curvatures is not None else [None] * len(grid))
@@ -158,18 +161,18 @@ def cmd_analyze(args):
 def cmd_slice(args):
     entry = resolve(args.surface)
     im = entry.obj
-    q = _parse_point(args.point) if args.point else im.domain.mean(axis=1)
-    s = _count(args, "s", 1)
+    q = im.domain.mean(axis=1) if args.point is None else args.point
+    s = args.s or 1
     if s > im.param_dim:
         raise ValueError(f"--s {s} exceeds the surface dimension {im.param_dim}")
     rep = shape_report(im, q)
     dirs = _resolve_dirs(im, rep, args.dirs, s, args.seed)
     spec = make_slice_spec(im, rep, dirs)
-    radius = _positive(args, "radius")
+    radius = args.radius
     if radius is None:
         radius = (taylor_trace_radius if args.taylor else default_trace_radius)(rep)
     res = trace_slice(im, spec, radius=radius,
-                      samples_per_dim=_count(args, "samples", 8))
+                      samples_per_dim=args.samples or 8)
     slice_shape(res)
     identity_check(im, res)
     try:
@@ -187,11 +190,10 @@ def cmd_slice(args):
 
 
 def cmd_verify(args):
-    tol = _positive(args, "tol")
     reports = verifier.run_suite(
-        args.suite, args.surface, n_points=_count(args, "samples", 20),
-        seed=args.seed, grid=_parse_grid(args.grid or "5"),
-        **({} if tol is None else {"tol": tol}))
+        args.suite, args.surface, n_points=args.samples or 20,
+        seed=args.seed, grid=args.grid or [5],
+        **({} if args.tol is None else {"tol": args.tol}))
     payload = {"schema_version": SCHEMA_VERSION,
                "reports": [r.to_dict() for r in reports]}
     _emit(payload, args.out)
@@ -199,14 +201,11 @@ def cmd_verify(args):
 
 
 def cmd_audit_cartan(args):
-    tol = _positive(args, "tol")
     entry = resolve(args.metric, kind="ambient")
     space = entry.obj
     report = ambient_ops.cartan_audit(
-        space, _count(args, "points", 5),
-        triples_per_point=_count(args, "samples", 10),
-        seed=args.seed,
-        tol_codazzi=tol, tol_spread=tol)
+        space, args.points or 5, triples_per_point=args.samples or 10,
+        seed=args.seed, tol_codazzi=args.tol, tol_spread=args.tol)
     payload = report.to_dict()
     payload["metric"] = args.metric
     _emit(payload, args.out)
@@ -286,6 +285,9 @@ def _apply_config(args):
                                  f"{args.command}")
             if getattr(args, attr) in (None, False):
                 setattr(args, attr, value)
+    for flag, parse in PARSERS.items():
+        if getattr(args, flag, None) is not None:
+            setattr(args, flag, parse(flag, getattr(args, flag)))
     if getattr(args, "seed", None) is None:
         args.seed = 42
     return args

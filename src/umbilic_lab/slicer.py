@@ -12,6 +12,7 @@ model), the same planes pass through the center, so they are exactly the
 central linear sections that are totally geodesic in the quadric.
 """
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +28,7 @@ NEWTON_CONVERGED = 1e-12
 NEWTON_ACCEPT = 1e-10
 MAX_FAIL_FRACTION = 0.20
 BATCH_SAMPLES = 1024    # samples per Newton batch or stacked fit: bounds memory
+MAX_ROWS = 100_000      # points a parameter grid or a slice's seed grid may ask for
 SINGULAR, LEFT_DOMAIN = 1, 2        # why _newton_trace retired a sample (0: it did not)
 
 
@@ -103,12 +105,11 @@ class SliceResult:
             d["slice_H_coeff"] = self.slice_H_coeff.tolist()
         if self.identity_residual is not None:
             d["identity_residual"] = float(self.identity_residual)
-        if self.fit_sphere is not None:
-            c, r, rms = self.fit_sphere
-            d["fit_sphere"] = {"center": c.tolist(), "radius": float(r), "rms": float(rms)}
-        if self.fit_hyperbolic is not None:
-            c, r, rms = self.fit_hyperbolic
-            d["fit_hyperbolic"] = {"center": c.tolist(), "radius": float(r), "rms": float(rms)}
+        for key, fit in (("fit_sphere", self.fit_sphere),
+                         ("fit_hyperbolic", self.fit_hyperbolic)):
+            if fit is not None:
+                d[key] = {"center": fit[0].tolist(), "radius": float(fit[1]),
+                          "rms": float(fit[2])}
         return d
 
     def samples_csv(self):
@@ -124,20 +125,33 @@ class SliceResult:
         return "\n".join(lines) + "\n"
 
 
+def make_slice_specs(im, rep, dir_sets):
+    """The validated SliceSpec, or the error, of each direction set of the
+    stack ``dir_sets`` (B, s, N) of ambient tangent directions at the point
+    of ``rep``, the immersion's ShapeReport there.  The stack is checked at
+    once; when that fails it is checked set by set, so each set keeps its
+    own error."""
+    dirs = np.asarray(dir_sets, dtype=float)
+    try:
+        g = im.ambient.metric_at(rep.p)
+        if np.max(np.abs(dirs @ g @ dirs.mT - np.eye(dirs.shape[1]))) > 1e-10:
+            raise DegenerateSubspace("tangent directions are not g-orthonormal")
+        if np.max(np.abs(dirs @ g @ rep.normal_frame.T)) > 1e-8:
+            raise DegenerateSubspace("direction is not tangent to the immersion at q")
+        if dirs.shape[1] > im.param_dim:
+            raise ValueError("more tangent directions than tangent dimensions")
+    except Exception as exc:        # held, as a set's error or to split the stack
+        return [exc] if len(dirs) == 1 else [hold(make_slice_spec, im, rep, d)
+                                             for d in dirs]
+    return [SliceSpec(report=rep, tangent_directions=d, coords=c) for d, c in
+            zip(dirs, dirs @ g @ rep.tangent_frame.T * rep.tangent_signs)]
+
+
 def make_slice_spec(im, rep, directions):
-    """Validated SliceSpec from ambient tangent directions at the point of
-    ``rep``, the immersion's ShapeReport there."""
-    g = im.ambient.metric_at(rep.p)
+    """The one-set make_slice_specs, for directions (s, N); raises the
+    set's error."""
     dirs = np.atleast_2d(np.asarray(directions, dtype=float))
-    gram = dirs @ g @ dirs.T
-    if np.max(np.abs(gram - np.eye(dirs.shape[0]))) > 1e-10:
-        raise DegenerateSubspace("tangent directions are not g-orthonormal")
-    if np.max(np.abs(dirs @ g @ rep.normal_frame.T)) > 1e-8:
-        raise DegenerateSubspace("direction is not tangent to the immersion at q")
-    if dirs.shape[0] > im.param_dim:
-        raise ValueError("more tangent directions than tangent dimensions")
-    return SliceSpec(report=rep, tangent_directions=dirs,
-                     coords=dirs @ g @ rep.tangent_frame.T * rep.tangent_signs)
+    return release(make_slice_specs(im, rep, dirs[None])[0])
 
 
 def build_slice(im, spec):
@@ -160,6 +174,10 @@ def _blocks(seq, size):
 
 
 def _ball_grid(s, radius, samples_per_dim):
+    if (2 * samples_per_dim + 1) ** s > MAX_ROWS:
+        raise ValueError(f"{samples_per_dim} samples per dimension (--samples) at "
+                         f"s = {s} ask for {(2 * samples_per_dim + 1) ** s} "
+                         f"seeds; at most {MAX_ROWS}")
     axes = [np.linspace(-radius, radius, 2 * samples_per_dim + 1)
             for _ in range(s)]
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, s)
@@ -266,12 +284,15 @@ def trace_slices(im, specs, radius=None, samples_per_dim=8):
 def _trace_block(im, specs, radii, samples_per_dim):
     """The SliceResult or error of each of ``specs`` (see trace_slices)."""
     g, s = im.ambient.metric_at(specs[0].q), specs[0].s     # flat: one g
-    spans = [np.concatenate([sp.tangent_directions, sp.report.normal_frame])
-             for sp in specs]
-    got = hold(complement_basis, np.stack(spans), g, im.param_dim - s)
+    spans = np.stack([np.concatenate([sp.tangent_directions, sp.report.normal_frame])
+                      for sp in specs])
+    got = hold(complement_basis, spans, g, im.param_dim - s)
     # a stack that raises is built again spec by spec: each has its own error
     comps = (got[0] if not isinstance(got, Exception)
              else [hold(build_slice, im, sp) for sp in specs])
+    # the rows that give a sample's (t, w) from its offset x - q
+    tw_rows = spans * np.array([[1.0] * s + list(sp.report.normal_signs)
+                                for sp in specs])[..., None] @ g
     out, grids, steps, last = list(comps), {}, np.zeros(len(specs), int), {}
     todo = [k for k, c in enumerate(comps) if not isinstance(c, Exception)]
     for attempt in range(5):
@@ -281,40 +302,45 @@ def _trace_block(im, specs, radii, samples_per_dim):
         r = [radii[k] * 0.5 ** attempt for k in todo]
         for rad in set(r) - set(grids):
             grids[rad] = _ball_grid(s, rad, samples_per_dim)
-        pick = np.repeat(np.arange(len(todo)), [len(grids[rad]) for rad in r])
+        sizes = np.array([len(grids[rad]) for rad in r])
+        pick = np.repeat(np.arange(len(todo)), sizes)
         rows = np.stack([np.concatenate([comps[k], specs[k].tangent_directions])
                          for k in todo]) @ g
         pulls = [sp.coords @ sp.report.tangent_params for sp in live]  # (s, m)
+        qs = np.stack([sp.q for sp in live])[pick]
         u, x, fnorm, retired, took, good = _newton_trace(
-            im, rows[pick], np.stack([sp.q for sp in live])[pick],
+            im, rows[pick], qs,
             np.pad(np.concatenate([grids[rad] for rad in r]),
                    ((0, 0), (im.param_dim - s, 0))),
             np.concatenate([sp.q_param + grids[rad] @ pull
                             for sp, rad, pull in zip(live, r, pulls)]))
-        batch, todo, hi = todo, [], 0
-        for k, sp, rad in zip(batch, live, r):
-            lo, hi = hi, hi + len(grids[rad])
-            ok, why = good[lo:hi], retired[lo:hi]
-            failures = int(np.sum(~ok))
-            steps[k] += took[lo:hi].max()
-            if failures > MAX_FAIL_FRACTION * (hi - lo):
+        # per spec: failures, failures by reason, most Newton steps of a sample
+        reasons = np.bincount(pick[~good] * 3 + retired[~good],
+                              minlength=3 * len(todo)).reshape(-1, 3)
+        failed = reasons.sum(axis=1)
+        steps[todo] += np.maximum.reduceat(took, np.cumsum(sizes) - sizes)
+        # the converged samples, spec after spec
+        u, x, fnorm, pick = u[good], x[good], fnorm[good], pick[good]
+        tw = (tw_rows[todo][pick] @ (x - qs[good])[..., None])[..., 0]
+        ends = np.cumsum(np.bincount(pick, minlength=len(todo)))
+        batch, todo = todo, []
+        for j, (k, sp, rad) in enumerate(zip(batch, live, r)):
+            if failed[j] > MAX_FAIL_FRACTION * sizes[j]:
                 todo.append(k)
-                last[k] = failures, hi - lo
+                last[k] = int(failed[j]), int(sizes[j])
                 continue
-            d = x[lo:hi][ok] - sp.q
-            reasons = dict(zip(("not-converged", "singular", "left-domain"),
-                               np.bincount(why[~ok], minlength=3).tolist()))
+            lo, hi = ends[j - 1] if j else 0, ends[j]
             out[k] = SliceResult(
-                spec=sp, complement=comps[k], params=u[lo:hi][ok],
-                points=x[lo:hi][ok], t=d @ (sp.tangent_directions @ g).T,
-                w=d @ (sp.report.normal_frame @ g).T * np.asarray(
-                    sp.report.normal_signs, dtype=float),
-                radius=rad, residuals=fnorm[lo:hi][ok], failures=failures,
+                spec=sp, complement=comps[k], params=u[lo:hi], points=x[lo:hi],
+                t=tw[lo:hi, :s], w=tw[lo:hi, s:], radius=rad,
+                residuals=fnorm[lo:hi], failures=int(failed[j]),
                 provenance={"samples_per_dim": samples_per_dim,
                             "requested_radius": float(radii[k]),
                             "radius_halvings": attempt,
                             "newton_iterations": int(steps[k]),
-                            "failures_by_reason": reasons,
+                            "failures_by_reason": dict(zip(
+                                ("not-converged", "singular", "left-domain"),
+                                reasons[j].tolist())),
                             "newton_converged_tol": NEWTON_CONVERGED,
                             "newton_accept_tol": NEWTON_ACCEPT})
     for k in todo:
@@ -330,17 +356,12 @@ def trace_slice(im, spec, radius=None, samples_per_dim=8):
 
 
 def _poly_columns(t_hat, s):
-    cols, names = [], []
-    for i in range(s):
-        for j in range(i, s):
-            cols.append(t_hat[..., i] * t_hat[..., j])
-            names.append(("q", i, j))
-    for i in range(s):
-        for j in range(i, s):
-            for k in range(j, s):
-                cols.append(t_hat[..., i] * t_hat[..., j] * t_hat[..., k])
-                names.append(("c", i, j, k))
-    return np.stack(cols, axis=-1), names
+    """The quadratic monomials t_i t_j, i <= j, then the cubic ones, in
+    lexicographic order."""
+    i, j = np.triu_indices(s)
+    a, b, c = np.array(list(itertools.combinations_with_replacement(range(s), 3))).T
+    return np.concatenate([t_hat[..., i] * t_hat[..., j],
+                           t_hat[..., a] * t_hat[..., b] * t_hat[..., c]], axis=-1)
 
 
 def slice_shapes(results):
@@ -368,17 +389,15 @@ def slice_shapes(results):
         group = [out[k] for k in idx]
         rho = np.array([max(res.radius, 1e-300) for res in group])
         t_hat = np.stack([res.t for res in group]) / rho[:, None, None]
-        design, names = _poly_columns(t_hat, s)
+        design = _poly_columns(t_hat, s)
         cond2 = np.linalg.cond(design) ** 2
         fit = cond2 <= 1e10
         # QR, not the normal equations: they would square the condition
         q_fac, r_fac = np.linalg.qr(design[fit])
         w = np.stack([res.w for res in group])[fit]
         coeff = np.linalg.solve(r_fac, q_fac.mT @ w) / rho[fit, None, None] ** 2
-        q_mat = np.zeros((len(coeff), s, s, n))
-        for row, (kind, i, j, *_k) in enumerate(names):
-            if kind == "q":
-                q_mat[:, i, j] = q_mat[:, j, i] = coeff[:, row] * (1.0 + (i == j))
+        q_mat, (i, j) = np.zeros((len(coeff), s, s, n)), np.triu_indices(s)
+        q_mat[:, i, j] = q_mat[:, j, i] = coeff[:, :len(i)] * (1.0 + (i == j))[:, None]
         # the surface II at q restricted to each slice's directions
         a = np.stack([res.spec.coords for res in group])[fit]
         second = np.stack([res.spec.report.second_form for res in group])[fit]
@@ -408,106 +427,135 @@ def identity_check(im, result):
     return result.identity_residual
 
 
-def _affine_hull(points):
-    pts = np.asarray(points, dtype=float)
-    mean = pts.mean(axis=0)
-    x = pts - mean
-    _, sv, vt = np.linalg.svd(x, full_matrices=False)
-    scale = max(1.0, float(sv[0]) if sv.size else 1.0)
-    dim = int(np.sum(sv > 1e-8 * scale))
-    basis = vt[:dim]
-    off = x - (x @ basis.T) @ basis
-    return mean, basis, x @ basis.T, np.linalg.norm(off, axis=1)
+def _lstsq(a, b):
+    """np.linalg.lstsq(a, b, rcond=None) over stacks: the minimum-norm
+    solutions and the ranks."""
+    u, sv, vt = np.linalg.svd(a, full_matrices=False)
+    big = sv > np.finfo(float).eps * max(a.shape[-2:]) * sv[..., :1]
+    coef = np.divide((u.mT @ b[..., None])[..., 0], sv, out=np.zeros_like(sv),
+                     where=big)
+    return (vt.mT @ coef[..., None])[..., 0], big.sum(axis=-1)
 
 
-def _lorentz_hull(x, basis, sig):
-    """Lorentz-orthonormal hull basis (timelike last, causal signs ``sig``)
-    and the coordinates of the centred points ``x`` in it; the hull must
-    be Lorentzian."""
-    eta = np.ones(x.shape[1])
-    eta[-1] = -1.0
-    vals, vecs = np.linalg.eigh(basis @ np.diag(eta) @ basis.T)
-    if np.min(np.abs(vals)) < 1e-10 * max(1.0, float(np.max(np.abs(vals)))):
-        raise DegenerateSubspace("slice hull is a degenerate subspace")
-    if int(np.sum(vals < 0)) != 1:
-        raise WrongCausalType(
-            "slice hull is not Lorentzian; no hyperbolic space fits it",
-            negatives=int(np.sum(vals < 0)))
-    order = np.argsort(-vals)          # spacelike first, timelike last
-    w_basis = (vecs[:, order] / np.sqrt(np.abs(vals[order]))[None, :]).T @ basis
-    return w_basis, (x * eta[None, :]) @ w_basis.T * sig[None, :]
+def fit_quadrics(clouds, lorentzian):
+    """Best-fit quadric eps <p - c, p - c> = r^2 of each point cloud (K, N):
+    a sphere (eps = +1, Euclidean form) or a hyperbolic space (eps = -1,
+    Lorentz form with the timelike coordinate last).
 
-
-def _fit_quadric(points, lorentzian):
-    """Best-fit quadric eps <p - c, p - c> = r^2: a sphere (eps = +1,
-    Euclidean form) or a hyperbolic space (eps = -1, Lorentz form with the
-    timelike coordinate last).
-
-    The fit runs inside the points' affine hull (a slice sample cloud is
+    Each fit runs inside its cloud's affine hull (a slice sample cloud is
     always in a proper one); off-hull deviation enters the rms.  An
     algebraic fit, linear in (c, r^2 - eps <c, c>), is refined by one
-    Gauss-Newton pass on the geometric residual.  Returns
-    (center, radius, rms_residual).
+    Gauss-Newton pass on the geometric residual.  Clouds of one size and
+    hull dimension are fitted as one stack.  Returns each cloud's
+    (center, radius, rms_residual), or its error; held errors pass through.
     """
     kind = "hyperbolic" if lorentzian else "sphere"
-    pts = np.asarray(points, dtype=float)
-    if pts.shape[0] < 5:
-        raise DegenerateFit(f"{kind} fit needs at least 5 points",
-                            got=int(pts.shape[0]))
-    mean, basis, y, off = _affine_hull(pts)
-    k = basis.shape[0]
-    if k < 2:
-        raise FlatSlice("points are affinely dependent", hull_dim=k)
+    out, sizes = list(clouds), {}
+    for i, pts in enumerate(out):
+        if not isinstance(pts, Exception):          # a held error passes
+            out[i] = np.asarray(pts, dtype=float)
+            sizes.setdefault(out[i].shape, []).append(i)
+    for idx in sizes.values():
+        if len(out[idx[0]]) < 5:
+            for i in idx:
+                out[i] = DegenerateFit(f"{kind} fit needs at least 5 points",
+                                       got=len(out[i]))
+            continue
+        pts = np.stack([out[i] for i in idx])
+        mean = pts.mean(axis=1)
+        x = pts - mean[:, None]
+        _, sv, vt = np.linalg.svd(x, full_matrices=False)
+        dims = np.sum(sv > 1e-8 * np.maximum(1.0, sv[:, :1]), axis=1)
+        for k in sorted(set(dims.tolist())):
+            sel = np.flatnonzero(dims == k)
+            fits = ([FlatSlice("points are affinely dependent", hull_dim=int(k))
+                     for _j in sel] if k < 2 else
+                    _fit_in_hulls(x[sel], vt[sel, :k], lorentzian, kind))
+            for j, fit in zip(sel, fits):
+                out[idx[j]] = fit if isinstance(fit, Exception) else (
+                    mean[j] + fit[0], fit[1], fit[2])
+    return out
+
+
+def _fit_in_hulls(x, basis, lorentzian, kind):
+    """The fits of fit_quadrics for centred clouds x (G, K, N) with hull
+    bases (G, k, N): (center offset, radius, rms) or the error of each; a
+    cloud's first failed check is its error."""
+    errors, ok = [None] * len(x), np.ones(len(x), dtype=bool)
+
+    def fail(mask, error):
+        for j in np.flatnonzero(mask & ok):
+            errors[j] = error(j)
+        ok[mask] = False
+
+    k = basis.shape[1]
     sig, eps = np.ones(k), 1.0
+    y = x @ basis.mT
+    off = np.linalg.norm(x - y @ basis, axis=2)
     if lorentzian:
+        # Lorentz-orthonormal hull basis, timelike last; the hull must be Lorentzian
         sig[-1] = eps = -1.0
-        basis, y = _lorentz_hull(pts - mean, basis, sig)
+        eta = np.ones(x.shape[2])
+        eta[-1] = -1.0
+        vals, vecs = np.linalg.eigh(basis * eta @ basis.mT)
+        size = np.abs(vals[:, ::-1])                # descending: timelike last
+        fail(size.min(axis=1) < 1e-10 * np.maximum(1.0, size.max(axis=1)),
+             lambda j: DegenerateSubspace("slice hull is a degenerate subspace"))
+        negatives = np.sum(vals < 0, axis=1)
+        fail(negatives != 1, lambda j: WrongCausalType(
+            "slice hull is not Lorentzian; no hyperbolic space fits it",
+            negatives=int(negatives[j])))
+        scale = np.sqrt(np.where(ok[:, None], size, 1.0))[:, None]
+        basis = (vecs[..., ::-1] / scale).mT @ basis
+        y = (x * eta) @ basis.mT * sig
 
     def form(a, b):
         return np.sum(a * sig * b, axis=-1)
 
-    a_mat = np.concatenate([2.0 * y * sig, np.ones((y.shape[0], 1))], axis=1)
-    sol, _res, rank, _sv = np.linalg.lstsq(a_mat, form(y, y), rcond=None)
-    if rank < k + 1:
-        raise DegenerateFit(f"{kind} design matrix is rank deficient")
-    c = sol[:k]
-    r2 = eps * (float(sol[k]) + float(c @ (sig * c)))
-    if r2 <= 0:
-        if lorentzian:
-            raise WrongCausalType(
-                "best-fit quadric is de Sitter-like, not hyperbolic", r2=r2)
-        raise DegenerateFit("algebraic sphere fit has nonpositive radius")
-    r = float(np.sqrt(r2))
+    a_mat = np.concatenate([2.0 * y * sig, np.ones(y.shape[:2] + (1,))], axis=2)
+    sol, rank = _lstsq(a_mat, form(y, y))
+    fail(rank < k + 1, lambda j: DegenerateFit(f"{kind} design matrix is rank deficient"))
+    c = sol[:, :k]
+    r2 = eps * (sol[:, k] + form(c, c))
+    fail(r2 <= 0, lambda j: WrongCausalType(
+        "best-fit quadric is de Sitter-like, not hyperbolic", r2=float(r2[j]))
+        if lorentzian else DegenerateFit("algebraic sphere fit has nonpositive radius"))
+    r = np.sqrt(np.abs(r2))
 
     # one Gauss-Newton pass on the geometric residual sqrt(eps <y-c, y-c>) - r
-    d = y - c
+    d = y - c[:, None]
     sq = eps * form(d, d)
-    if np.all(sq > 1e-14):
-        dist = np.sqrt(sq)
-        jac = np.concatenate([-eps * sig * d / dist[:, None],
-                              -np.ones((y.shape[0], 1))], axis=1)
-        upd, *_ = np.linalg.lstsq(jac, r - dist, rcond=None)
-        c = c + upd[:k]
-        r = r + float(upd[k])
-        sq = eps * form(y - c, y - c)
-    if not np.isfinite(r) or abs(r) > 1e6:
-        raise FlatSlice(f"{kind} radius estimate diverged", radius=float(r))
+    step = ok & np.all(sq > 1e-14, axis=1)
+    if step.any():
+        dist = np.sqrt(sq[step])
+        jac = np.concatenate([-eps * sig * d[step] / dist[..., None],
+                              -np.ones(dist.shape + (1,))], axis=2)
+        upd = _lstsq(jac, r[step, None] - dist)[0]
+        c[step] += upd[:, :k]
+        r[step] += upd[:, k]
+        d = y - c[:, None]
+        sq = eps * form(d, d)
+    fail(~(np.abs(r) <= 1e6), lambda j: FlatSlice(
+        f"{kind} radius estimate diverged", radius=float(r[j])))
     if lorentzian:
-        time_side = y[:, -1] - c[-1]
-        if not (np.all(time_side > 0) or np.all(time_side < 0)):
-            raise WrongCausalType("samples straddle both sheets of the quadric")
-    geo = np.where(sq > 1e-14, np.sqrt(np.maximum(sq, 0.0)) - r,
-                   np.abs(sq - r * r) / (2.0 * max(r, 1e-14)))
-    rms = float(np.sqrt(np.mean(geo ** 2 + off ** 2)))
-    return mean + c @ basis, float(r), rms
+        time_side = y[..., -1] - c[:, None, -1]
+        fail(~(np.all(time_side > 0, axis=1) | np.all(time_side < 0, axis=1)),
+             lambda j: WrongCausalType("samples straddle both sheets of the quadric"))
+    rr = r[:, None]
+    geo = np.where(sq > 1e-14, np.sqrt(np.maximum(sq, 0.0)) - rr,
+                   np.abs(sq - rr * rr) / (2.0 * np.maximum(rr, 1e-14)))
+    rms = np.sqrt(np.mean(geo ** 2 + off ** 2, axis=1))
+    centers = (c[:, None] @ basis)[:, 0]
+    return [errors[j] or (centers[j], float(r[j]), float(rms[j]))
+            for j in range(len(x))]
 
 
 def fit_sphere(points):
-    """Best-fit hypersphere; see _fit_quadric."""
-    return _fit_quadric(points, lorentzian=False)
+    """Best-fit hypersphere: the one-cloud fit_quadrics."""
+    return release(fit_quadrics([points], lorentzian=False)[0])
 
 
 def fit_hyperbolic(points):
-    """Best-fit hyperbolic space <p - c, p - c>_L = -r^2 (timelike last);
-    see _fit_quadric."""
-    return _fit_quadric(points, lorentzian=True)
+    """Best-fit hyperbolic space <p - c, p - c>_L = -r^2 (timelike last):
+    the one-cloud fit_quadrics."""
+    return release(fit_quadrics([points], lorentzian=True)[0])

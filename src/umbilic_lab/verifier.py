@@ -14,6 +14,7 @@ umbilic-implies-... direction at a non-umbilic point) are recorded as
 
 import functools
 import itertools
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -23,7 +24,7 @@ from .catalog import resolve
 from .errors import FlatSlice, UmbilicLabError, hold, hold_each, release
 from .frames import pseudo_gram_schmidt
 from .immersion import shape_report, umbilicity_defect
-from .slicer import (fit_hyperbolic, fit_sphere, make_slice_spec, slice_shapes,
+from .slicer import (MAX_ROWS, fit_quadrics, make_slice_specs, slice_shapes,
                      taylor_trace_radius, trace_slices)
 
 DEFECT_TOL_FLOOR = 1e-6
@@ -106,24 +107,27 @@ def _one_point(started, suite_id, im, surface_id, q, seed, tol, radius,
                    {"tol": tol, **calibrated, "radius": radius}, seed, extras)
 
 
-def _random_tangent_dirs(rep, rng, s):
-    """s random g-orthonormal tangent directions at the report's point."""
-    m = rep.tangent_frame.shape[0]
-    coeff = rng.standard_normal((m, s))
-    q_mat, _ = np.linalg.qr(coeff)
-    return q_mat[:, :s].T @ rep.tangent_frame
+def _random_tangent_dirs(rep, rngs, s, draws=1):
+    """``draws`` sets of s random g-orthonormal tangent directions from each
+    rng of ``rngs`` in turn, as one (len(rngs) * draws, s, N) stack, at the
+    report's point, or at row i's point for rng i of a batch report.  Each
+    rng draws its Gaussians at once; one stacked QR orthonormalises them."""
+    frame = rep.tangent_frame if rep.tangent_frame.ndim == 2 else rep.tangent_frame[:, None]
+    coeff = np.stack([rng.standard_normal((draws, frame.shape[-2], s)) for rng in rngs])
+    q_mat = np.linalg.qr(coeff)[0].mT          # (len(rngs), draws, s, m)
+    return (q_mat @ frame).reshape(-1, s, frame.shape[-1])
 
 
 def _traced(im, requests):
     """The SliceResult or error of every direction set of the (ShapeReport,
     direction sets, radius) requests, in order, from one trace_slices call:
     a block of slices is traced when its first result is asked for."""
-    items = [(rep, dirs, radius) for rep, dir_sets, radius in requests
-             for dirs in dir_sets]
-    specs = [hold(make_slice_spec, im, rep, dirs) for rep, dirs, _r in items]
+    specs = [spec for rep, dir_sets, _r in requests
+             for spec in make_slice_specs(im, rep, dir_sets)]
+    radii = [radius for _rep, dir_sets, radius in requests for _d in dir_sets]
     ok = [k for k, spec in enumerate(specs) if not isinstance(spec, Exception)]
     traced = hold_each(trace_slices, im, [specs[k] for k in ok],
-                       [items[k][2] for k in ok])
+                       [radii[k] for k in ok])
     return (spec if isinstance(spec, Exception) else next(traced)
             for spec in specs)
 
@@ -160,8 +164,8 @@ def _planned(suite):
 
 
 def _h_spread(results):
-    pairs = itertools.combinations([r.slice_H_coeff for r in results], 2)
-    return max((float(np.linalg.norm(a - b)) for a, b in pairs), default=0.0)
+    h = np.array([r.slice_H_coeff for r in results])
+    return float(np.linalg.norm(h[:, None] - h[None], axis=-1).max(initial=0.0))
 
 
 @_planned
@@ -172,8 +176,8 @@ def verify_theorem2(im, q, s=1, n_subspace_draws=10, tol=1e-5, radius=None,
     if not 1 <= s <= im.param_dim - 1 and not (s == 1 and im.param_dim == 1):
         raise ValueError("need 1 <= s <= m-1")
     q, rep, radius = _at_point(im, q, radius)
-    rng = np.random.default_rng([seed, 0])
-    dir_sets = [_random_tangent_dirs(rep, rng, s) for _ in range(n_subspace_draws)]
+    dir_sets = _random_tangent_dirs(rep, [np.random.default_rng([seed, 0])], s,
+                                    n_subspace_draws)
     results, tol_prime = yield rep, dir_sets, radius
     spread = _h_spread(results)
     slice_umbilic = spread <= tol
@@ -252,10 +256,10 @@ def verify_corollary5(im, q, s=1, n_basis_draws=10, tol=1e-5, radius=None,
         raise ValueError("corollary 5 applies to hypersurfaces")
     q, rep, radius = _at_point(im, q, radius)
     m = im.param_dim
-    subsets = [list(c) for c in itertools.combinations(range(m), s)]
-    bases = [_random_tangent_dirs(rep, np.random.default_rng([seed, b]), m)
-             for b in range(n_basis_draws)]
-    results, _ = yield rep, [basis[sub] for basis in bases for sub in subsets], radius
+    subsets = list(itertools.combinations(range(m), s))
+    bases = _random_tangent_dirs(rep, [np.random.default_rng([seed, b])
+                                       for b in range(n_basis_draws)], m)
+    results, _ = yield rep, bases[:, subsets].reshape(-1, s, bases.shape[-1]), radius
     values = np.array([r.slice_H_coeff[0] for r in results]).reshape(n_basis_draws, -1)
     worst = float(np.max(np.abs(values.mean(axis=1) - rep.mean_curvature)))
     passed = worst <= tol
@@ -278,8 +282,7 @@ def verify_theorem8(im, q, s=2, n_subspace_draws=10, tol=1e-5, radius=None,
     q, rep, radius = _at_point(im, q, radius)
     rng = np.random.default_rng([seed, 0])
     if mode == "random":
-        dir_sets = [_random_tangent_dirs(rep, rng, s)
-                    for _ in range(n_subspace_draws)]
+        dir_sets = _random_tangent_dirs(rep, [rng], s, n_subspace_draws)
     elif mode == "basis":
         # well-conditioned but non-orthogonal basis; each subset's span
         # is orthonormalized to build the slice
@@ -295,13 +298,13 @@ def verify_theorem8(im, q, s=2, n_subspace_draws=10, tol=1e-5, radius=None,
     else:
         raise ValueError(f"unknown mode {mode!r}")
     results, tol_prime = yield rep, dir_sets, radius
-    slice_defects = [umbilicity_defect(r.slice_II)[0] for r in results]
+    worst = umbilicity_defect(np.stack([r.slice_II for r in results]))[0].max()
     spread = _h_spread(results)
-    all_umbilic = max(slice_defects) <= tol_prime and spread <= tol
+    all_umbilic = worst <= tol_prime and spread <= tol
     umbilic = rep.umbilicity_defect <= tol_prime
     return _one_point(
         started, "theorem8", im, surface_id, q, seed, tol, radius,
-        {"max_slice_defect": max(slice_defects), "slice_h_spread": spread,
+        {"max_slice_defect": worst, "slice_h_spread": spread,
          "defect": rep.umbilicity_defect, "tol_prime": tol_prime},
         {"slices-umbilic-implies-umbilic": _implies(all_umbilic, umbilic),
          "umbilic-implies-slices-umbilic": _implies(umbilic, all_umbilic)},
@@ -320,19 +323,17 @@ def verify_theorem10(im, q, tol=1e-5, n_pairs=10, radius=None, seed=0,
         raise ValueError("theorem 10 needs a hypersurface with m >= 3")
     q, rep, radius = _at_point(im, q, radius)
     rngs = [np.random.default_rng([seed, k]) for k in range(n_pairs)]
-    results, tol_prime = yield rep, [_random_tangent_dirs(rep, rng, m - 1)
-                                     for rng in rngs for _ in range(2)], radius
-    defects = [umbilicity_defect(r.slice_II)[0] for r in results]
-    pair_records = [defects[i:i + 2] for i in range(0, len(defects), 2)]
+    results, tol_prime = yield rep, _random_tangent_dirs(rep, rngs, m - 1, 2), radius
+    pairs = umbilicity_defect(np.stack([r.slice_II for r in results]))[0].reshape(-1, 2)
     umbilic = rep.umbilicity_defect <= tol_prime
-    forward_hits = [max(d) <= tol_prime for d in pair_records]
+    forward_hits = pairs.max(axis=1) <= tol_prime
     # umbilic: every slice should be umbilic; else every pair needs a non-umbilic one
-    all_hit, no_hit = all(forward_hits), not any(forward_hits)
+    all_hit, no_hit = bool(forward_hits.all()), not forward_hits.any()
     return _one_point(
         started, "theorem10", im, surface_id, q, seed, tol, radius,
         {"defect": rep.umbilicity_defect, "tol_prime": tol_prime,
-         "max_pair_min_defect": max(min(d) for d in pair_records),
-         "max_slice_defect": max(max(d) for d in pair_records)},
+         "max_pair_min_defect": pairs.min(axis=1).max(),
+         "max_slice_defect": pairs.max()},
         {"two-umbilic-slices-implies-umbilic": _implies(umbilic, all_hit),
          "non-umbilic-pair-witness": _implies(not umbilic, no_hit)},
         all_hit if umbilic else no_hit,
@@ -343,13 +344,17 @@ def _grid_points(im, grid, margin=0.15):
     """Grid over the padded domain; ``grid`` holds one count for every
     axis or one per axis."""
     m = im.param_dim
+    text = "x".join(map(str, grid))
     if len(grid) not in (1, m) or min(grid) < 1:
-        raise ValueError(f"grid {'x'.join(map(str, grid))} needs 1 or {m} "
-                         f"positive counts for {m} parameters")
+        raise ValueError(f"grid {text} needs 1 or {m} positive counts for "
+                         f"{m} parameters")
+    counts = list(grid) * m if len(grid) == 1 else grid
+    if math.prod(counts) > MAX_ROWS:
+        raise ValueError(f"grid {text} asks for {math.prod(counts)} points on "
+                         f"{m} parameters; at most {MAX_ROWS}")
     lo, hi = im.domain[:, 0], im.domain[:, 1]
     pad = margin * (hi - lo)
-    axes = [np.linspace(lo[d] + pad[d], hi[d] - pad[d],
-                        grid[d] if d < len(grid) else grid[0])
+    axes = [np.linspace(lo[d] + pad[d], hi[d] - pad[d], counts[d])
             for d in range(m)]
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, m)
 
@@ -359,7 +364,7 @@ def _characterization(suite_id, im, grid, tol_fit, radius, seed, expect,
     """Two random normal hyperplane slices per grid point, each fitted by
     the suite's model; an "error" point fails the report whatever ``expect``."""
     started = time.perf_counter()
-    index, ambient, fitter, _verify, _flag = CHARACTERIZATIONS[suite_id]
+    index, ambient, _verify, _flag = CHARACTERIZATIONS[suite_id]
     if im.ambient.signature.index != index:
         raise ValueError(f"{suite_id.split('-')[0]} characterization runs in "
                          f"{ambient} ambients")
@@ -368,9 +373,11 @@ def _characterization(suite_id, im, grid, tol_fit, radius, seed, expect,
     pts = _grid_points(im, grid, margin=margin)
     reports = shape_report(im, pts)
     rngs = [np.random.default_rng([seed, i]) for i in range(len(pts))]
-    traced = _traced(im, [
-        (rep, [_random_tangent_dirs(rep, rng, im.param_dim - 1) for _draw in range(2)],
-         radius) for rep, rng in zip(map(reports.row, range(len(pts))), rngs)])
+    dirs = _random_tangent_dirs(reports, rngs, im.param_dim - 1, 2)
+    fitted = iter(fit_quadrics([
+        res if isinstance(res, Exception) else res.points for res in _traced(
+            im, [(reports.row(i), dirs[2 * i:2 * i + 2], radius)
+                 for i in range(len(pts))])], lorentzian=index == 1))
     per_point = []
     max_residual = 0.0
     radii = []
@@ -379,9 +386,8 @@ def _characterization(suite_id, im, grid, tol_fit, radius, seed, expect,
         point_ok = True
         note = ""
         for draw in range(2):
-            res = next(traced)
             try:
-                _c, fitted_r, rms = fitter(release(res).points)
+                _c, fitted_r, rms = release(next(fitted))
                 radii.append(fitted_r)
                 if expect_radius is not None and abs(fitted_r - expect_radius) > tol_radius:
                     point_ok = False
@@ -432,15 +438,15 @@ def verify_characterization_hyperbolic(im, grid=(5,), tol_fit=1e-6,
                              surface_id, margin=margin)
 
 
-# suite id -> (ambient signature index and name, fitter (looked up when
-# called), entry point, ground-truth flag of the surfaces it characterizes)
+# suite id -> (ambient signature index, 1 for the Lorentzian hyperbolic
+# fits, and name, entry point, ground-truth flag of the surfaces it
+# characterizes)
 CHARACTERIZATIONS = {
     "sphere-characterization":
-        (0, "Euclidean", lambda pts: fit_sphere(pts),
-         verify_characterization_sphere, "is_round_sphere"),
+        (0, "Euclidean", verify_characterization_sphere, "is_round_sphere"),
     "hyperbolic-characterization":
-        (1, "Minkowski", lambda pts: fit_hyperbolic(pts),
-         verify_characterization_hyperbolic, "is_hyperbolic_space"),
+        (1, "Minkowski", verify_characterization_hyperbolic,
+         "is_hyperbolic_space"),
 }
 
 

@@ -1,0 +1,92 @@
+"""Reference implementations that only the tests read."""
+
+import numpy as np
+
+from umbilic_lab.errors import (DegenerateFit, DegenerateSubspace, FlatSlice,
+                                WrongCausalType)
+
+
+def inner(space, x, u, v):
+    """g_x(u, v)."""
+    return float(u @ space.metric_at(x) @ v)
+
+
+def symmetry_violations(sample):
+    """The largest breach of each symmetry of a CurvatureSample's lowered
+    curvature tensor, and of the first Bianchi identity."""
+    r = sample.riemann_lowered
+    return {
+        "antisym_first_pair": float(np.max(np.abs(r + r.transpose(1, 0, 2, 3)))),
+        "antisym_second_pair": float(np.max(np.abs(r + r.transpose(0, 1, 3, 2)))),
+        "pair_symmetry": float(np.max(np.abs(r - r.transpose(2, 3, 0, 1)))),
+        "first_bianchi": float(np.max(np.abs(
+            r + r.transpose(0, 2, 3, 1) + r.transpose(0, 3, 1, 2)))),
+    }
+
+
+def fit_quadric_one_cloud(points, lorentzian):
+    """The quadric fit of slicer.fit_quadrics, one cloud at a time with
+    np.linalg.lstsq: (center, radius, rms), or raises the cloud's error."""
+    kind = "hyperbolic" if lorentzian else "sphere"
+    pts = np.asarray(points, dtype=float)
+    if pts.shape[0] < 5:
+        raise DegenerateFit(f"{kind} fit needs at least 5 points",
+                            got=int(pts.shape[0]))
+    mean = pts.mean(axis=0)
+    x = pts - mean
+    _, sv, vt = np.linalg.svd(x, full_matrices=False)
+    k = int(np.sum(sv > 1e-8 * max(1.0, float(sv[0]))))
+    basis = vt[:k]
+    y, off = x @ basis.T, np.linalg.norm(x - (x @ basis.T) @ basis, axis=1)
+    if k < 2:
+        raise FlatSlice("points are affinely dependent", hull_dim=k)
+    sig, eps = np.ones(k), 1.0
+    if lorentzian:
+        sig[-1] = eps = -1.0
+        eta = np.ones(x.shape[1])
+        eta[-1] = -1.0
+        vals, vecs = np.linalg.eigh(basis @ np.diag(eta) @ basis.T)
+        if np.min(np.abs(vals)) < 1e-10 * max(1.0, float(np.max(np.abs(vals)))):
+            raise DegenerateSubspace("slice hull is a degenerate subspace")
+        if int(np.sum(vals < 0)) != 1:
+            raise WrongCausalType(
+                "slice hull is not Lorentzian; no hyperbolic space fits it",
+                negatives=int(np.sum(vals < 0)))
+        order = np.argsort(-vals)
+        basis = (vecs[:, order] / np.sqrt(np.abs(vals[order]))[None, :]).T @ basis
+        y = (x * eta[None, :]) @ basis.T * sig[None, :]
+
+    def form(a, b):
+        return np.sum(a * sig * b, axis=-1)
+
+    a_mat = np.concatenate([2.0 * y * sig, np.ones((y.shape[0], 1))], axis=1)
+    sol, _res, rank, _sv = np.linalg.lstsq(a_mat, form(y, y), rcond=None)
+    if rank < k + 1:
+        raise DegenerateFit(f"{kind} design matrix is rank deficient")
+    c = sol[:k]
+    r2 = eps * (float(sol[k]) + float(c @ (sig * c)))
+    if r2 <= 0:
+        if lorentzian:
+            raise WrongCausalType(
+                "best-fit quadric is de Sitter-like, not hyperbolic", r2=r2)
+        raise DegenerateFit("algebraic sphere fit has nonpositive radius")
+    r = float(np.sqrt(r2))
+    d = y - c
+    sq = eps * form(d, d)
+    if np.all(sq > 1e-14):
+        dist = np.sqrt(sq)
+        jac = np.concatenate([-eps * sig * d / dist[:, None],
+                              -np.ones((y.shape[0], 1))], axis=1)
+        upd, *_ = np.linalg.lstsq(jac, r - dist, rcond=None)
+        c = c + upd[:k]
+        r = r + float(upd[k])
+        sq = eps * form(y - c, y - c)
+    if not np.isfinite(r) or abs(r) > 1e6:
+        raise FlatSlice(f"{kind} radius estimate diverged", radius=float(r))
+    if lorentzian:
+        time_side = y[:, -1] - c[-1]
+        if not (np.all(time_side > 0) or np.all(time_side < 0)):
+            raise WrongCausalType("samples straddle both sheets of the quadric")
+    geo = np.where(sq > 1e-14, np.sqrt(np.maximum(sq, 0.0)) - r,
+                   np.abs(sq - r * r) / (2.0 * max(r, 1e-14)))
+    return mean + c @ basis, float(r), float(np.sqrt(np.mean(geo ** 2 + off ** 2)))

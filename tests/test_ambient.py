@@ -11,9 +11,12 @@ from umbilic_lab.ambient import (AmbientSpace, MetricSignature, cartan_audit,
                                  sectional_curvature, tg_patch)
 from umbilic_lab.errors import (CausalCharacterMismatch, DegeneratePlane,
                                 DegenerateSubspace, LeftDomain, NonFiniteValue,
-                                SamplingExhausted, SingularMetric)
+                                SamplingExhausted, SingularMetric,
+                                UmbilicLabError)
 from umbilic_lab.frames import MAX_RAPIDITY, draw_pseudo_orthonormal
 from umbilic_lab.numdiff import central_diff4
+
+from helpers import inner, symmetry_violations
 
 EUCLID3 = catalog.euclidean_space(3)
 MINK3 = catalog.minkowski_space(3)
@@ -102,7 +105,7 @@ def test_riemann_symmetries_and_bianchi_100_points():
         space = catalog.resolve(mid, kind="ambient").obj
         for x in sample_points(space, 100, seed=2):
             s = riemann(space, x)
-            worst = max(s.symmetry_violations().values())
+            worst = max(symmetry_violations(s).values())
             scale = max(1.0, np.max(np.abs(s.riemann_lowered)))
             assert worst <= 1e-6 * scale, (mid, x, worst)
 
@@ -193,9 +196,9 @@ def test_geodesic_speed_conservation():
         rng = np.random.default_rng(12)
         x0 = np.array([m + 0.3 * (M - m) for m, M in space.sample_box])
         v0 = rng.standard_normal(space.dimension) * 0.4
-        g0 = space.inner(x0, v0, v0)
+        g0 = inner(space, x0, v0, v0)
         path = geodesic(space, x0, v0, 1.0, steps=256)
-        worst = max(abs(space.inner(x, xd, xd) - g0) for _, x, xd in path)
+        worst = max(abs(inner(space, x, xd, xd) - g0) for _, x, xd in path)
         assert worst <= 1e-6 * (1.0 + abs(g0)), mid
 
 
@@ -203,6 +206,27 @@ def test_geodesic_left_domain():
     with pytest.raises(LeftDomain):
         geodesic(EUCLID3, np.zeros(3), np.array([200.0, 0.0, 0.0]), 1.0,
                  steps=32)
+
+
+@pytest.mark.parametrize("g11,dg11,code", [
+    (lambda x0: x0 * x0, lambda x0: 2.0 * x0, "singular-metric"),
+    (lambda x0: 1.0 / x0, lambda x0: -1.0 / (x0 * x0), "non-finite-value")])
+@pytest.mark.parametrize("x0", [0.0, 1.0625])
+def test_geodesic_into_a_bad_metric_keeps_its_error_code(g11, dg11, code, x0):
+    # g = diag(1, g11(x0)) breaks at x0 = 0, where the straight path x0 - t
+    # starts (a first RK4 stage, which validates g in full), or which it
+    # meets at the second stage of step 8, whose g is checked only for
+    # finite entries and for its scale
+    def dg(x):
+        d = np.zeros((2, 2, 2))
+        d[1, 1, 0] = dg11(x[0])
+        return d
+
+    space = AmbientSpace(MetricSignature(2), lambda x: np.diag([1.0, g11(x[0])]),
+                         metric_derivative=dg, box=[[-2.0, 2.0], [-2.0, 2.0]])
+    with np.errstate(all="ignore"), pytest.raises(UmbilicLabError) as err:
+        geodesic(space, np.array([x0, 0.3]), np.array([-1.0, 0.0]), 2.0, steps=16)
+    assert err.value.code == code
 
 
 def test_geodesic_preconditions():

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from umbilic_lab import cli, immersion, verifier
+from umbilic_lab import cli, immersion, slicer, verifier
 from umbilic_lab.cli import main
 
 
@@ -428,3 +428,51 @@ def test_analyze_still_takes_seed(capsys):
     code, _, _ = run_cli(capsys, "analyze", "--surface", "sphere:1", "--grid", "2",
                          "--seed", "3")
     assert code == 0
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["slice", "--surface", "sphere:1", "--dirs", "angles:abc"], "--dirs"),
+    (["slice", "--surface", "sphere:1", "--point", "banana"], "--point"),
+    (["analyze", "--surface", "sphere:1", "--grid", "2xa"], "--grid"),
+    (["verify", "sphere-characterization", "--surface", "sphere:1",
+      "--grid", "2x"], "--grid"),
+])
+def test_unparseable_numbers_name_their_flag(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    diag = one_strict_json_line(err)
+    assert diag["code"] == "invalid-input" and flag in diag["message"]
+
+
+@pytest.mark.parametrize("conf,flag", [({"grid": 3}, "--grid"),
+                                       ({"grid": "3xb"}, "--grid"),
+                                       ({"point": [0.5, 0.5]}, "--point")])
+def test_config_text_values_go_through_the_same_parsers(capsys, tmp_path,
+                                                        conf, flag):
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(conf))
+    command = "analyze" if "grid" in conf else "slice"
+    code, out, err = run_cli(capsys, command, "--surface", "sphere:1",
+                             "--config", str(path))
+    assert code == 2 and out == ""
+    diag = one_strict_json_line(err)
+    assert diag["code"] == "invalid-input" and flag in diag["message"]
+
+
+# each one row over the cap; no command may build a grid this large
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--surface", "sphere:1", "--grid", f"1x{slicer.MAX_ROWS + 1}"],
+    ["verify", "sphere-characterization", "--surface", "sphere:1",
+     "--grid", f"{slicer.MAX_ROWS + 1}x1"],
+    # (2 * 158 + 1)^2 = 100,489 seeds
+    ["slice", "--surface", "sphere:1", "--s", "2", "--samples", "158"],
+])
+def test_row_cap_rejects_before_any_grid_is_built(capsys, monkeypatch, argv):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was built past the row cap")
+
+    monkeypatch.setattr(np, "meshgrid", no_grid)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    diag = one_strict_json_line(err)
+    assert diag["code"] == "invalid-input" and str(slicer.MAX_ROWS) in diag["message"]

@@ -695,3 +695,116 @@ def test_trace_slices_checks_the_ambient_before_any_block():
     rep = shape_report(im, [1.0, 1.0])
     with pytest.raises(UnsupportedAmbient):     # at the call, not at next()
         slicer.trace_slices(im, [make_slice_spec(im, rep, rep.tangent_frame[:1])])
+
+
+# --- stacked spec checks, result assembly and quadric fits ---
+
+def test_stacked_spec_checks_equal_one_set_checks():
+    im = surface("ellipsoid:1,1.3,1.7,2.1")
+    rng = np.random.default_rng(23)
+    rep = shape_report(im, random_params(im, 1, seed=6)[0])
+    good = [tangent_dirs(im, rep.u, rng, 2)[1] for _ in range(4)]
+    bad = [2.0 * good[0],                                        # not unit
+           np.stack([good[1][0], rep.normal_frame[0]])]          # not tangent
+    for stack in (good, [good[0], bad[0], good[1], bad[1], good[2]], bad[:1]):
+        got = slicer.make_slice_specs(im, rep, np.stack(stack))
+        assert len(got) == len(stack)
+        for spec, dirs in zip(got, stack):
+            want = hold(make_slice_spec, im, rep, dirs)
+            assert type(spec) is type(want)
+            if isinstance(want, Exception):
+                assert str(spec) == str(want)
+                continue
+            assert spec.report is rep
+            assert np.array_equal(spec.tangent_directions, want.tangent_directions)
+            assert np.array_equal(spec.coords, want.coords)
+    assert slicer.make_slice_specs(im, rep, np.zeros((0, 2, 5))) == []
+
+
+def test_trace_block_provenance_equals_the_per_spec_counts(monkeypatch):
+    # the centre converges everywhere, the edge loses samples off the chart
+    # (two within the failure bound, or enough to halve its radius)
+    im = surface("hyperbolic-paraboloid")
+    specs, radii = [], [0.3, 0.5, 0.8, 0.5, 1.0]
+    for x0 in (0.0, 0.8, 0.0, 0.8, 0.8):
+        rep = shape_report(im, [x0, 0.1])
+        specs.append(make_slice_spec(im, rep, rep.tangent_frame[:1]))
+    batches = []
+
+    def recording(im, rows, q, targets, seeds):
+        batches.append(_newton_trace(im, rows, q, targets, seeds))
+        return batches[-1]
+
+    monkeypatch.setattr(slicer, "_newton_trace", recording)
+    got = list(slicer.trace_slices(im, specs, radii))
+    # the per-spec counts of the Newton batches, spec after spec
+    steps, want, todo = [0] * len(specs), {}, list(range(len(specs)))
+    for attempt, (_u, _x, _f, retired, took, good) in enumerate(batches):
+        hi, left = 0, []
+        for k in todo:
+            lo, hi = hi, hi + len(_ball_grid(1, radii[k] * 0.5 ** attempt, 8))
+            steps[k] += int(took[lo:hi].max())
+            fails = int(np.sum(~good[lo:hi]))
+            if fails > slicer.MAX_FAIL_FRACTION * (hi - lo):
+                left.append(k)
+                continue
+            why = np.bincount(retired[lo:hi][~good[lo:hi]], minlength=3)
+            want[k] = (fails, dict(zip(("not-converged", "singular",
+                                        "left-domain"), why.tolist())),
+                       steps[k], attempt)
+        todo = left
+    assert len(batches) == 2 and sorted(want) == list(range(len(specs)))
+    assert any(w[0] for w in want.values()) and want[4][3] == 1
+    for k, res in enumerate(got):
+        p = res.provenance
+        assert (res.failures, p["failures_by_reason"], p["newton_iterations"],
+                p["radius_halvings"]) == want[k]
+        assert len(res.points) == len(_ball_grid(1, res.radius, 8)) - res.failures
+
+
+def _cloud(rng, n, radius, lorentzian, planar):
+    """n points of a sphere of R^3, or of a hyperbolic space of Minkowski
+    3-space (timelike last), about a random centre; of a circle or a
+    hyperbola when ``planar``."""
+    v = rng.standard_normal((n, 3 - lorentzian))
+    v[:, 2 - lorentzian:] *= not planar
+    if lorentzian:
+        pts = np.column_stack([0.4 * v, np.sqrt(radius ** 2 + 0.16 * np.sum(v ** 2, 1))])
+    else:
+        pts = radius * v / np.linalg.norm(v, axis=1, keepdims=True)
+    return rng.standard_normal(3) + pts
+
+
+@pytest.mark.parametrize("lorentzian", [False, True])
+def test_stacked_quadric_fits_match_one_cloud_fits(lorentzian):
+    from helpers import fit_quadric_one_cloud
+    rng = np.random.default_rng(41)
+    s = np.linspace(-1.0, 1.0, 15)
+    line = np.stack([s, 2 * s, 0.5 * s], axis=1)                      # flat
+    desitter = np.stack([np.cosh(s), np.zeros_like(s), np.sinh(s)], axis=1)
+    spacelike = np.stack([np.cos(3 * s), np.sin(3 * s), np.zeros_like(s)], axis=1)
+    null = np.stack([s, s ** 2, s], axis=1)          # in a light-like plane
+    clouds = [_cloud(rng, n, r, lorentzian, planar) for n, r, planar in
+              [(14, 1.0, True), (15, 2.5, False), (16, 0.7, True),
+               (17, 1.3, False), (15, 4.0, True), (14, 0.9, False)]]
+    clouds[3:3] = [line, desitter, spacelike, clouds[0][:4],      # too few
+                   NewtonDiverged("held"), null]
+    clouds.append(clouds[1] + 1e-3 * rng.standard_normal(clouds[1].shape))
+    fits = slicer.fit_quadrics(clouds, lorentzian)
+    assert len(fits) == len(clouds) and fits[7] is clouds[7]
+    kinds = set()
+    for pts, got in zip(clouds, fits):
+        if isinstance(pts, Exception):
+            continue
+        want = hold(fit_quadric_one_cloud, pts, lorentzian)
+        assert type(got) is type(want), (got, want)
+        kinds.add(type(want).__name__)
+        if isinstance(want, Exception):
+            assert str(got) == str(want)
+            assert got.context == pytest.approx(want.context, rel=0, abs=1e-12)
+            continue
+        np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-12)
+        assert got[1] == pytest.approx(want[1], rel=0, abs=1e-12)
+        assert got[2] == pytest.approx(want[2], rel=0, abs=1e-12)
+    assert {"tuple", "FlatSlice", "DegenerateFit"} <= kinds
+    assert ({"WrongCausalType", "DegenerateSubspace"} <= kinds) == lorentzian

@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -394,10 +395,11 @@ def test_errored_draws_reach_the_margin(monkeypatch):
 
 def test_flat_slice_is_a_fail_not_an_error(monkeypatch):
     # a straight slice is the geometry saying "no sphere"
-    def flat(points):
-        raise FlatSlice("sphere radius estimate diverged", radius=1e7)
+    def flat(clouds, lorentzian):
+        return [FlatSlice("sphere radius estimate diverged", radius=1e7)
+                for _pts in clouds]
 
-    monkeypatch.setattr(verifier, "fit_sphere", flat)
+    monkeypatch.setattr(verifier, "fit_quadrics", flat)
     r = verify_characterization_sphere(surf("cylinder:1"), grid=(2, 2),
                                        expect=False)
     assert r.overall and not r.extras["passes_slice_test"]
@@ -439,15 +441,14 @@ def test_point_suite_raises_the_first_error_in_point_order(monkeypatch):
     from umbilic_lab.errors import DegenerateSubspace, LeftDomain
     entry = catalog.resolve("ellipsoid:1,2,3")
     points = verifier._suite_points(entry, 4, 42)
-    make_spec, report = verifier.make_slice_spec, verifier.shape_report
-    planned, specs_at_2 = [], []
+    make_specs, report = verifier.make_slice_specs, verifier.shape_report
+    planned = []
 
-    def failing_spec(im, rep, dirs):
+    def failing_specs(im, rep, dir_sets):
+        specs = make_specs(im, rep, dir_sets)
         if np.array_equal(rep.u, points[2]):
-            specs_at_2.append(dirs)
-            if len(specs_at_2) == 2:
-                raise DegenerateSubspace("injected at point 2", point=2)
-        return make_spec(im, rep, dirs)
+            specs[1] = DegenerateSubspace("injected at point 2", point=2)
+        return specs
 
     def failing_report(im, u):
         planned.append(np.asarray(u, dtype=float))
@@ -455,7 +456,7 @@ def test_point_suite_raises_the_first_error_in_point_order(monkeypatch):
             raise LeftDomain("injected at point 3")
         return report(im, u)
 
-    monkeypatch.setattr(verifier, "make_slice_spec", failing_spec)
+    monkeypatch.setattr(verifier, "make_slice_specs", failing_specs)
     monkeypatch.setattr(verifier, "shape_report", failing_report)
     with pytest.raises(DegenerateSubspace, match="injected at point 2") as err:
         run_point_suite("theorem2", entry.id, n_points=4, seed=42,
@@ -528,3 +529,39 @@ def test_a_batch_that_raises_is_an_error_for_its_draws_only(monkeypatch):
     assert notes[:2] == ["", ""] and all(p.passed for p in r.per_point[:2])
     assert notes[2:] == ["NewtonDiverged: injected in the second batch"] * 2
     assert not r.overall
+
+
+# --- stacked direction draws ---
+
+@pytest.mark.parametrize("m,s,draws", [(2, 1, 10), (3, 2, 10), (3, 3, 1),
+                                       (4, 3, 2), (4, 1, 1), (5, 4, 2)])
+def test_stacked_draws_equal_per_draw_qrs(m, s, draws):
+    # the rngs' streams and the QR factors are those of one draw at a time
+    rng = np.random.default_rng(m * 10 + s)
+    for seed in range(50):
+        frames = rng.standard_normal((3, m, m + 1))
+        want = []
+        for k, frame in enumerate(frames):
+            gen = np.random.default_rng([seed, k])
+            want += [np.linalg.qr(gen.standard_normal((m, s)))[0].T @ frame
+                     for _ in range(draws)]
+        got = verifier._random_tangent_dirs(
+            SimpleNamespace(tangent_frame=frames), [np.random.default_rng([seed, k]) for k in range(3)],
+            s, draws)
+        assert got.shape == (3 * draws, s, m + 1)
+        assert np.array_equal(got, np.stack(want))
+        one = verifier._random_tangent_dirs(
+            SimpleNamespace(tangent_frame=frames[0]), [np.random.default_rng([seed, 0])], s, draws)
+        assert np.array_equal(one, got[:draws])
+
+
+def test_row_cap_admits_grids_up_to_its_size():
+    from umbilic_lab.slicer import MAX_ROWS, _ball_grid
+    im = surf("sphere:1")
+    assert len(verifier._grid_points(im, [1, MAX_ROWS])) == MAX_ROWS
+    with pytest.raises(ValueError, match=str(MAX_ROWS)):
+        verifier._grid_points(im, [1, MAX_ROWS + 1])
+    n = (MAX_ROWS - 1) // 2                 # 2n + 1 seeds on one axis
+    assert len(_ball_grid(1, 1.0, n)) == 2 * n + 1
+    with pytest.raises(ValueError, match=str(MAX_ROWS)):
+        _ball_grid(1, 1.0, n + 1)
