@@ -45,17 +45,15 @@ class AmbientSpace:
     """A coordinate patch with a metric evaluator.
 
     ``metric`` is either a constant (N, N) array or a callable point ->
-    (N, N) array.  A callable metric comes with ``metric_derivative``, the
-    (N, N, N) array dg[i,j,k] = d g_ij / d x_k, and ``metric_hessian``, the
-    (N, N, N, N) array ddg[i,j,a,b] = d_a d_b g_ij, so curvature is exact.  A
-    builder may set ``metric_jet``: x -> (N, N, N + N*N), dg then ddg
-    flattened, at once.
+    (N, N) array.  A callable metric comes with its ``jet``: x -> (dg, ddg),
+    the (N, N, N) array dg[i,j,k] = d g_ij / d x_k and the (N, N, N, N)
+    array ddg[i,j,a,b] = d_a d_b g_ij, so curvature is exact.
     ``box`` is the trusted coordinate region; leaving it is an error, never
     an extrapolation.
     """
 
-    def __init__(self, signature, metric, metric_derivative=None,
-                 metric_hessian=None, box=None, sample_box=None, name=""):
+    def __init__(self, signature, metric, jet=None, box=None, sample_box=None,
+                 name=""):
         self.signature = signature
         n = signature.dimension
         self._const_g = None
@@ -64,9 +62,7 @@ class AmbientSpace:
             self._metric_fn = None
         else:
             self._metric_fn = metric
-        self.metric_derivative = metric_derivative
-        self.metric_hessian = metric_hessian
-        self.metric_jet = None
+        self.jet = jet
         if box is None:
             box = np.array([[-50.0, 50.0]] * n)
         self.box = np.asarray(box, dtype=float)
@@ -107,22 +103,10 @@ class AmbientSpace:
         self._validate(g, np.asarray(x, dtype=float))
         return g
 
-    def metric_derivative_at(self, x):
-        if self._const_g is not None:
-            return np.zeros((self.dimension,) * 3)
-        return _symmetrized(np.asarray(self.metric_derivative(np.asarray(x, float)), float))
-
-    def metric_hessian_at(self, x):
-        """ddg[i,j,a,b] = d_a d_b g_ij, symmetrized in (i, j) and (a, b)."""
-        return _symmetrized(np.asarray(self.metric_hessian(np.asarray(x, float)), float))
-
     def metric_jet_at(self, x):
-        """(metric_derivative_at(x), metric_hessian_at(x)), from one
-        ``metric_jet`` evaluation where the space has one."""
-        if self.metric_jet is None:
-            return self.metric_derivative_at(x), self.metric_hessian_at(x)
-        both, n = self.metric_jet(np.asarray(x, dtype=float)), self.dimension
-        return _symmetrized(both[..., :n]), _symmetrized(both[..., n:].reshape((n,) * 4))
+        """(dg, ddg) at x from one ``jet`` evaluation, dg symmetrized in
+        (i, j) and ddg in (i, j) and (a, b)."""
+        return tuple(map(_symmetrized, self.jet(np.asarray(x, dtype=float))))
 
     def in_box(self, x):
         return bool(np.all(x >= self.box[:, 0] - 1e-9)
@@ -131,6 +115,7 @@ class AmbientSpace:
 
 def _symmetrized(d):
     """dg[i,j,k] or ddg[i,j,a,b] averaged over swapping (a, b), then (i, j)."""
+    d = np.asarray(d, dtype=float)
     if d.ndim == 4:
         d = 0.5 * (d + d.transpose(0, 1, 3, 2))
     return 0.5 * (d + d.transpose(1, 0, *range(2, d.ndim)))
@@ -204,7 +189,7 @@ def christoffel(space, x, g=None, dg=None, ginv=None):
     if ginv is None:
         ginv = _inverse(g, x)
     if dg is None:
-        dg = space.metric_derivative_at(x)
+        dg = space.metric_jet_at(x)[0]
     # Gamma_l,ij = d_i g_jl + d_j g_il - d_l g_ij, up to the factor 1/2
     low = dg.transpose(1, 2, 0) + dg.transpose(1, 0, 2) - dg.transpose(2, 0, 1)
     gamma = 0.5 * (ginv @ low.reshape(n, -1)).reshape(n, n, n)
@@ -286,18 +271,14 @@ def geodesic(space, p, v, t_end, steps=256):
     if not space.in_box(p):
         raise LeftDomain("initial point outside coordinate box", point=list(p))
 
-    def accel(x, xdot, first=False):
-        # g is validated at a step's first stage; later stages check it finite
-        # here and for its scale in christoffel's inverse
-        g = (space.metric_at(x) if first or space.is_constant else NonFiniteValue.check(
-            np.asarray(space._metric_fn(x), dtype=float), "metric", x))
-        return -np.einsum("kij,i,j->k", christoffel(space, x, g), xdot, xdot)
+    def accel(x, xdot):
+        return -np.einsum("kij,i,j->k", christoffel(space, x), xdot, xdot)
 
     h = float(t_end) / steps
     path = [(0.0, p.copy(), v.copy())]
     x, xd = p.copy(), v.copy()
     for k in range(steps):
-        k1x, k1v = xd, accel(x, xd, True)
+        k1x, k1v = xd, accel(x, xd)
         k2x, k2v = xd + 0.5 * h * k1v, accel(x + 0.5 * h * k1x, xd + 0.5 * h * k1v)
         k3x, k3v = xd + 0.5 * h * k2v, accel(x + 0.5 * h * k2x, xd + 0.5 * h * k2v)
         k4x, k4v = xd + h * k3v, accel(x + h * k3x, xd + h * k3v)

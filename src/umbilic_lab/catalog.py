@@ -140,17 +140,14 @@ def metric_from_expressions(entries, index, box=None):
 
 
 def _expression_metric(emap, expand, index, box, sample_box, name):
-    """AmbientSpace whose metric, first and second derivatives are those
-    of ``emap``, laid out as (N, N, ...) arrays by ``expand``; the
-    derivatives are exact, so curvature is too, and come from one plan."""
-    space = AmbientSpace(MetricSignature(emap.nvars, index),
-                         lambda x: expand(emap(x)),
-                         lambda x: expand(emap.jacobian(x)),
-                         lambda x: expand(emap.hessian(x)),
-                         box=box, sample_box=sample_box, name=name)
+    """AmbientSpace whose metric and jet are those of ``emap``, laid out as
+    (N, N, ...) arrays by ``expand``; the derivatives are exact, so
+    curvature is too, and come from one plan."""
     jet = emap.jet()
-    space.metric_jet = lambda x: expand(jet(x))
-    return space
+    return AmbientSpace(MetricSignature(emap.nvars, index),
+                        lambda x: expand(emap(x)),
+                        lambda x: tuple(map(expand, jet(x))),
+                        box=box, sample_box=sample_box, name=name)
 
 
 def load_metric(source):

@@ -19,8 +19,8 @@ from .catalog import list_catalog, resolve
 from .errors import UmbilicLabError
 from .immersion import shape_report
 from .slicer import (default_trace_radius, fit_hyperbolic, fit_sphere,
-                     identity_check, make_slice_spec, slice_shape,
-                     taylor_trace_radius, trace_slice)
+                     make_slice_spec, slice_shape, taylor_trace_radius,
+                     trace_slice)
 
 SCHEMA_VERSION = 1
 
@@ -102,7 +102,7 @@ def _resolve_dirs(im, rep, dirs_text, s, seed):
     if dirs_text.startswith("angles:"):
         angles = np.radians(_numbers("dirs", dirs_text[7:]))
         if im.param_dim != 2:
-            raise UmbilicLabError("angle directions need a 2-parameter surface")
+            raise ValueError(f"--dirs {dirs_text!r} needs a 2-parameter surface")
         e1, e2 = rep.tangent_frame
         return np.stack([np.cos(a) * e1 + np.sin(a) * e2 for a in angles])
     if dirs_text == "basis":
@@ -110,7 +110,7 @@ def _resolve_dirs(im, rep, dirs_text, s, seed):
     if dirs_text == "random":
         rng = np.random.default_rng([seed, 7])
         return verifier._random_tangent_dirs(rep, [rng], s)[0]
-    raise UmbilicLabError(f"cannot parse directions {dirs_text!r}")
+    raise ValueError(f"--dirs {dirs_text!r} is not angles:A,B,..., basis or random")
 
 
 def cmd_analyze(args):
@@ -174,7 +174,6 @@ def cmd_slice(args):
     res = trace_slice(im, spec, radius=radius,
                       samples_per_dim=args.samples or 8)
     slice_shape(res)
-    identity_check(im, res)
     try:
         if im.ambient.signature.index == 0:
             res.fit_sphere = fit_sphere(res.points)

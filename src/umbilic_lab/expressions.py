@@ -291,10 +291,14 @@ class ExpressionMap:
         return _run(*self._hessian, x)
 
     def jet(self):
-        """x -> (..., k, n + n*n): each component's gradient, then its
-        Hessian, bit-identical to ``jacobian`` and ``hessian`` from one plan
-        run.  Compiles that plan on each call; charts never need it."""
+        """x -> (jacobian(x), hessian(x)), bit-identical to the two plans but
+        from one plan run.  Compiles that plan on each call; charts never
+        need it."""
         k, n = len(self.components), self.nvars
-        trees = [t for c in range(k) for t in (self._grads[c * n:(c + 1) * n]
-                                               + self._hess[c * n * n:(c + 1) * n * n])]
-        return functools.partial(_run, _compile(trees), (k, n + n * n))
+        plan = _compile([t for c in range(k) for t in (
+            self._grads[c * n:(c + 1) * n] + self._hess[c * n * n:(c + 1) * n * n])])
+
+        def jet(x):
+            both = _run(plan, (k, n + n * n), x)
+            return both[..., :n], both[..., n:].reshape(both.shape[:-1] + (n, n))
+        return jet

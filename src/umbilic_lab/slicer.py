@@ -276,13 +276,16 @@ def trace_slices(im, specs, radius=None, samples_per_dim=8):
     radii = [default_trace_radius(sp.report) if r is None else float(r)
              for sp, r in zip(specs, radius, strict=True)]
     size = len(_ball_grid(specs[0].s, 1.0, samples_per_dim)) if specs else 1
+    grids = {}          # radius -> ball grid, shared by the blocks
     return (res for block in _blocks(range(len(specs)), size)
             for res in _trace_block(im, [specs[k] for k in block],
-                                    [radii[k] for k in block], samples_per_dim))
+                                    [radii[k] for k in block], samples_per_dim,
+                                    grids))
 
 
-def _trace_block(im, specs, radii, samples_per_dim):
-    """The SliceResult or error of each of ``specs`` (see trace_slices)."""
+def _trace_block(im, specs, radii, samples_per_dim, grids):
+    """The SliceResult or error of each of ``specs`` (see trace_slices);
+    ``grids`` holds the ball grid of each radius, filled as needed."""
     g, s = im.ambient.metric_at(specs[0].q), specs[0].s     # flat: one g
     spans = np.stack([np.concatenate([sp.tangent_directions, sp.report.normal_frame])
                       for sp in specs])
@@ -293,7 +296,7 @@ def _trace_block(im, specs, radii, samples_per_dim):
     # the rows that give a sample's (t, w) from its offset x - q
     tw_rows = spans * np.array([[1.0] * s + list(sp.report.normal_signs)
                                 for sp in specs])[..., None] @ g
-    out, grids, steps, last = list(comps), {}, np.zeros(len(specs), int), {}
+    out, steps, last = list(comps), np.zeros(len(specs), int), {}
     todo = [k for k, c in enumerate(comps) if not isinstance(c, Exception)]
     for attempt in range(5):
         if not todo:
@@ -308,10 +311,10 @@ def _trace_block(im, specs, radii, samples_per_dim):
                          for k in todo]) @ g
         pulls = [sp.coords @ sp.report.tangent_params for sp in live]  # (s, m)
         qs = np.stack([sp.q for sp in live])[pick]
+        targets = np.concatenate([grids[rad] for rad in r])
         u, x, fnorm, retired, took, good = _newton_trace(
             im, rows[pick], qs,
-            np.pad(np.concatenate([grids[rad] for rad in r]),
-                   ((0, 0), (im.param_dim - s, 0))),
+            np.concatenate([np.zeros((len(pick), im.param_dim - s)), targets], axis=1),
             np.concatenate([sp.q_param + grids[rad] @ pull
                             for sp, rad, pull in zip(live, r, pulls)]))
         # per spec: failures, failures by reason, most Newton steps of a sample

@@ -1,18 +1,20 @@
 import itertools
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from umbilic_lab import catalog
-from umbilic_lab.ambient import (AmbientSpace, MetricSignature, cartan_audit,
-                                 christoffel, exp_map, geodesic,
+from umbilic_lab.ambient import (AmbientSpace, MetricSignature, _symmetrized,
+                                 cartan_audit, christoffel, exp_map, geodesic,
                                  k_difference_identity, riemann,
                                  sectional_curvature, tg_patch)
 from umbilic_lab.errors import (CausalCharacterMismatch, DegeneratePlane,
                                 DegenerateSubspace, LeftDomain, NonFiniteValue,
                                 SamplingExhausted, SingularMetric,
                                 UmbilicLabError)
+from umbilic_lab.expressions import ExpressionMap
 from umbilic_lab.frames import MAX_RAPIDITY, draw_pseudo_orthonormal
 from umbilic_lab.numdiff import central_diff4
 
@@ -121,7 +123,7 @@ EXACT_CURVATURE_METRICS = [
 @pytest.mark.parametrize("mid,c", EXACT_CURVATURE_METRICS)
 def test_riemann_exact_from_metric_hessian(mid, c):
     space = catalog.resolve(mid, kind="ambient").obj
-    assert space.metric_hessian is not None
+    assert space.jet is not None
     for x in sample_points(space, 20, seed=5):
         g = space.metric_at(x)
         want = constant_curvature_tensor(g, c)
@@ -214,16 +216,16 @@ def test_geodesic_left_domain():
 @pytest.mark.parametrize("x0", [0.0, 1.0625])
 def test_geodesic_into_a_bad_metric_keeps_its_error_code(g11, dg11, code, x0):
     # g = diag(1, g11(x0)) breaks at x0 = 0, where the straight path x0 - t
-    # starts (a first RK4 stage, which validates g in full), or which it
-    # meets at the second stage of step 8, whose g is checked only for
-    # finite entries and for its scale
+    # starts (a first RK4 stage) or which it meets at the second stage of
+    # step 8; every stage validates g through metric_at
     def dg(x):
         d = np.zeros((2, 2, 2))
         d[1, 1, 0] = dg11(x[0])
         return d
 
     space = AmbientSpace(MetricSignature(2), lambda x: np.diag([1.0, g11(x[0])]),
-                         metric_derivative=dg, box=[[-2.0, 2.0], [-2.0, 2.0]])
+                         lambda x: (dg(x), np.zeros((2,) * 4)),
+                         box=[[-2.0, 2.0], [-2.0, 2.0]])
     with np.errstate(all="ignore"), pytest.raises(UmbilicLabError) as err:
         geodesic(space, np.array([x0, 0.3]), np.array([-1.0, 0.0]), 2.0, steps=16)
     assert err.value.code == code
@@ -501,11 +503,11 @@ def test_non_finite_metric_is_its_own_error(bad):
 
 # an off-diagonal table, positive definite on its box; its (i, j) and (j, i)
 # entries are different expressions of the same function
-OFF_DIAGONAL = catalog.metric_from_expressions(
-    [["2 + x1*x1", "x0*x1", "0.1*sin(x2)"],
-     ["x1*x0", "3 + cos(x0)", "0.2*x2"],
-     ["sin(x2)*0.1", "x2*0.2", "4 + x0*x1"]],
-    0, box=[[-0.5, 0.5]] * 3)
+OFF_DIAGONAL_TABLE = [["2 + x1*x1", "x0*x1", "0.1*sin(x2)"],
+                      ["x1*x0", "3 + cos(x0)", "0.2*x2"],
+                      ["sin(x2)*0.1", "x2*0.2", "4 + x0*x1"]]
+OFF_DIAGONAL = catalog.metric_from_expressions(OFF_DIAGONAL_TABLE, 0,
+                                               box=[[-0.5, 0.5]] * 3)
 FUSED_METRICS = [catalog.resolve(mid, kind="ambient").obj
                  for mid in ("desitter:1", "sphere:1", "hyperbolic:1",
                              "perturbed-minkowski:0.1")] + [OFF_DIAGONAL]
@@ -521,12 +523,11 @@ def einsum_riemann(space, x, dgamma=None):
     """Lowered curvature from the exact derivatives by one einsum per
     contraction: the reference the matmul route must agree with.  A given
     ``dgamma[k, i, j, m]`` = d_m Gamma^k_ij stands in for the exact one."""
-    g, dg = space.metric_at(x), space.metric_derivative_at(x)
+    g, (dg, ddg) = space.metric_at(x), space.metric_jet_at(x)
     ginv = np.linalg.inv(g)
     gamma = 0.5 * np.einsum("kl,lij->kij", ginv, dg.transpose(1, 2, 0)
                             + dg.transpose(1, 0, 2) - dg.transpose(2, 0, 1))
     if dgamma is None:
-        ddg = space.metric_hessian_at(x)
         dlow = 0.5 * (ddg.transpose(1, 2, 0, 3) + ddg.transpose(1, 0, 2, 3)
                       - ddg.transpose(2, 0, 1, 3))
         dgamma = np.einsum("kl,lijm->kijm", ginv,
@@ -537,16 +538,39 @@ def einsum_riemann(space, x, dgamma=None):
     return np.einsum("ka,alij->ijkl", g, riem_up)
 
 
+def _table_map(space):
+    """The ExpressionMap ``space`` was built from, built again by the same
+    builder, and its (N, N, ...) layout: a diagonal or a full table."""
+    maps = []
+
+    class Recorded(ExpressionMap):
+        def __init__(self, *args):
+            super().__init__(*args)
+            maps.append(self)
+
+    n = space.dimension
+    with mock.patch.object(catalog, "ExpressionMap", Recorded):
+        if space is OFF_DIAGONAL:
+            catalog.metric_from_expressions(OFF_DIAGONAL_TABLE, 0)
+        else:
+            catalog.resolve(space.name, kind="ambient")
+    if len(maps[-1].components) == n * n:
+        return maps[-1], lambda v: v.reshape((n, n) + v.shape[1:])
+
+    def diagonal(v):
+        out = np.zeros((n, n) + v.shape[1:])
+        out[range(n), range(n)] = v
+        return out
+    return maps[-1], diagonal
+
+
 @pytest.mark.parametrize("space", FUSED_METRICS, ids=lambda s: s.name)
 def test_metric_jet_is_the_exact_derivatives_bit_for_bit(space):
-    n = space.dimension
+    emap, table = _table_map(space)
     for x in sample_points(space, 10, seed=4):
-        both = space.metric_jet(x)
-        assert _same(both[..., :n], space.metric_derivative(x))
-        assert _same(both[..., n:].reshape((n,) * 4), space.metric_hessian(x))
         dg, ddg = space.metric_jet_at(x)
-        assert _same(dg, space.metric_derivative_at(x))
-        assert _same(ddg, space.metric_hessian_at(x))
+        assert _same(dg, _symmetrized(table(emap.jacobian(x))))
+        assert _same(ddg, _symmetrized(table(emap.hessian(x))))
 
 
 @pytest.mark.parametrize("space", FUSED_METRICS, ids=lambda s: s.name)
@@ -591,7 +615,7 @@ def test_christoffel_rejects_a_metric_singular_for_its_scale():
             christoffel(space, x, g=g)
     # Gamma does not change when g is scaled by a constant
     small = christoffel(space, x, g=1e-6 * space.metric_at(x),
-                        dg=1e-6 * space.metric_derivative_at(x))
+                        dg=1e-6 * space.metric_jet_at(x)[0])
     np.testing.assert_allclose(small, christoffel(space, x), rtol=1e-12, atol=1e-15)
 
 

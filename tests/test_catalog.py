@@ -189,12 +189,11 @@ def test_metric_tables_match_closed_forms(mid):
         assert np.max(np.abs(space.metric_at(x) - want)) <= 1e-14 * np.max(np.abs(want))
         # exact derivatives in the layouts dg[i,j,k] = d_k g_ij and
         # ddg[i,j,a,b] = d_a d_b g_ij
-        dg = space.metric_derivative_at(x)
+        dg, ddg = space.metric_jet_at(x)
         np.testing.assert_allclose(dg, central_diff(space.metric_at, x, 1e-6),
                                    atol=1e-8)
-        np.testing.assert_allclose(space.metric_hessian_at(x),
-                                   central_diff(space.metric_derivative_at, x, 1e-6),
-                                   atol=1e-7)
+        np.testing.assert_allclose(ddg, central_diff(
+            lambda y: space.metric_jet_at(y)[0], x, 1e-6), atol=1e-7)
 
 
 def test_load_metric_expressions(tmp_path):
@@ -204,7 +203,7 @@ def test_load_metric_expressions(tmp_path):
     path = tmp_path / "metric.json"
     path.write_text(json.dumps(spec))
     space = load_metric(str(path))
-    assert space.metric_hessian is not None
+    assert space.jet is not None
     from umbilic_lab.ambient import riemann
     s = riemann(space, np.array([1.3, 0.8]))
     assert np.max(np.abs(s.riemann_lowered)) < 1e-10  # flat polar plane

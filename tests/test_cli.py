@@ -436,6 +436,8 @@ def test_analyze_still_takes_seed(capsys):
     (["analyze", "--surface", "sphere:1", "--grid", "2xa"], "--grid"),
     (["verify", "sphere-characterization", "--surface", "sphere:1",
       "--grid", "2x"], "--grid"),
+    (["slice", "--surface", "sphere:1", "--dirs", "bogus"], "--dirs"),
+    (["slice", "--surface", "sphere:1,3", "--dirs", "angles:45"], "--dirs"),
 ])
 def test_unparseable_numbers_name_their_flag(capsys, argv, flag):
     code, out, err = run_cli(capsys, *argv)
