@@ -106,6 +106,8 @@ class AmbientSpace:
     def metric_jet_at(self, x):
         """(dg, ddg) at x from one ``jet`` evaluation, dg symmetrized in
         (i, j) and ddg in (i, j) and (a, b)."""
+        if self.jet is None:
+            raise InvalidMetric("a callable metric needs a jet for curvature")
         return tuple(map(_symmetrized, self.jet(np.asarray(x, dtype=float))))
 
     def in_box(self, x):

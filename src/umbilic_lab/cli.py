@@ -43,11 +43,12 @@ def _diagnostic(code, message, offending=None):
     print(line, file=sys.stderr)
 
 
-def _emit(payload, out_path, as_csv=False):
-    if as_csv and isinstance(payload, str):
-        text = payload
-    else:
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def _emit(payload, out_path):
+    """Write a str (CSV) as it is, anything else as one line of JSON; only a
+    compact ``json.dumps`` runs the C encoder (pretty-printing, and
+    ``json.dump`` to a file, run the pure-Python one, several times slower)."""
+    text = payload if isinstance(payload, str) else (
+        json.dumps(payload, sort_keys=True) + "\n")
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -123,12 +124,12 @@ def cmd_analyze(args):
     rep = shape_report(im, grid)
     kappas = (rep.principal_curvatures.tolist()
               if rep.principal_curvatures is not None else [None] * len(grid))
+    defects = rep.umbilicity_defect
     rows = [{"u": u, "h_magnitude": h, "principal_curvatures": kappa,
              "defect": defect, "is_umbilic": defect <= tol}
             for u, h, kappa, defect in zip(
                 grid.tolist(), rep.scalars["h_norm_abs"].tolist(), kappas,
-                rep.umbilicity_defect.tolist())]
-    defects = [r["defect"] for r in rows]
+                defects.tolist())]
     payload = {
         "schema_version": SCHEMA_VERSION,
         "surface": args.surface,
@@ -136,7 +137,7 @@ def cmd_analyze(args):
         "tolerance": tol,
         "rows": rows,
         "aggregate": {
-            "umbilic_fraction": float(np.mean([r["is_umbilic"] for r in rows])),
+            "umbilic_fraction": float(np.mean(defects <= tol)),
             "max_defect": float(np.max(defects)),
             "min_defect": float(np.min(defects)),
         },
@@ -152,7 +153,7 @@ def cmd_analyze(args):
             vals += [r["defect"], int(r["is_umbilic"])]
             lines.append(",".join(f"{v:.17g}" if isinstance(v, float) else str(v)
                                   for v in vals))
-        _emit("\n".join(lines) + "\n", args.out, as_csv=True)
+        _emit("\n".join(lines) + "\n", args.out)
     else:
         _emit(payload, args.out)
     return 0
@@ -181,10 +182,7 @@ def cmd_slice(args):
             res.fit_hyperbolic = fit_hyperbolic(res.points)
     except UmbilicLabError as exc:
         res.provenance["fit_error"] = f"{type(exc).__name__}: {exc}"
-    if args.format == "csv":
-        _emit(res.samples_csv(), args.out, as_csv=True)
-    else:
-        _emit(res.to_dict(), args.out)
+    _emit(res.samples_csv() if args.format == "csv" else res.to_dict(), args.out)
     return 0
 
 

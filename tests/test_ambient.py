@@ -11,9 +11,9 @@ from umbilic_lab.ambient import (AmbientSpace, MetricSignature, _symmetrized,
                                  k_difference_identity, riemann,
                                  sectional_curvature, tg_patch)
 from umbilic_lab.errors import (CausalCharacterMismatch, DegeneratePlane,
-                                DegenerateSubspace, LeftDomain, NonFiniteValue,
-                                SamplingExhausted, SingularMetric,
-                                UmbilicLabError)
+                                DegenerateSubspace, InvalidMetric, LeftDomain,
+                                NonFiniteValue, SamplingExhausted,
+                                SingularMetric, UmbilicLabError)
 from umbilic_lab.expressions import ExpressionMap
 from umbilic_lab.frames import MAX_RAPIDITY, draw_pseudo_orthonormal
 from umbilic_lab.numdiff import central_diff4
@@ -497,6 +497,18 @@ def test_non_finite_metric_is_its_own_error(bad):
     assert exc.value.code == "non-finite-value"
     with pytest.raises(NonFiniteValue):
         AmbientSpace(MetricSignature(2), g)
+
+
+def test_callable_metric_without_a_jet_names_the_missing_jet():
+    # g and its checks still work; only the curvature that needs dg fails
+    space = AmbientSpace(MetricSignature(2), lambda x: np.diag([1.0, 1.0 + x[0]**2]))
+    x = np.array([0.5, 0.0])
+    np.testing.assert_array_equal(space.metric_at(x), np.diag([1.0, 1.25]))
+    for curvature in (christoffel, riemann):
+        with pytest.raises(InvalidMetric) as exc:
+            curvature(space, x)
+        assert exc.value.code == "invalid-metric"
+        assert "jet" in str(exc.value)
 
 
 # --- the fused exact-curvature route ---

@@ -1,5 +1,6 @@
 import json
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -478,3 +479,30 @@ def test_row_cap_rejects_before_any_grid_is_built(capsys, monkeypatch, argv):
     assert code == 2 and out == ""
     diag = one_strict_json_line(err)
     assert diag["code"] == "invalid-input" and str(slicer.MAX_ROWS) in diag["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--surface", "ellipsoid:2,1,1", "--grid", "4x3"],
+    ["slice", "--surface", "sphere:1", "--samples", "3"],
+    ["verify", "remark4"],
+    ["audit-cartan", "--metric", "desitter:1", "--points", "2"],
+    ["catalog"]])
+def test_every_report_is_one_json_line_on_stdout_and_in_out(capsys, tmp_path,
+                                                            monkeypatch, argv):
+    # a frozen clock, so that both runs of a verify suite read one runtime_ms
+    monkeypatch.setattr(verifier, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.endswith("\n") and out.count("\n") == 1
+    json.loads(out)
+    path = tmp_path / "report.json"
+    code, printed, _ = run_cli(capsys, *argv, "--out", str(path))
+    assert code == 0 and printed == ""
+    assert path.read_bytes() == out.encode()
+
+
+def test_report_is_the_compact_sorted_dump_of_its_values(capsys):
+    code, out, _ = run_cli(capsys, "analyze", "--surface", "sphere:1",
+                           "--grid", "10x10")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
