@@ -25,15 +25,15 @@ from .slicer import (default_trace_radius, fit_hyperbolic, fit_sphere,
 SCHEMA_VERSION = 1
 
 
-def _strict(value):
-    """``value`` with every non-finite float written as a string, so that
-    the diagnostic is strict JSON."""
+def _strict(value, nonfinite=str):
+    """``value`` with every non-finite float written as ``nonfinite`` of
+    it, so that it dumps as strict JSON."""
     if isinstance(value, float) and not math.isfinite(value):
-        return str(value)
+        return nonfinite(value)
     if isinstance(value, (list, tuple)):
-        return [_strict(v) for v in value]
+        return [_strict(v, nonfinite) for v in value]
     if isinstance(value, dict):
-        return {k: _strict(v) for k, v in value.items()}
+        return {k: _strict(v, nonfinite) for k, v in value.items()}
     return value
 
 
@@ -44,16 +44,18 @@ def _diagnostic(code, message, offending=None):
 
 
 def _emit(payload, out_path):
-    """Write a str (CSV) as it is, anything else as one line of JSON; only a
-    compact ``json.dumps`` runs the C encoder (pretty-printing, and
-    ``json.dump`` to a file, run the pure-Python one, several times slower)."""
-    text = payload if isinstance(payload, str) else (
-        json.dumps(payload, sort_keys=True) + "\n")
+    """Write a str (CSV) as it is, anything else as one strict JSON line (inf
+    and NaN as null) by a compact ``json.dumps``, the only one in C."""
+    if not isinstance(payload, str):
+        try:
+            payload = json.dumps(payload, sort_keys=True, allow_nan=False) + "\n"
+        except ValueError:      # a non-finite float: the slow path
+            payload = json.dumps(_strict(payload, lambda v: None), sort_keys=True) + "\n"
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(text)
+            fh.write(payload)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(payload)
 
 
 def _numbers(flag, text, kind=float, sep=","):

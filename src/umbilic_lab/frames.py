@@ -40,20 +40,23 @@ def pseudo_gram_schmidt(vectors, g, tol=LIGHTLIKE_TOL):
     return basis / np.sqrt(size)[..., None], np.sign(q).astype(int)
 
 
-def complement_basis(span, g, dim, tol=1e-12):
-    """g-orthonormal basis (..., dim, N) of the g-orthocomplement of the
-    rows of ``span`` (..., k, N), one per leading index; see
-    pseudo_gram_schmidt for the signs."""
+def complement_basis(span, g):
+    """(basis, signs) of the g-orthocomplement of the g-orthonormal rows of
+    ``span`` (..., k, N), one (..., N - k, N) basis per leading index, from the
+    longest coordinate vectors less their g-projection on the span."""
     span = np.asarray(span, dtype=float)
-    n = span.shape[-1]
-    # kernel of (span @ g): Euclidean-orthonormal seed for the complement
-    _, s, vh = np.linalg.svd(span @ g)
-    got = n - (s > tol * np.maximum(1.0, s[..., :1])).sum(axis=-1)
-    if (got != dim).any():
-        raise DegenerateSubspace("complement has unexpected dimension",
-                                 expected=dim,
-                                 got=int(np.extract(got != dim, got)[0]))
-    return pseudo_gram_schmidt(vh[..., n - dim:, :], g)
+    k = span.shape[-2]
+    sg = span @ g           # the projection weighs row i by g(s_i, s_i) = 1 / eps_i
+    rest = np.eye(span.shape[-1]) - sg.mT @ (np.vecdot(sg, span)[..., None] * span)
+    picks = []
+    for _ in range(span.shape[-1] - k):
+        if picks:           # deflate the last pick out of the remainders
+            rest = rest - (rest @ best.mT) / np.vecdot(best, best)[..., None] * best
+        size = np.vecdot(rest, rest)
+        best = np.take_along_axis(rest, size.argmax(axis=-1)[..., None, None], -2)
+        picks.append(best)
+    basis, signs = pseudo_gram_schmidt(np.concatenate([span, *picks], -2), g)
+    return basis[..., k:, :], signs[..., k:]
 
 
 def draw_pseudo_orthonormal(rng, g, signs_wanted):

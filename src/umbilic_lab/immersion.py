@@ -169,8 +169,13 @@ def frames(im, u):
     _check(~im.in_domain(u), u, LeftDomain, "parameter outside immersion domain")
     p = NonFiniteValue.check(im.point(u), "point", u)
     jac = NonFiniteValue.check(im.jacobian_at(u), "Jacobian", u)
-    s = np.linalg.svd(jac, compute_uv=False)
-    _check(s[..., -1] < RANK_TOL * np.maximum(1.0, s[..., 0]), u,
+    # det > 1e-12 max(1, tr)^m of jac^T jac gives s_min > 1e-6 max(1, s_max);
+    # a non-finite gram fails the test, and its rows go to the SVD
+    gram = jac.mT @ jac
+    scale = np.maximum(1.0, np.trace(gram, axis1=-2, axis2=-1)) ** jac.shape[-1]
+    unsure = ~(np.linalg.det(gram) > 1e-12 * scale)
+    s = np.linalg.svd(jac[unsure], compute_uv=False)
+    _check(s[..., -1] < RANK_TOL * np.maximum(1.0, s[..., 0]), u[unsure],
            RankDeficient, "Jacobian is rank deficient")
 
     g = (im.ambient.metric_at(p) if im.ambient.is_constant else np.reshape(
@@ -185,7 +190,7 @@ def frames(im, u):
            "induced metric is not positive definite", min_eigenvalue=eig[..., 0])
 
     tangent, tangent_signs = pseudo_gram_schmidt(jac.mT, g)
-    normal, signs = complement_basis(tangent, g, dim=im.codim)
+    normal, signs = complement_basis(tangent, g)
     normal = _orient(im, u, p, normal, g)
     if u.ndim == 1:
         return tangent, normal, signs.tolist(), p, jac, g, tangent_signs
@@ -241,15 +246,15 @@ def shape_report(im, u):
     NonFiniteValue.check(hess, "Hessian", u)
 
     # coefficients of the normal part: eps_a * g(nu_a, D_ij)
-    ii_coord = np.einsum("...an,...nb,...bij->...aij", normal, g, hess)
+    ii_coord = np.einsum("...an,...nij->...aij", normal @ g, hess)
     ii_coord *= np.asarray(normal_signs, dtype=float)[..., None, None]
 
     # change of basis from coordinate frame to the orthonormal tangent
     # frame: jac @ coeff = tangent.T, solved through the induced metric
     jac_tg = jac.mT @ g
     coeff = np.linalg.solve(jac_tg @ jac, jac_tg @ tangent.mT)
-    ii_on = np.einsum("...ip,...aij,...jq->...pqa", coeff, ii_coord, coeff)
-    ii_on = 0.5 * (ii_on + np.swapaxes(ii_on, -3, -2))
+    ii_on = coeff.mT[..., None, :, :] @ ii_coord @ coeff[..., None, :, :]
+    ii_on = np.moveaxis(0.5 * (ii_on + ii_on.mT), -3, -1)
 
     shape_op = principal = principal_dirs = None
     if im.codim == 1:

@@ -160,11 +160,8 @@ def build_slice(im, spec):
     if not im.ambient.is_constant:
         raise UnsupportedAmbient(
             "slice tracing is implemented for flat ambients")
-    m_minus_s = im.param_dim - spec.s
-    if m_minus_s == 0:
-        return np.zeros((0, im.ambient.dimension))
     span = np.concatenate([spec.tangent_directions, spec.report.normal_frame])
-    return complement_basis(span, im.ambient.metric_at(spec.q), dim=m_minus_s)[0]
+    return complement_basis(span, im.ambient.metric_at(spec.q))[0]
 
 
 def _blocks(seq, size):
@@ -289,7 +286,7 @@ def _trace_block(im, specs, radii, samples_per_dim, grids):
     g, s = im.ambient.metric_at(specs[0].q), specs[0].s     # flat: one g
     spans = np.stack([np.concatenate([sp.tangent_directions, sp.report.normal_frame])
                       for sp in specs])
-    got = hold(complement_basis, spans, g, im.param_dim - s)
+    got = hold(complement_basis, spans, g)
     # a stack that raises is built again spec by spec: each has its own error
     comps = (got[0] if not isinstance(got, Exception)
              else [hold(build_slice, im, sp) for sp in specs])

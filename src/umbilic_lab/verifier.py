@@ -495,13 +495,17 @@ POINT_SUITES = {
 def run_point_suite(suite_id, surface_id, n_points=20, seed=42, **kwargs):
     """Run a per-point suite over random surface points (plus any listed
     umbilic points) and cross-check verdicts against the catalog truth."""
+    return _point_suite(suite_id, resolve(surface_id), n_points, seed, **kwargs)
+
+
+def _point_suite(suite_id, entry, n_points, seed, **kwargs):
+    """run_point_suite on a resolved catalog entry."""
     started = time.perf_counter()
-    entry = resolve(surface_id)
     points = _suite_points(entry, n_points, seed)
     per_point, tols = [], []
     subs = _run_plans(entry.obj, [
         POINT_SUITES[suite_id].plan(entry.obj, q, seed=seed + i,
-                                    surface_id=surface_id, **kwargs)
+                                    surface_id=entry.id, **kwargs)
         for i, q in enumerate(points)])
     for q, sub in zip(points, subs):
         verdict = sub.per_point[0]
@@ -520,7 +524,7 @@ def run_point_suite(suite_id, surface_id, n_points=20, seed=42, **kwargs):
         values = [t[key] for t in tols if key in t]
         if values:
             tolerances[f"{key}_min"], tolerances[f"{key}_max"] = min(values), max(values)
-    return _report(started, suite_id, surface_id, per_point,
+    return _report(started, suite_id, entry.id, per_point,
                    all(p.passed for p in per_point), tolerances, seed)
 
 
@@ -549,21 +553,20 @@ def run_suite(suite_id, surface_id=None, n_points=20, seed=42, grid=(5,),
     if suite_id == "all" and surface_id is not None:
         raise ValueError("verify all runs every suite on its own targets")
     n_points = min(n_points, 5) if suite_id == "all" else n_points
-    # point suites resolve their own surface; the others are resolved here,
-    # so a grid that a characterization surface cannot take fails first
-    jobs = [(sid, target, None if sid in POINT_SUITES else resolve(target))
+    # every target is resolved here, once, so bad input fails before any suite
+    once = functools.cache(resolve)
+    jobs = [(sid, once(target))
             for sid in (SUITE_TARGETS if suite_id == "all" else [suite_id])
             for target in ([surface_id] if surface_id else SUITE_TARGETS[sid])]
-    for sid, _target, entry in jobs:
+    for sid, entry in jobs:
         if sid in CHARACTERIZATIONS:
             _grid_points(entry.obj, grid)
         if sid in POINT_SUITES and n_points < 1:
             raise ValueError(f"{sid} needs at least one random point")
     reports = []
-    for sid, target, entry in jobs:
+    for sid, entry in jobs:
         if sid in POINT_SUITES:
-            reports.append(run_point_suite(sid, target, n_points=n_points,
-                                           seed=seed, **kwargs))
+            reports.append(_point_suite(sid, entry, n_points, seed, **kwargs))
         elif sid == "remark4":
             reports.append(verify_remark4(entry.obj, surface_id=entry.id,
                                           **kwargs))

@@ -4,6 +4,7 @@ import numpy as np
 
 from umbilic_lab.errors import (DegenerateFit, DegenerateSubspace, FlatSlice,
                                 WrongCausalType)
+from umbilic_lab.frames import pseudo_gram_schmidt
 
 
 def inner(space, x, u, v):
@@ -90,3 +91,18 @@ def fit_quadric_one_cloud(points, lorentzian):
     geo = np.where(sq > 1e-14, np.sqrt(np.maximum(sq, 0.0)) - r,
                    np.abs(sq - r * r) / (2.0 * max(r, 1e-14)))
     return mean + c @ basis, float(r), float(np.sqrt(np.mean(geo ** 2 + off ** 2)))
+
+
+def svd_complement(span, g, dim, tol=1e-12):
+    """The g-orthocomplement of frames.complement_basis read off the null
+    space of span @ g by a full SVD, then g-orthonormalized: (rows, signs),
+    or DegenerateSubspace when that null space is not ``dim``-dimensional."""
+    span = np.asarray(span, dtype=float)
+    n = span.shape[-1]
+    _, s, vh = np.linalg.svd(span @ g)
+    got = n - (s > tol * np.maximum(1.0, s[..., :1])).sum(axis=-1)
+    if (got != dim).any():
+        raise DegenerateSubspace("complement has unexpected dimension",
+                                 expected=dim,
+                                 got=int(np.extract(got != dim, got)[0]))
+    return pseudo_gram_schmidt(vh[..., n - dim:, :], g)

@@ -320,6 +320,16 @@ def test_diagnostic_writes_non_finite_numbers_as_strings(capsys):
     assert diag["input"] == {"parameter": ["nan", 0.5], "q": "-inf"}
 
 
+def test_reports_write_non_finite_numbers_as_null(capsys):
+    # two flat cylinder slices at seed 109 have an infinite fit_rms
+    code, out, _ = run_cli(capsys, "verify", "sphere-characterization",
+                           "--surface", "cylinder:1", "--seed", "109")
+    assert code == 0 and out.count("\n") == 1
+    report = json.loads(out, parse_constant=_refuse_constant)["reports"][0]
+    assert report["extras"]["max_fit_residual"] is None
+    assert None in [v for p in report["per_point"] for v in p["residuals"].values()]
+
+
 def test_verify_all_bad_grid_exits_before_any_suite(capsys, monkeypatch):
     def no_suite_may_run(im, u):
         raise AssertionError("a suite ran before the grid was checked")

@@ -495,6 +495,33 @@ def test_batch_raises_the_error_of_its_first_failing_row(make, rows, error, bad)
     assert str(batch_err.value) == str(one_err.value)
 
 
+# the Jacobian of cubic_strip at (x0, t) has singular values 1 and 3 t^2
+@pytest.mark.parametrize("ratio,error", [(1e-9, DegenerateInducedMetric),
+                                         (1e-11, RankDeficient)])
+def test_rank_test_boundary_alone_and_in_a_batch(ratio, error):
+    im, bad = cubic_strip(), [0.3, float(np.sqrt(ratio / 3))]
+    assert np.linalg.svd(im.jacobian_at(bad), compute_uv=False)[-1] == pytest.approx(ratio)
+    with pytest.raises(error) as one_err:
+        frames(im, bad)
+    with pytest.raises(error) as batch_err:
+        shape_report(im, np.array([[0.5, 0.5], bad, [-0.2, 0.4]]))
+    assert list(one_err.value.context["parameter"]) == bad
+    assert batch_err.value.context == one_err.value.context
+
+
+def test_shape_report_of_a_good_batch_runs_no_svd(monkeypatch):
+    im, rows = surface("ellipsoid:1,2,3"), []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        rows.append(np.shape(a)[:-2])
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    shape_report(im, np.array(random_params(im, 100, seed=5)))
+    assert sum(int(np.prod(lead)) for lead in rows) == 0
+
+
 # --- timelike tangent frames and the higher-codimension defect ---
 
 from umbilic_lab.immersion import umbilicity_defect  # noqa: E402

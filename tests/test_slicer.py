@@ -616,10 +616,10 @@ def test_trace_slices_complement_stack_falls_back_per_spec(monkeypatch):
     want = list(slicer.trace_slices(im, specs, 0.05))
     original = slicer.complement_basis
 
-    def no_stacks(span, g, dim):
+    def no_stacks(span, g):
         if np.ndim(span) == 3:
             raise DegenerateSubspace("stacked complement refused")
-        return original(span, g, dim)
+        return original(span, g)
 
     monkeypatch.setattr(slicer, "complement_basis", no_stacks)
     for got, ref in zip(slicer.trace_slices(im, specs, 0.05), want):

@@ -358,6 +358,20 @@ def test_characterization_crash_is_an_error_not_a_rejection(monkeypatch):
         assert p.residuals == {"fit_rms_0": np.inf, "fit_rms_1": np.inf}
 
 
+def test_run_suite_resolves_each_target_once(monkeypatch):
+    ids = []
+
+    def recording(sid, *args, **kwargs):
+        ids.append(sid)
+        return catalog.resolve(sid, *args, **kwargs)
+
+    monkeypatch.setattr(verifier, "resolve", recording)
+    run_suite("all", n_points=1, grid=(2,))
+    targets = {t for targets in verifier.SUITE_TARGETS.values() for t in targets}
+    assert len(ids) == len(targets) == 13
+    assert set(ids) == targets
+
+
 def test_run_suite_all_takes_no_surface(monkeypatch):
     def no_suite_may_run(im, u):
         raise AssertionError("a suite ran before the input was checked")
