@@ -6,7 +6,7 @@ from .ambient import (AmbientSpace, CartanAuditReport, CurvatureSample,
                       sectional_curvature, tg_patch)
 from .catalog import CatalogEntry, list_catalog, load_immersion, load_metric, resolve
 from .immersion import (Immersion, ShapeReport, frames, is_umbilic,
-                        normal_curvature, second_fundamental_form, shape_report)
+                        normal_curvature, shape_report)
 from .slicer import (SliceResult, SliceSpec, build_slice, fit_hyperbolic,
                      fit_sphere, identity_check, make_slice_spec, slice_shape,
                      slice_shapes, trace_slice, trace_slices)

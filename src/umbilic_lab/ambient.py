@@ -337,15 +337,15 @@ _CODAZZI = np.array([30 * a + 9 * b + c
                      for a, b, c in itertools.permutations(range(3))])
 
 
-def cartan_audit(space, points, triples_per_point=10, seed=0,
-                 tol_codazzi=None, tol_spread=None):
-    """Constant-curvature audit over sampled points and orthonormal triples.
+def cartan_audit(space, points, triples_per_point=10, seed=0, tol=None):
+    """Constant-curvature audit over sampled points and orthonormal triples;
+    ``tol`` (default 1e-6) bounds the Codazzi obstruction and the spread.
 
     Deterministic for a given seed; point i uses rng seeded [seed, i + 1].
     """
     if triples_per_point < 10:
         raise ValueError("triples_per_point must be >= 10")
-    tol_codazzi, tol_spread = (1e-6 if t is None else t for t in (tol_codazzi, tol_spread))
+    tol = 1e-6 if tol is None else tol
 
     if isinstance(points, (int, np.integer)):
         rng = np.random.default_rng([seed, 0])
@@ -378,14 +378,14 @@ def cartan_audit(space, points, triples_per_point=10, seed=0,
         float(np.max([p[key] for p in per_point], initial=0.0))
         for key in ("codazzi_obstruction", "sectional_spread"))
 
-    compatible = max_obstruction <= tol_codazzi and max_spread <= tol_spread
+    compatible = max_obstruction <= tol and max_spread <= tol
     return CartanAuditReport(
         points=pts,
         max_codazzi_obstruction=max_obstruction,
         sectional_spread=max_spread,
         verdict="ConstantCurvatureCompatible" if compatible else "Obstructed",
         seed=seed,
-        tolerances={"codazzi": tol_codazzi, "spread": tol_spread},
+        tolerances={"codazzi": tol, "spread": tol},
         per_point=per_point)
 
 

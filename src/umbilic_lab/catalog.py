@@ -191,8 +191,7 @@ def _ellipsoid(semiaxes, id_text):
     chart = ExpressionMap(comps, m)
     return Immersion(m, euclidean_space(m + 1), chart, chart.jacobian,
                      chart.hessian, domain=_ellipsoid_domain(m),
-                     orientation="inward", center=np.zeros(m + 1),
-                     name=id_text)
+                     orientation="inward", name=id_text)
 
 
 def _ellipsoid_domain(m):
@@ -256,7 +255,7 @@ def _expression_graph(expr_text, space_of, orientation, id_text):
 # implicit-surface curvature oracle (independent route used by tests)
 
 
-def implicit_principal_curvatures(grad_f, hess_f, inward=True):
+def implicit_principal_curvatures(grad_f, hess_f):
     """Principal curvatures of a level set from its implicit data.
 
     Returns the nonzero-eigenvalue part of P Hess(F) P / |grad F| with
@@ -270,7 +269,7 @@ def implicit_principal_curvatures(grad_f, hess_f, inward=True):
     w = proj @ h @ proj / np.linalg.norm(g)
     vals = np.linalg.eigvalsh(w)
     vals = np.delete(vals, int(np.argmin(np.abs(vals))))
-    return np.sort(vals if inward else -vals)
+    return np.sort(vals)
 
 
 # ---------------------------------------------------------------------------
@@ -437,8 +436,7 @@ def _build_immersion(family, arg, id_text):
         chart = ExpressionMap(coords + [f"sqrt({_coeff(r * r)} + ({norm2}))"], m)
         im = Immersion(m, minkowski_space(m + 1), chart, chart.jacobian,
                        chart.hessian, domain=[[-2.5, 2.5]] * m,
-                       orientation="future", center=np.zeros(m + 1),
-                       name=id_text)
+                       orientation="future", name=id_text)
         truth = {"label": "umbilic-everywhere", "is_hyperbolic_space": True,
                  "radius": r}
         closed = {"principal_curvatures": lambda u, _r=r, _m=m: np.full(_m, 1.0 / _r),

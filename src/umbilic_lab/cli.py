@@ -2,8 +2,8 @@
 
 Exit codes: 0 all checks passed, 1 geometric failure (a verification
 suite reported a failing verdict), 2 numerical or infrastructure error.
-Every error path prints a single-line machine-readable diagnostic to
-stderr before exiting.
+Every error path, argparse's included, prints a single-line
+machine-readable diagnostic to stderr before exiting.
 """
 
 import argparse
@@ -80,45 +80,50 @@ def _grid(flag, text):
     return counts
 
 
-def _count(flag, value):
-    """``value`` for ``--flag``: a positive integer."""
-    if type(value) is not int or value < 1:
-        raise ValueError(f"--{flag} must be a positive integer, got {value!r}")
-    return value
+def _checked(want, test):
+    """The parser of a flag whose value must pass ``test``, stated as ``want``."""
+    def parse(flag, value):
+        if not test(value):
+            raise ValueError(f"--{flag} must be {want}, got {value!r}")
+        return value
+    return parse
 
 
-def _positive(flag, value):
-    """``value`` for ``--flag``: a finite positive number."""
-    if (type(value) not in (int, float) or not math.isfinite(value)
-            or value <= 0):
-        raise ValueError(f"--{flag} must be finite and positive, got {value!r}")
-    return value
+def _dirs(flag, text):
+    """basis, random, or the angles of angles:A,B,... (degrees) in radians."""
+    if text in ("basis", "random"):
+        return text
+    if isinstance(text, str) and text.startswith("angles:"):
+        return np.radians(_numbers(flag, text[7:]))
+    raise ValueError(f"--{flag} {text!r} is not angles:A,B,..., basis or random")
 
 
+_COUNT = _checked("a positive integer", lambda v: type(v) is int and v >= 1)
+_POSITIVE = _checked("finite and positive", lambda v: type(v) in (int, float)
+                     and math.isfinite(v) and v > 0)
 # the parser of each flag's value, from the command line or a config file
-PARSERS = {"s": _count, "samples": _count, "points": _count, "tol": _positive,
-           "radius": _positive, "grid": _grid,
+PARSERS = {"s": _COUNT, "samples": _COUNT, "points": _COUNT, "tol": _POSITIVE,
+           "radius": _POSITIVE, "grid": _grid, "dirs": _dirs,
+           "format": _checked("json or csv", lambda v: v in ("json", "csv")),
+           "taylor": _checked("true or false", lambda v: type(v) is bool),
            "point": lambda flag, text: np.asarray(_numbers(flag, text))}
 
 
-def _resolve_dirs(im, rep, dirs_text, s, seed):
-    if dirs_text.startswith("angles:"):
-        angles = np.radians(_numbers("dirs", dirs_text[7:]))
+def _resolve_dirs(im, rep, dirs, s, seed):
+    """The tangent direction rows of a ``--dirs`` value parsed by _dirs."""
+    if not isinstance(dirs, str):       # the angles, in radians
         if im.param_dim != 2:
-            raise ValueError(f"--dirs {dirs_text!r} needs a 2-parameter surface")
+            raise ValueError("--dirs angles:... needs a 2-parameter surface")
         e1, e2 = rep.tangent_frame
-        return np.stack([np.cos(a) * e1 + np.sin(a) * e2 for a in angles])
-    if dirs_text == "basis":
-        return rep.principal_directions[:s]
-    if dirs_text == "random":
+        return np.stack([np.cos(a) * e1 + np.sin(a) * e2 for a in dirs])
+    if dirs == "random":
         rng = np.random.default_rng([seed, 7])
         return verifier._random_tangent_dirs(rep, [rng], s)[0]
-    raise ValueError(f"--dirs {dirs_text!r} is not angles:A,B,..., basis or random")
+    return rep.principal_directions[:s]
 
 
 def cmd_analyze(args):
-    entry = resolve(args.surface)
-    im = entry.obj
+    im = resolve(args.surface).obj
     counts = args.grid or [10]
     grid = verifier._grid_points(im, counts, margin=0.02)
     counts = counts * im.param_dim if len(counts) == 1 else counts
@@ -162,14 +167,14 @@ def cmd_analyze(args):
 
 
 def cmd_slice(args):
-    entry = resolve(args.surface)
-    im = entry.obj
+    im = resolve(args.surface).obj
     q = im.domain.mean(axis=1) if args.point is None else args.point
     s = args.s or 1
     if s > im.param_dim:
         raise ValueError(f"--s {s} exceeds the surface dimension {im.param_dim}")
     rep = shape_report(im, q)
-    dirs = _resolve_dirs(im, rep, args.dirs, s, args.seed)
+    dirs = _resolve_dirs(im, rep, "basis" if args.dirs is None else args.dirs,
+                         s, args.seed)
     spec = make_slice_spec(im, rep, dirs)
     radius = args.radius
     if radius is None:
@@ -193,21 +198,16 @@ def cmd_verify(args):
         args.suite, args.surface, n_points=args.samples or 20,
         seed=args.seed, grid=args.grid or [5],
         **({} if args.tol is None else {"tol": args.tol}))
-    payload = {"schema_version": SCHEMA_VERSION,
-               "reports": [r.to_dict() for r in reports]}
-    _emit(payload, args.out)
+    _emit({"schema_version": SCHEMA_VERSION,
+           "reports": [r.to_dict() for r in reports]}, args.out)
     return 0 if all(r.overall for r in reports) else 1
 
 
 def cmd_audit_cartan(args):
-    entry = resolve(args.metric, kind="ambient")
-    space = entry.obj
     report = ambient_ops.cartan_audit(
-        space, args.points or 5, triples_per_point=args.samples or 10,
-        seed=args.seed, tol_codazzi=args.tol, tol_spread=args.tol)
-    payload = report.to_dict()
-    payload["metric"] = args.metric
-    _emit(payload, args.out)
+        resolve(args.metric, kind="ambient").obj, args.points or 5,
+        triples_per_point=args.samples or 10, seed=args.seed, tol=args.tol)
+    _emit({**report.to_dict(), "metric": args.metric}, args.out)
     return 0
 
 
@@ -227,8 +227,15 @@ def _add_common(p, seed=True, tol=True):
                    help="JSON file with defaults for any flag")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Its errors raise ValueError, for ``main`` to report as one line."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="umbilic-lab",
         description="Extrinsic curvature, umbilic points, and normal slices")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -242,7 +249,7 @@ def build_parser():
     p = sub.add_parser("slice", help="trace one normal slice and fit models")
     p.add_argument("--surface", required=True)
     p.add_argument("--point", default=None, help="parameter point, e.g. 0.5,0.3")
-    p.add_argument("--dirs", default="basis",
+    p.add_argument("--dirs", default=None,
                    help="basis | random | angles:a,b,...")
     p.add_argument("--s", type=int, default=None)
     p.add_argument("--samples", type=int, default=None)
@@ -253,8 +260,7 @@ def build_parser():
     _add_common(p, tol=False)
 
     p = sub.add_parser("verify", help="run a theorem verification suite")
-    p.add_argument("suite", choices=sorted(
-        [*verifier.POINT_SUITES, "remark4", *verifier.CHARACTERIZATIONS, "all"]))
+    p.add_argument("suite", choices=sorted([*verifier.SUITE_TARGETS, "all"]))
     p.add_argument("--surface", default=None)
     p.add_argument("--samples", type=int, default=None,
                    help="points per surface")
@@ -277,6 +283,8 @@ def _apply_config(args):
     if getattr(args, "config", None):
         with open(args.config) as fh:
             conf = json.load(fh)
+        if not isinstance(conf, dict):
+            raise ValueError(f"--config {args.config!r} holds no JSON object")
         for key, value in conf.items():
             attr = key.replace("-", "_")
             if not hasattr(args, attr):
@@ -302,12 +310,10 @@ COMMANDS = {
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
         # a non-finite value is reported as one error, not as numpy warnings
         with np.errstate(all="ignore"):
-            args = _apply_config(args)
+            args = _apply_config(build_parser().parse_args(argv))
             return COMMANDS[args.command](args)
     except UmbilicLabError as exc:
         _diagnostic(exc.code, exc, offending=getattr(exc, "context", None) or None)

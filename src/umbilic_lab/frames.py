@@ -2,7 +2,7 @@
 
 Vectors are normalized by |g(v,v)|^(1/2) and tagged with the sign of
 g(v,v); Gram-Schmidt rejects projections near the light cone
-(|g(v,v)| < tol) instead of dividing by a vanishing norm.
+(|g(v,v)| < LIGHTLIKE_TOL) instead of dividing by a vanishing norm.
 """
 
 import numpy as np
@@ -14,13 +14,13 @@ DESIGN_SIZE = 32
 MAX_RAPIDITY = 2.0      # boost bound of draw_pseudo_orthonormal
 
 
-def pseudo_gram_schmidt(vectors, g, tol=LIGHTLIKE_TOL):
+def pseudo_gram_schmidt(vectors, g):
     """g-orthonormalize the rows of ``vectors`` (..., k, N) against g
     (..., N, N), one set per leading index; returns (basis, signs) of
     shapes (..., k, N) and (..., k).
 
     Raises DegenerateSubspace when a projected vector of any set is
-    light-like within tol, i.e. its flag of spans is degenerate.
+    light-like within LIGHTLIKE_TOL, i.e. its flag of spans is degenerate.
     """
     basis = np.array(vectors, dtype=float)
     q = np.zeros(basis.shape[:-1])      # g(w, w) of each projected vector
@@ -33,7 +33,7 @@ def pseudo_gram_schmidt(vectors, g, tol=LIGHTLIKE_TOL):
         if j + 1 < k and not q[..., j].all():   # null: none may project on it
             break
     size = np.abs(q)
-    light = size < tol * np.maximum(1.0, np.vecdot(basis, basis))
+    light = size < LIGHTLIKE_TOL * np.maximum(1.0, np.vecdot(basis, basis))
     if light.any():
         raise DegenerateSubspace("vector degenerate after projection",
                                  q=float(np.extract(light, q)[0]))

@@ -26,13 +26,12 @@ class Immersion:
     ``jacobian`` (u -> (N, m)) and ``hessian`` (u -> (N, m, m)) are the
     analytic derivatives of ``map_fn``; an ExpressionMap supplies all three.
     ``orientation`` fixes the reported sign of hypersurface normals: one of
-    None, "inward", "upward", "future", or a callable (u, p, nu) -> bool
-    meaning "keep this sign".
+    None, "inward" or "outward" (toward or away from the origin), "upward",
+    "future", or a callable (u, p, nu) -> bool meaning "keep this sign".
     """
 
     def __init__(self, param_dim, ambient, map_fn, jacobian, hessian,
-                 domain=None, allow_timelike=False, orientation=None,
-                 center=None, name=""):
+                 domain=None, allow_timelike=False, orientation=None, name=""):
         self.param_dim = int(param_dim)
         self.ambient = ambient
         self.map_fn = map_fn
@@ -43,7 +42,6 @@ class Immersion:
         self.domain = np.asarray(domain, dtype=float)
         self.allow_timelike = allow_timelike
         self.orientation = orientation
-        self.center = None if center is None else np.asarray(center, dtype=float)
         self.name = name
 
     @property
@@ -144,9 +142,8 @@ def _orient(im, u, p, normal, g):
         rows = map(rule, u.reshape(k, -1), p.reshape(k, -1), nu.reshape(k, -1))
         keep = np.fromiter(rows, bool, k).reshape(nu.shape[:-1])
     elif rule in ("inward", "outward"):
-        center = im.center if im.center is not None else np.zeros(p.shape[-1])
-        toward = np.einsum("...i,...ij,...j->...", nu, g, center - p)
-        keep = toward > 0 if rule == "inward" else toward < 0
+        away = np.einsum("...i,...ij,...j->...", nu, g, p)
+        keep = away < 0 if rule == "inward" else away > 0
     elif rule in ("upward", "future"):
         keep = nu[..., -1] > 0
     else:
@@ -196,11 +193,6 @@ def frames(im, u):
         return tangent, normal, signs.tolist(), p, jac, g, tangent_signs
     return (tangent, normal, signs, p, jac, np.broadcast_to(g, p.shape + p.shape[-1:]),
             tangent_signs)
-
-
-def second_fundamental_form(im, u):
-    """II as an (m, m, n) coefficient array in the orthonormal frames."""
-    return shape_report(im, u).second_form
 
 
 def umbilicity_defect(second_form, eigenvalues=None):

@@ -1,7 +1,7 @@
-"""Central finite-difference derivatives of array-valued maps.
-
-The derivative index is always appended last: for f with output shape S,
-``central_diff`` returns shape S + (n,).
+"""Central finite-difference derivatives of array-valued maps, the
+reference that tests check analytic derivatives against: no program path
+calls them.  The derivative index is always appended last: for f with
+output shape S, ``central_diff`` returns shape S + (n,).
 """
 
 import numpy as np
@@ -27,23 +27,17 @@ def _columns(f, x, steps, stencil):
     return np.stack(cols, axis=-1)
 
 
-def central_diff(f, x, step, scale_steps=False):
-    """First derivatives of f at x by symmetric differences.
-
-    ``scale_steps`` multiplies the step for coordinate k by max(1, |x_k|),
-    which keeps truncation error relative at large coordinates.
-    """
+def central_diff(f, x, step):
+    """First derivatives of f at x by symmetric differences."""
     x = np.asarray(x, dtype=float)
-    steps = [step * max(1.0, abs(xk)) if scale_steps else step for xk in x]
-    return _columns(f, x, steps, _SECOND_ORDER)
+    return _columns(f, x, [step] * x.shape[0], _SECOND_ORDER)
 
 
 def central_diff4(f, x, step):
     """Fourth-order five-point first derivatives; same layout as central_diff.
 
     With exactly-evaluable f this reaches ~1e-11 absolute error at step
-    1e-3, which plain second-order differences cannot, and downstream
-    curvature contractions against weakly scaled metrics need that margin.
+    1e-3, which plain second-order differences cannot.
     """
     x = np.asarray(x, dtype=float)
     return _columns(f, x, [step] * x.shape[0], _FOURTH_ORDER)

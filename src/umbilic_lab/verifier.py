@@ -74,11 +74,11 @@ class VerdictReport:
         }
 
 
-def _report(started, suite_id, surface_id, per_point, overall, tolerances,
-            seed, extras=None):
-    """VerdictReport over ``per_point``, timed from ``started``."""
+def _report(started, suite_id, im, per_point, overall, tolerances, seed,
+            extras=None):
+    """VerdictReport on ``im`` over ``per_point``, timed from ``started``."""
     return VerdictReport(
-        suite_id=suite_id, surface_id=surface_id, points_tested=len(per_point),
+        suite_id=suite_id, surface_id=im.name, points_tested=len(per_point),
         per_point=per_point, overall=overall, tolerances=tolerances, seed=seed,
         runtime_ms=int((time.perf_counter() - started) * 1000),
         extras={} if extras is None else extras)
@@ -96,14 +96,14 @@ def _implies(a, b):
     return ("pass" if b else "fail") if a else "not exercised"
 
 
-def _one_point(started, suite_id, im, surface_id, q, seed, tol, radius,
-               residuals, directions, passed, extras):
+def _one_point(started, suite_id, im, q, seed, tol, radius, residuals,
+               directions, passed, extras):
     """One-point report; it holds ``tol_prime`` when the residuals do."""
     point = PointVerdict(parameter=[float(c) for c in q], residuals=residuals,
                          passed=passed, directions=directions)
     calibrated = ({"tol_prime": residuals["tol_prime"]}
                   if "tol_prime" in residuals else {})
-    return _report(started, suite_id, surface_id or im.name, [point], passed,
+    return _report(started, suite_id, im, [point], passed,
                    {"tol": tol, **calibrated, "radius": radius}, seed, extras)
 
 
@@ -170,7 +170,7 @@ def _h_spread(results):
 
 @_planned
 def verify_theorem2(im, q, s=1, n_subspace_draws=10, tol=1e-5, radius=None,
-                    seed=0, surface_id=""):
+                    seed=0):
     """Same slice mean curvature across normal slices iff q is umbilic."""
     started = time.perf_counter()
     if not 1 <= s <= im.param_dim - 1 and not (s == 1 and im.param_dim == 1):
@@ -183,7 +183,7 @@ def verify_theorem2(im, q, s=1, n_subspace_draws=10, tol=1e-5, radius=None,
     slice_umbilic = spread <= tol
     umbilic = rep.umbilicity_defect <= tol_prime
     return _one_point(
-        started, "theorem2", im, surface_id, q, seed, tol, radius,
+        started, "theorem2", im, q, seed, tol, radius,
         {"slice_h_spread": spread, "defect": rep.umbilicity_defect,
          "tol_prime": tol_prime},
         {"slice-umbilic-implies-umbilic": _implies(slice_umbilic, umbilic),
@@ -193,7 +193,7 @@ def verify_theorem2(im, q, s=1, n_subspace_draws=10, tol=1e-5, radius=None,
 
 
 @_planned
-def verify_corollary3(im, q, s=1, tol=1e-5, radius=None, seed=0, surface_id=""):
+def verify_corollary3(im, q, s=1, tol=1e-5, radius=None, seed=0):
     """Principal-basis slice family: equal mean curvatures iff umbilic,
     and at umbilic points the common value is the surface mean curvature."""
     started = time.perf_counter()
@@ -208,7 +208,7 @@ def verify_corollary3(im, q, s=1, tol=1e-5, radius=None, seed=0, surface_id=""):
     umbilic = rep.umbilicity_defect <= tol_prime
     mean_gap = abs(float(values.mean()) - rep.mean_curvature)
     return _one_point(
-        started, "corollary3", im, surface_id, q, seed, tol, radius,
+        started, "corollary3", im, q, seed, tol, radius,
         {"value_spread": float(values.max() - values.min()),
          "defect": rep.umbilicity_defect, "tol_prime": tol_prime,
          "mean_gap": mean_gap},
@@ -220,15 +220,14 @@ def verify_corollary3(im, q, s=1, tol=1e-5, radius=None, seed=0, surface_id=""):
 
 
 @_planned
-def verify_remark4(im, tol=1e-6, radius=None, surface_id="", q=None):
+def verify_remark4(im, tol=1e-6, radius=None):
     """Asymptotic slices of a zero-mean-curvature saddle: flat normal
     sections at a non-umbilic point, with vanishing mean curvature.
 
-    Default point is the chart midpoint (the origin for graph charts), so
-    the suite also runs as a negative control on non-saddle surfaces."""
+    The point is the chart midpoint (the origin for graph charts), so the
+    suite also runs as a negative control on non-saddle surfaces."""
     started = time.perf_counter()
-    q, rep, radius = _at_point(im, im.domain.mean(axis=1) if q is None else q,
-                               radius)
+    q, rep, radius = _at_point(im, im.domain.mean(axis=1), radius)
     e1, e2 = rep.tangent_frame
     dirs = [np.array([(e1 + e2) / np.sqrt(2.0)]),
             np.array([(e1 - e2) / np.sqrt(2.0)])]
@@ -239,7 +238,7 @@ def verify_remark4(im, tol=1e-6, radius=None, surface_id="", q=None):
     defect = rep.umbilicity_defect
     passed = max_asymptotic <= tol and defect >= 1.0 and h_abs <= tol
     return _one_point(
-        started, "remark4", im, surface_id, q, 0, tol, radius,
+        started, "remark4", im, q, 0, tol, radius,
         {"max_asymptotic_slice_curvature": max_asymptotic,
          "mean_curvature_abs": h_abs, "defect": defect},
         {"zero-normal-sections-but-not-umbilic": _implies(True, passed)},
@@ -248,7 +247,7 @@ def verify_remark4(im, tol=1e-6, radius=None, surface_id="", q=None):
 
 @_planned
 def verify_corollary5(im, q, s=1, n_basis_draws=10, tol=1e-5, radius=None,
-                      seed=0, surface_id=""):
+                      seed=0):
     """Mean of the slice mean curvatures equals the surface mean curvature
     for every orthonormal basis, umbilic or not."""
     started = time.perf_counter()
@@ -264,7 +263,7 @@ def verify_corollary5(im, q, s=1, n_basis_draws=10, tol=1e-5, radius=None,
     worst = float(np.max(np.abs(values.mean(axis=1) - rep.mean_curvature)))
     passed = worst <= tol
     return _one_point(
-        started, "corollary5", im, surface_id, q, seed, tol, radius,
+        started, "corollary5", im, q, seed, tol, radius,
         {"max_mean_gap": worst},
         {"mean-of-means-identity": _implies(True, passed)},
         passed, {"s": s, "basis_draws": n_basis_draws})
@@ -272,7 +271,7 @@ def verify_corollary5(im, q, s=1, n_basis_draws=10, tol=1e-5, radius=None,
 
 @_planned
 def verify_theorem8(im, q, s=2, n_subspace_draws=10, tol=1e-5, radius=None,
-                    seed=0, mode="random", surface_id=""):
+                    seed=0, mode="random"):
     """Umbilic in every s-dimensional normal slice iff umbilic in the
     surface; mode "basis" uses subsets of one fixed (non-orthogonal) basis."""
     started = time.perf_counter()
@@ -303,7 +302,7 @@ def verify_theorem8(im, q, s=2, n_subspace_draws=10, tol=1e-5, radius=None,
     all_umbilic = worst <= tol_prime and spread <= tol
     umbilic = rep.umbilicity_defect <= tol_prime
     return _one_point(
-        started, "theorem8", im, surface_id, q, seed, tol, radius,
+        started, "theorem8", im, q, seed, tol, radius,
         {"max_slice_defect": worst, "slice_h_spread": spread,
          "defect": rep.umbilicity_defect, "tol_prime": tol_prime},
         {"slices-umbilic-implies-umbilic": _implies(all_umbilic, umbilic),
@@ -313,8 +312,7 @@ def verify_theorem8(im, q, s=2, n_subspace_draws=10, tol=1e-5, radius=None,
 
 
 @_planned
-def verify_theorem10(im, q, tol=1e-5, n_pairs=10, radius=None, seed=0,
-                     surface_id=""):
+def verify_theorem10(im, q, tol=1e-5, n_pairs=10, radius=None, seed=0):
     """Two umbilic normal hypersurface slices force an umbilic point; at
     non-umbilic points every drawn pair contains a non-umbilic slice."""
     started = time.perf_counter()
@@ -330,7 +328,7 @@ def verify_theorem10(im, q, tol=1e-5, n_pairs=10, radius=None, seed=0,
     # umbilic: every slice should be umbilic; else every pair needs a non-umbilic one
     all_hit, no_hit = bool(forward_hits.all()), not forward_hits.any()
     return _one_point(
-        started, "theorem10", im, surface_id, q, seed, tol, radius,
+        started, "theorem10", im, q, seed, tol, radius,
         {"defect": rep.umbilicity_defect, "tol_prime": tol_prime,
          "max_pair_min_defect": pairs.min(axis=1).max(),
          "max_slice_defect": pairs.max()},
@@ -359,12 +357,24 @@ def _grid_points(im, grid, margin=0.15):
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, m)
 
 
-def _characterization(suite_id, im, grid, tol_fit, radius, seed, expect,
-                      expect_radius, tol_radius, surface_id, margin):
-    """Two random normal hyperplane slices per grid point, each fitted by
-    the suite's model; an "error" point fails the report whatever ``expect``."""
+# suite id -> (ambient signature index, 1 for Lorentzian hyperbolic fits, and
+# name; ground-truth flag of its surfaces; default trace radius; grid margin)
+CHARACTERIZATIONS = {
+    "sphere-characterization": (0, "Euclidean", "is_round_sphere", 0.5, 0.15),
+    "hyperbolic-characterization":
+        (1, "Minkowski", "is_hyperbolic_space", 0.7, 0.3),
+}
+
+
+def verify_characterization(suite_id, im, grid=(5,), tol_fit=1e-6, radius=None,
+                            seed=0, expect=None, expect_radius=None,
+                            tol_radius=1e-6):
+    """Two random normal hyperplane slices per grid point must fit the
+    suite's model (see CHARACTERIZATIONS), with the expected radius in
+    radius mode; an "error" point fails the report whatever ``expect``."""
     started = time.perf_counter()
-    index, ambient, _verify, _flag = CHARACTERIZATIONS[suite_id]
+    index, ambient, _flag, window, margin = CHARACTERIZATIONS[suite_id]
+    radius = window if radius is None else radius
     if im.ambient.signature.index != index:
         raise ValueError(f"{suite_id.split('-')[0]} characterization runs in "
                          f"{ambient} ambients")
@@ -409,45 +419,13 @@ def _characterization(suite_id, im, grid, tol_fit, radius, seed, expect,
     all_ok = all(p.passed for p in per_point)
     overall = all_ok == expect if expect is not None else all_ok
     return _report(
-        started, suite_id, surface_id or im.name, per_point,
+        started, suite_id, im, per_point,
         overall and not any(p.note for p in per_point),
         {"tol_fit": tol_fit, "radius": radius, "tol_radius": tol_radius}, seed,
         {"passes_slice_test": all_ok, "expected_to_pass": expect,
          "max_fit_residual": max_residual,
          "fitted_radii_range": [float(min(radii)), float(max(radii))]
          if radii else None})
-
-
-def verify_characterization_sphere(im, grid=(5,), tol_fit=1e-6, radius=0.5,
-                                   seed=0, expect=None, expect_radius=None,
-                                   tol_radius=1e-6, surface_id=""):
-    """Two random normal hyperplane slices per grid point must be spheres;
-    in radius mode the fitted radii must agree with the expected one."""
-    return _characterization("sphere-characterization", im, grid, tol_fit,
-                             radius, seed, expect, expect_radius, tol_radius,
-                             surface_id, margin=0.15)
-
-
-def verify_characterization_hyperbolic(im, grid=(5,), tol_fit=1e-6,
-                                       radius=0.7, seed=0, expect=None,
-                                       expect_radius=None, tol_radius=1e-6,
-                                       surface_id="", margin=0.3):
-    """Mirror suite in the Minkowski ambient with hyperbolic-space fits."""
-    return _characterization("hyperbolic-characterization", im, grid, tol_fit,
-                             radius, seed, expect, expect_radius, tol_radius,
-                             surface_id, margin=margin)
-
-
-# suite id -> (ambient signature index, 1 for the Lorentzian hyperbolic
-# fits, and name, entry point, ground-truth flag of the surfaces it
-# characterizes)
-CHARACTERIZATIONS = {
-    "sphere-characterization":
-        (0, "Euclidean", verify_characterization_sphere, "is_round_sphere"),
-    "hyperbolic-characterization":
-        (1, "Minkowski", verify_characterization_hyperbolic,
-         "is_hyperbolic_space"),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -492,29 +470,23 @@ POINT_SUITES = {
 }
 
 
-def run_point_suite(suite_id, surface_id, n_points=20, seed=42, **kwargs):
-    """Run a per-point suite over random surface points (plus any listed
-    umbilic points) and cross-check verdicts against the catalog truth."""
-    return _point_suite(suite_id, resolve(surface_id), n_points, seed, **kwargs)
-
-
 def _point_suite(suite_id, entry, n_points, seed, **kwargs):
-    """run_point_suite on a resolved catalog entry."""
+    """A point suite over random points of a resolved catalog entry (plus
+    any listed umbilic points), each verdict that decides umbilicity by
+    ``tol_prime`` cross-checked against the catalog truth."""
     started = time.perf_counter()
     points = _suite_points(entry, n_points, seed)
     per_point, tols = [], []
     subs = _run_plans(entry.obj, [
-        POINT_SUITES[suite_id].plan(entry.obj, q, seed=seed + i,
-                                    surface_id=entry.id, **kwargs)
+        POINT_SUITES[suite_id].plan(entry.obj, q, seed=seed + i, **kwargs)
         for i, q in enumerate(points)])
     for q, sub in zip(points, subs):
         verdict = sub.per_point[0]
         tols.append(sub.tolerances)
         truth = expected_umbilic(entry, q)
-        if truth is not None and suite_id != "corollary5":
-            computed_umbilic = (verdict.residuals["defect"]
-                                <= verdict.residuals.get("tol_prime", DEFECT_TOL_FLOOR))
-            if computed_umbilic != truth:
+        residuals = verdict.residuals
+        if truth is not None and "tol_prime" in residuals:
+            if (residuals["defect"] <= residuals["tol_prime"]) != truth:
                 verdict.passed = False
                 verdict.note = (verdict.note + " ground-truth disagreement").strip()
         per_point.append(verdict)
@@ -524,7 +496,7 @@ def _point_suite(suite_id, entry, n_points, seed, **kwargs):
         values = [t[key] for t in tols if key in t]
         if values:
             tolerances[f"{key}_min"], tolerances[f"{key}_max"] = min(values), max(values)
-    return _report(started, suite_id, entry.id, per_point,
+    return _report(started, suite_id, entry.obj, per_point,
                    all(p.passed for p in per_point), tolerances, seed)
 
 
@@ -568,14 +540,11 @@ def run_suite(suite_id, surface_id=None, n_points=20, seed=42, grid=(5,),
         if sid in POINT_SUITES:
             reports.append(_point_suite(sid, entry, n_points, seed, **kwargs))
         elif sid == "remark4":
-            reports.append(verify_remark4(entry.obj, surface_id=entry.id,
-                                          **kwargs))
+            reports.append(verify_remark4(entry.obj, **kwargs))
         else:
-            *_, verify, flag = CHARACTERIZATIONS[sid]
-            expect = bool(entry.ground_truth.get(flag))
-            reports.append(verify(
-                entry.obj, grid=grid, seed=seed, expect=expect,
+            expect = bool(entry.ground_truth.get(CHARACTERIZATIONS[sid][2]))
+            reports.append(verify_characterization(
+                sid, entry.obj, grid=grid, seed=seed, expect=expect,
                 expect_radius=entry.ground_truth.get("radius") if expect else None,
-                surface_id=entry.id,
                 **{"tol_fit" if k == "tol" else k: v for k, v in kwargs.items()}))
     return reports

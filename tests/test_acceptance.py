@@ -124,7 +124,8 @@ def test_criterion_4_sphere_characterization():
     with criterion(4, "two-normal-hyperplane slice-sphere test: sphere:1 "
                       "accepted (radius 1), ellipsoid and cylinder rejected "
                       "with margin >= 1e3", budget_s=60):
-        sphere = verifier.verify_characterization_sphere(
+        sphere = verifier.verify_characterization(
+            "sphere-characterization",
             catalog.resolve("sphere:1").obj, grid=(5, 5), seed=42,
             expect=True, expect_radius=1.0, tol_radius=1e-6)
         assert sphere.overall and sphere.extras["passes_slice_test"]
@@ -134,7 +135,8 @@ def test_criterion_4_sphere_characterization():
 
         failing = []
         for sid in ("ellipsoid:1,2,3", "cylinder:1"):
-            rep = verifier.verify_characterization_sphere(
+            rep = verifier.verify_characterization(
+                "sphere-characterization",
                 catalog.resolve(sid).obj, grid=(5, 5), seed=42, expect=False)
             assert rep.overall and not rep.extras["passes_slice_test"], sid
             failing.append(rep.extras["max_fit_residual"])
@@ -146,7 +148,8 @@ def test_criterion_5_hyperbolic_characterization():
     with criterion(5, "slice-hyperbolic-space test: hyperboloid-sheet:1 "
                       "accepted (radius 1), perturbed spacelike graph "
                       "rejected at the derived threshold", budget_s=60):
-        sheet = verifier.verify_characterization_hyperbolic(
+        sheet = verifier.verify_characterization(
+            "hyperbolic-characterization",
             catalog.resolve("hyperboloid-sheet:1").obj, grid=(5, 5), seed=42,
             expect=True, expect_radius=1.0, tol_radius=1e-6)
         assert sheet.overall and sheet.extras["passes_slice_test"]
@@ -171,7 +174,8 @@ def test_criterion_5_hyperbolic_characterization():
         derived_threshold = float(np.sqrt(brute.fun))
         assert derived_threshold > 5e-5
 
-        graph = verifier.verify_characterization_hyperbolic(
+        graph = verifier.verify_characterization(
+            "hyperbolic-characterization",
             catalog.resolve(
                 "minkowski-graph:sqrt(1+x0^2+x1^2)+0.05*x0^4").obj,
             grid=(5, 5), seed=42, expect=False)
@@ -244,18 +248,18 @@ def test_criterion_8_theorem_suites_and_determinism():
     with criterion(8, "theorems 2/8/10 agree with catalog ground truth at "
                       "20 points per surface; seed-42 reports byte-identical"):
         for sid in ("sphere:1", "ellipsoid:1,2,3", "hyperboloid-sheet:1"):
-            rep = verifier.run_point_suite("theorem2", sid, n_points=20,
-                                           seed=42, s=1)
+            rep = verifier.run_suite("theorem2", sid, n_points=20,
+                                     seed=42, s=1)[0]
             assert rep.overall, sid
         for sid in ("sphere:1,3", "ellipsoid:1,1.3,1.7,2.1"):
-            rep = verifier.run_point_suite("theorem8", sid, n_points=20,
-                                           seed=42, s=2)
+            rep = verifier.run_suite("theorem8", sid, n_points=20,
+                                     seed=42, s=2)[0]
             assert rep.overall, sid
         t10 = {}
         for sid in ("sphere:1,3", "ellipsoid:1,1.3,1.7,2.1",
                     "hyperboloid-sheet:1,3"):
-            rep = verifier.run_point_suite("theorem10", sid, n_points=20,
-                                           seed=42)
+            rep = verifier.run_suite("theorem10", sid, n_points=20,
+                                     seed=42)[0]
             assert rep.overall, sid
             t10[sid] = rep
 
@@ -279,8 +283,8 @@ def test_criterion_8_theorem_suites_and_determinism():
             d["runtime_ms"] = 0
             return json.dumps(d, sort_keys=True)
 
-        first = verifier.run_point_suite("theorem2", "ellipsoid:1,2,3",
-                                         n_points=20, seed=42, s=1)
-        second = verifier.run_point_suite("theorem2", "ellipsoid:1,2,3",
-                                          n_points=20, seed=42, s=1)
+        first = verifier.run_suite("theorem2", "ellipsoid:1,2,3",
+                                   n_points=20, seed=42, s=1)[0]
+        second = verifier.run_suite("theorem2", "ellipsoid:1,2,3",
+                                    n_points=20, seed=42, s=1)[0]
         assert normalized(first) == normalized(second)

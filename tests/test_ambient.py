@@ -646,3 +646,14 @@ def test_cartan_audit_reports_its_margins(mid, sign):
             want = np.log10(report.tolerances[key] / value)
             assert margins[key] == pytest.approx(want)
             assert np.sign(margins[key]) == sign
+
+
+def test_cartan_audit_tol_bounds_both_checks():
+    space = catalog.resolve("perturbed-minkowski:0.1", kind="ambient").obj
+    default = cartan_audit(space, 2, seed=3)
+    assert default.tolerances == {"codazzi": 1e-6, "spread": 1e-6}
+    assert default.verdict == "Obstructed"
+    loose = cartan_audit(space, 2, seed=3, tol=1e3)
+    assert loose.tolerances == {"codazzi": 1e3, "spread": 1e3}
+    assert loose.to_dict()["tolerances"] == {"codazzi": 1e3, "spread": 1e3}
+    assert loose.verdict == "ConstantCurvatureCompatible"

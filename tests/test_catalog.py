@@ -61,7 +61,6 @@ def test_hyperboloid_sheet_chart_matches_closed_form(m):
         assert np.max(np.abs(g - w)) <= 1e-15 * max(1.0, np.max(np.abs(w)))
     assert im.orientation == "future"
     np.testing.assert_array_equal(im.domain, [[-2.5, 2.5]] * m)
-    np.testing.assert_array_equal(im.center, np.zeros(m + 1))
 
 
 def test_resolve_dimension_parameter():

@@ -241,9 +241,9 @@ def test_bad_counts_exit_2(capsys, argv):
                                   ["audit-cartan", "--metric", "minkowski:4"],
                                   ["catalog"]])
 def test_format_flag_only_on_analyze_and_slice(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        main(argv + ["--format", "csv"])
-    assert exc.value.code == 2
+    code, out, err = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 2 and out == ""
+    assert one_strict_json_line(err)["code"] == "invalid-input"
 
 
 def test_config_file_defaults(capsys, tmp_path):
@@ -347,13 +347,13 @@ def test_verify_all_tol_reaches_every_suite(capsys, monkeypatch, tmp_path):
     seen = []
 
     def stub(suite_id):
-        def plan(im, q=None, seed=0, surface_id="", **kwargs):
+        def plan(im, q=None, seed=0, **kwargs):
             seen.append((suite_id, kwargs.get("tol")))
             yield None, [], None            # no slices to trace
             point = verifier.PointVerdict(parameter=[0.0], residuals={
                 "defect": 0.0}, passed=True)
             return verifier.VerdictReport(
-                suite_id=suite_id, surface_id=surface_id, points_tested=1,
+                suite_id=suite_id, surface_id=im.name, points_tested=1,
                 per_point=[point], overall=True,
                 tolerances={"tol": kwargs.get("tol", float("nan"))}, seed=seed)
         return verifier._planned(plan)
@@ -430,9 +430,10 @@ def test_config_floats_are_checked_too(capsys, tmp_path, value):
                                   ["catalog", "--seed", "3"],
                                   ["catalog", "--tol", "1"]])
 def test_flags_that_nothing_reads_are_gone(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    diag = one_strict_json_line(err)
+    assert diag["code"] == "invalid-input" and argv[-2] in diag["message"]
 
 
 def test_analyze_still_takes_seed(capsys):
@@ -516,3 +517,82 @@ def test_report_is_the_compact_sorted_dump_of_its_values(capsys):
                            "--grid", "10x10")
     assert code == 0
     assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("conf", [[1, 2], None, "analyze", 3])
+def test_config_that_is_not_a_json_object_exits_2(capsys, tmp_path, conf):
+    # a list or null crashed with an AttributeError traceback and exit 1
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(conf))
+    code, out, err = run_cli(capsys, "catalog", "--config", str(path))
+    assert code == 2 and out == ""
+    diag = one_strict_json_line(err)
+    assert diag["code"] == "invalid-input" and "JSON object" in diag["message"]
+
+
+def test_config_dirs_gives_the_flag_spec(capsys, tmp_path):
+    # --dirs defaulted to "basis", so a config file never reached it
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps({"dirs": "angles:30"}))
+    argv = ["slice", "--surface", "hyperbolic-paraboloid", "--samples", "2"]
+    code, by_flag, _ = run_cli(capsys, *argv, "--dirs", "angles:30")
+    assert code == 0
+    code, by_config, _ = run_cli(capsys, *argv, "--config", str(path))
+    assert code == 0
+    assert json.loads(by_config)["spec"] == json.loads(by_flag)["spec"]
+    code, basis, _ = run_cli(capsys, *argv)
+    assert json.loads(basis)["spec"] != json.loads(by_flag)["spec"]
+
+
+@pytest.mark.parametrize("conf,flag", [({"format": "xml"}, "--format"),
+                                       ({"taylor": "no"}, "--taylor"),
+                                       ({"taylor": 1}, "--taylor"),
+                                       ({"dirs": 30}, "--dirs")])
+def test_config_values_take_the_flag_choices(capsys, tmp_path, conf, flag):
+    # "xml" came out as JSON, and "no" turned the Taylor window on
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(conf))
+    code, out, err = run_cli(capsys, "slice", "--surface", "sphere:1",
+                             "--config", str(path))
+    assert code == 2 and out == ""
+    diag = one_strict_json_line(err)
+    assert diag["code"] == "invalid-input" and flag in diag["message"]
+
+
+# per subcommand: arguments it runs with, a malformed value, and the
+# arguments without a required one (None: it has none)
+CONTRACT = {
+    "analyze": (["--surface", "sphere:1", "--grid", "2"],
+                ["--surface", "sphere:1", "--grid", "2", "--seed", "x"],
+                ["--grid", "2"]),
+    "slice": (["--surface", "sphere:1", "--samples", "2"],
+              ["--surface", "sphere:1", "--s", "abc"], ["--samples", "2"]),
+    "verify": (["remark4"], ["bogus"], ["--samples", "2"]),
+    "audit-cartan": (["--metric", "minkowski:3", "--points", "1"],
+                     ["--metric", "minkowski:3", "--points", "1.5"],
+                     ["--points", "1"]),
+    "catalog": ([], ["--out"], None),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CONTRACT))
+def test_cli_contract_of_every_subcommand(capsys, command):
+    runs, malformed, missing = CONTRACT[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0 and "usage:" in capsys.readouterr().out
+    assert run_cli(capsys, command, *runs)[0] == 0
+    for argv in (malformed, [*runs, "--bogus"]) + ((missing,) if missing else ()):
+        code, out, err = run_cli(capsys, command, *argv)
+        assert code == 2 and out == "", argv
+        assert one_strict_json_line(err)["code"] == "invalid-input", argv
+
+
+def test_cli_contract_of_the_top_level_parser(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0 and "usage:" in capsys.readouterr().out
+    for argv in ([], ["bogus"], ["--bogus"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert one_strict_json_line(err)["code"] == "invalid-input", argv

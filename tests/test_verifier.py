@@ -8,14 +8,14 @@ from umbilic_lab import catalog, verifier
 from umbilic_lab.errors import FlatSlice, NewtonDiverged
 from umbilic_lab.immersion import shape_report
 from umbilic_lab.slicer import taylor_trace_radius
-from umbilic_lab.verifier import (expected_umbilic, run_point_suite, run_suite,
-                                  verify_characterization_hyperbolic,
-                                  verify_characterization_sphere,
-                                  verify_corollary3, verify_corollary5,
-                                  verify_remark4, verify_theorem2,
-                                  verify_theorem8, verify_theorem10)
+from umbilic_lab.verifier import (expected_umbilic, run_suite,
+                                  verify_characterization, verify_corollary3,
+                                  verify_corollary5, verify_remark4,
+                                  verify_theorem2, verify_theorem8,
+                                  verify_theorem10)
 
 PERTURBED_GRAPH = "minkowski-graph:sqrt(1+x0^2+x1^2)+0.05*x0^4"
+SPHERE, HYPERBOLIC = "sphere-characterization", "hyperbolic-characterization"
 
 
 def surf(sid):
@@ -210,9 +210,8 @@ def test_theorem10_hyperbolic_3_space():
 
 def test_sphere_characterization_accepts_sphere():
     ent = catalog.resolve("sphere:1")
-    r = verify_characterization_sphere(ent.obj, grid=(4, 4), seed=1,
-                                       expect=True, expect_radius=1.0,
-                                       surface_id=ent.id)
+    r = verify_characterization(SPHERE, ent.obj, grid=(4, 4), seed=1,
+                                expect=True, expect_radius=1.0)
     assert r.overall and r.extras["passes_slice_test"]
     assert r.extras["max_fit_residual"] <= 1e-8
     lo, hi = r.extras["fitted_radii_range"]
@@ -222,16 +221,16 @@ def test_sphere_characterization_accepts_sphere():
 def test_sphere_characterization_rejects_ellipsoid_and_cylinder():
     for sid in ("ellipsoid:1,2,3", "cylinder:1"):
         ent = catalog.resolve(sid)
-        r = verify_characterization_sphere(ent.obj, grid=(4, 4), seed=1,
-                                           expect=False, surface_id=ent.id)
+        r = verify_characterization(SPHERE, ent.obj, grid=(4, 4), seed=1,
+                                    expect=False)
         assert r.overall and not r.extras["passes_slice_test"], sid
 
 
 def test_sphere_characterization_margin():
-    sphere = verify_characterization_sphere(surf("sphere:1"), grid=(4, 4),
-                                            seed=1, expect=True)
-    reject = [verify_characterization_sphere(surf(sid), grid=(4, 4), seed=1,
-                                             expect=False)
+    sphere = verify_characterization(SPHERE, surf("sphere:1"), grid=(4, 4),
+                                     seed=1, expect=True)
+    reject = [verify_characterization(SPHERE, surf(sid), grid=(4, 4), seed=1,
+                                      expect=False)
               for sid in ("ellipsoid:1,2,3", "cylinder:1")]
     passing = sphere.extras["max_fit_residual"]
     failing = min(r.extras["max_fit_residual"] for r in reject)
@@ -240,9 +239,8 @@ def test_sphere_characterization_margin():
 
 def test_hyperbolic_characterization_accepts_sheet():
     ent = catalog.resolve("hyperboloid-sheet:1")
-    r = verify_characterization_hyperbolic(ent.obj, grid=(4, 4), seed=1,
-                                           expect=True, expect_radius=1.0,
-                                           surface_id=ent.id)
+    r = verify_characterization(HYPERBOLIC, ent.obj, grid=(4, 4), seed=1,
+                                expect=True, expect_radius=1.0)
     assert r.overall and r.extras["passes_slice_test"]
     assert r.extras["max_fit_residual"] <= 1e-8
     lo, hi = r.extras["fitted_radii_range"]
@@ -251,18 +249,19 @@ def test_hyperbolic_characterization_accepts_sheet():
 
 def test_hyperbolic_characterization_rejects_perturbed_graph():
     ent = catalog.resolve(PERTURBED_GRAPH)
-    r = verify_characterization_hyperbolic(ent.obj, grid=(4, 4), seed=1,
-                                           expect=False, surface_id=ent.id)
+    r = verify_characterization(HYPERBOLIC, ent.obj, grid=(4, 4), seed=1,
+                                expect=False)
     assert r.overall and not r.extras["passes_slice_test"]
     assert r.extras["max_fit_residual"] > 5e-5
 
 
 def test_tolerance_coherence_10x():
     # suites still classify correctly with tolerance x10
-    keep = verify_characterization_sphere(surf("sphere:1"), grid=(3, 3),
-                                          seed=2, expect=True, tol_fit=1e-5)
-    drop = verify_characterization_sphere(surf("ellipsoid:1,2,3"), grid=(3, 3),
-                                          seed=2, expect=False, tol_fit=1e-5)
+    keep = verify_characterization(SPHERE, surf("sphere:1"), grid=(3, 3),
+                                   seed=2, expect=True, tol_fit=1e-5)
+    drop = verify_characterization(SPHERE, surf("ellipsoid:1,2,3"),
+                                   grid=(3, 3), seed=2, expect=False,
+                                   tol_fit=1e-5)
     assert keep.overall and drop.overall
 
 
@@ -283,8 +282,8 @@ def test_expected_umbilic_labels():
 
 def test_run_point_suite_ground_truth_agreement():
     for sid in ("sphere:1", "ellipsoid:1,2,3", "hyperboloid-sheet:1"):
-        r = run_point_suite("theorem2", sid, n_points=5, seed=42, s=1,
-                            n_subspace_draws=5)
+        r = run_suite("theorem2", sid, n_points=5, seed=42, s=1,
+                      n_subspace_draws=5)[0]
         assert r.overall, sid
 
 
@@ -294,13 +293,13 @@ def test_reports_deterministic_for_fixed_seed():
         d["runtime_ms"] = 0
         return json.dumps(d, sort_keys=True)
 
-    a = run_point_suite("theorem2", "ellipsoid:1,2,3", n_points=4, seed=42,
-                        s=1, n_subspace_draws=5)
-    b = run_point_suite("theorem2", "ellipsoid:1,2,3", n_points=4, seed=42,
-                        s=1, n_subspace_draws=5)
+    a = run_suite("theorem2", "ellipsoid:1,2,3", n_points=4, seed=42,
+                  s=1, n_subspace_draws=5)[0]
+    b = run_suite("theorem2", "ellipsoid:1,2,3", n_points=4, seed=42,
+                  s=1, n_subspace_draws=5)[0]
     assert normalized(a) == normalized(b)
-    c = run_point_suite("theorem2", "ellipsoid:1,2,3", n_points=4, seed=43,
-                        s=1, n_subspace_draws=5)
+    c = run_suite("theorem2", "ellipsoid:1,2,3", n_points=4, seed=43,
+                  s=1, n_subspace_draws=5)[0]
     assert normalized(a) != normalized(c)
 
 
@@ -316,7 +315,7 @@ def test_run_suite_dispatch():
 
 def test_report_json_schema():
     r = verify_theorem2(surf("sphere:1"), [1.0, 0.5], s=1, n_subspace_draws=4,
-                        seed=0, surface_id="sphere:1")
+                        seed=0)
     d = r.to_dict()
     assert d["schema_version"] == 1
     assert set(d) >= {"suite_id", "surface_id", "points_tested", "per_point",
@@ -349,8 +348,8 @@ def test_characterization_crash_is_an_error_not_a_rejection(monkeypatch):
         raise NewtonDiverged("no sample converged")
 
     monkeypatch.setattr(verifier, "trace_slices", crash)
-    r = verify_characterization_sphere(surf("ellipsoid:1,2,3"), grid=(2, 2),
-                                       expect=False)
+    r = verify_characterization(SPHERE, surf("ellipsoid:1,2,3"), grid=(2, 2),
+                                expect=False)
     assert not r.overall
     for p in r.per_point:
         assert p.directions == {"slice-model-fit": "error"}
@@ -402,8 +401,8 @@ def test_errored_draws_reach_the_margin(monkeypatch):
         raise NewtonDiverged("no sample converged")
 
     monkeypatch.setattr(verifier, "trace_slices", crash)
-    r = verify_characterization_sphere(surf("sphere:1"), grid=(2, 2),
-                                       expect=True)
+    r = verify_characterization(SPHERE, surf("sphere:1"), grid=(2, 2),
+                                expect=True)
     assert r.extras["max_fit_residual"] == np.inf
 
 
@@ -414,8 +413,8 @@ def test_flat_slice_is_a_fail_not_an_error(monkeypatch):
                 for _pts in clouds]
 
     monkeypatch.setattr(verifier, "fit_quadrics", flat)
-    r = verify_characterization_sphere(surf("cylinder:1"), grid=(2, 2),
-                                       expect=False)
+    r = verify_characterization(SPHERE, surf("cylinder:1"), grid=(2, 2),
+                                expect=False)
     assert r.overall and not r.extras["passes_slice_test"]
     assert r.extras["max_fit_residual"] == np.inf
     for p in r.per_point:
@@ -435,8 +434,8 @@ def test_cylinder_negative_control_survives_near_axial_slices(seed):
 
 def test_point_suite_tolerances_cover_every_point():
     entry = catalog.resolve("ellipsoid:1,2,3")
-    r = run_point_suite("theorem2", entry.id, n_points=2, seed=3,
-                        n_subspace_draws=2)
+    r = run_suite("theorem2", entry.id, n_points=2, seed=3,
+                  n_subspace_draws=2)[0]
     tol_primes = [p.residuals["tol_prime"] for p in r.per_point]
     radii = [taylor_trace_radius(shape_report(entry.obj, q))
              for q in verifier._suite_points(entry, 2, 3)]
@@ -473,8 +472,8 @@ def test_point_suite_raises_the_first_error_in_point_order(monkeypatch):
     monkeypatch.setattr(verifier, "make_slice_specs", failing_specs)
     monkeypatch.setattr(verifier, "shape_report", failing_report)
     with pytest.raises(DegenerateSubspace, match="injected at point 2") as err:
-        run_point_suite("theorem2", entry.id, n_points=4, seed=42,
-                        n_subspace_draws=3)
+        run_suite("theorem2", entry.id, n_points=4, seed=42,
+                  n_subspace_draws=3)[0]
     assert err.value.context == {"point": 2}
     assert len(planned) == len(points)  # every point was planned first
 
@@ -489,8 +488,8 @@ def test_point_suite_makes_one_newton_batch(monkeypatch):
         return original(im, rows, q, targets, seeds)
 
     monkeypatch.setattr(slicer, "_newton_trace", counting)
-    r = run_point_suite("theorem2", "ellipsoid:1,2,3", n_points=3, seed=42,
-                        s=1, n_subspace_draws=4)
+    r = run_suite("theorem2", "ellipsoid:1,2,3", n_points=3, seed=42,
+                  s=1, n_subspace_draws=4)[0]
     assert r.overall and r.points_tested == 7   # 4 listed umbilics + 3
     # 7 points x 4 slices x 17 samples, no radius halved
     assert sizes == [7 * 4 * 17]
@@ -501,7 +500,7 @@ def test_point_suite_judges_each_point_once_its_slices_are_traced(monkeypatch):
     # the next batch is traced, and the report is the one-batch report
     from umbilic_lab import slicer
     args = dict(n_points=3, seed=42, s=1, n_subspace_draws=4)
-    want = run_point_suite("theorem2", "ellipsoid:1,2,3", **args).to_dict()
+    want = run_suite("theorem2", "ellipsoid:1,2,3", **args)[0].to_dict()
     events = []
     trace, spread = slicer._newton_trace, verifier._h_spread
 
@@ -516,7 +515,7 @@ def test_point_suite_judges_each_point_once_its_slices_are_traced(monkeypatch):
     monkeypatch.setattr(slicer, "_newton_trace", tracing)
     monkeypatch.setattr(verifier, "_h_spread", judging)
     monkeypatch.setattr(slicer, "BATCH_SAMPLES", 4 * 17)
-    got = run_point_suite("theorem2", "ellipsoid:1,2,3", **args).to_dict()
+    got = run_suite("theorem2", "ellipsoid:1,2,3", **args)[0].to_dict()
     assert events == [("trace", 4 * 17), ("judge", 4)] * 7
     assert {**got, "runtime_ms": 0} == {**want, "runtime_ms": 0}
 
@@ -536,8 +535,8 @@ def test_a_batch_that_raises_is_an_error_for_its_draws_only(monkeypatch):
 
     monkeypatch.setattr(slicer, "_trace_block", second_crashes)
     monkeypatch.setattr(slicer, "BATCH_SAMPLES", 4 * 17)
-    r = verify_characterization_sphere(surf("sphere:1"), grid=(2, 2),
-                                       expect=True)
+    r = verify_characterization(SPHERE, surf("sphere:1"), grid=(2, 2),
+                                expect=True)
     assert blocks == [4, 4]
     notes = [p.note for p in r.per_point]
     assert notes[:2] == ["", ""] and all(p.passed for p in r.per_point[:2])
@@ -579,3 +578,27 @@ def test_row_cap_admits_grids_up_to_its_size():
     assert len(_ball_grid(1, 1.0, n)) == 2 * n + 1
     with pytest.raises(ValueError, match=str(MAX_ROWS)):
         _ball_grid(1, 1.0, n + 1)
+
+
+# --- report naming ---
+
+def test_every_listed_and_target_immersion_is_named_by_its_id():
+    # reports take their surface_id from im.name
+    ids = {t for targets in verifier.SUITE_TARGETS.values() for t in targets}
+    ids |= {sid for kind, listed in catalog.DEFAULT_LISTING
+            if kind == "immersion" for sid in listed}
+    for sid in sorted(ids):
+        entry = catalog.resolve(sid)
+        assert entry.obj.name == entry.id == sid
+
+
+def test_a_loaded_immersion_reports_custom_immersion():
+    im = catalog.load_immersion({
+        "param_dim": 2, "ambient": "euclidean:3",
+        "components": ["x0", "x1", "x0*x0 + x1*x1"],
+        "domain": [[-1, 1], [-1, 1]]})
+    reports = [verify_theorem2(im, [0.2, 0.3], n_subspace_draws=2),
+               verify_remark4(im),
+               verify_characterization(SPHERE, im, grid=(2,))]
+    for r in reports:
+        assert r.to_dict()["surface_id"] == "custom-immersion", r.suite_id
