@@ -1,9 +1,8 @@
 """umbilic-lab: curvature of immersed submanifolds and umbilic-point checks."""
 
 from .ambient import (AmbientSpace, CartanAuditReport, CurvatureSample,
-                      MetricSignature, cartan_audit, christoffel, exp_map,
-                      geodesic, k_difference_identity, riemann,
-                      sectional_curvature, tg_patch)
+                      MetricSignature, cartan_audit, christoffel, geodesic,
+                      k_difference_identity, riemann, sectional_curvature)
 from .catalog import CatalogEntry, list_catalog, load_immersion, load_metric, resolve
 from .immersion import (Immersion, ShapeReport, frames, is_umbilic,
                         normal_curvature, shape_report)

@@ -1,9 +1,9 @@
 """Ambient (pseudo-)Riemannian spaces given by coordinate metric evaluators.
 
-Provides Christoffel symbols, the curvature tensor, sectional curvature,
-geodesics and exponential-map patches, plus the constant-curvature audit
-machinery (orthonormal-triple obstruction and sectional spread, and the
-two rotated-frame K-difference identities).
+Provides Christoffel symbols, the curvature tensor, sectional curvature
+and geodesics, plus the constant-curvature audit machinery
+(orthonormal-triple obstruction and sectional spread, and the two
+rotated-frame K-difference identities).
 
 Curvature conventions, fixed once against the round sphere:
     R(X,Y)Z = grad_X grad_Y Z - grad_Y grad_X Z - grad_[X,Y] Z
@@ -291,45 +291,6 @@ def geodesic(space, p, v, t_end, steps=256):
                              point=list(x), t=(k + 1) * h)
         path.append(((k + 1) * h, x.copy(), xd.copy()))
     return path
-
-
-def exp_map(space, p, v, steps=256):
-    """Endpoint of the unit-time geodesic from (p, v)."""
-    return geodesic(space, p, v, 1.0, steps=steps)[-1][1]
-
-
-def tg_patch(space, p, basis, radius, grid=5, steps=128):
-    """Exponential image of a coefficient-ball grid in span(basis).
-
-    The restriction of g to span(basis) must be positive definite or
-    Lorentzian; a degenerate restriction is an error, matching the
-    spacelike-or-Lorentzian prescription for admissible tangent spaces.
-    """
-    p = np.asarray(p, dtype=float)
-    basis = [np.asarray(b, dtype=float) for b in basis]
-    mat = np.stack(basis)
-    if np.linalg.matrix_rank(mat, tol=1e-10) < len(basis):
-        raise DegenerateSubspace("basis vectors are linearly dependent")
-    g = space.metric_at(p)
-    gram = mat @ g @ mat.T
-    eig = np.linalg.eigvalsh(gram)
-    if np.min(np.abs(eig)) < PLANE_TOL * max(1.0, float(np.max(np.abs(eig)))):
-        raise DegenerateSubspace("induced form on span(basis) is degenerate")
-    if int(np.sum(eig < 0)) > 1:
-        raise DegenerateSubspace("induced form has index > 1")
-
-    s = len(basis)
-    axes = [np.linspace(-radius, radius, grid) for _ in range(s)]
-    coeffs = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, s)
-    coeffs = coeffs[np.linalg.norm(coeffs, axis=1) <= radius + 1e-12]
-    points = []
-    for c in coeffs:
-        vec = sum(ci * bi for ci, bi in zip(c, basis))
-        if np.all(vec == 0.0):
-            points.append(p.copy())
-        else:
-            points.append(exp_map(space, p, vec, steps=steps))
-    return np.asarray(points)
 
 
 # comp[a, b, a, c] for the orderings (a, b, c) of a triple, flat in (3, 3, 3, 3)

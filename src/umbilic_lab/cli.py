@@ -94,28 +94,40 @@ def _dirs(flag, text):
     if text in ("basis", "random"):
         return text
     if isinstance(text, str) and text.startswith("angles:"):
-        return np.radians(_numbers(flag, text[7:]))
+        angles = np.radians(_numbers(flag, text[7:]))
+        # the directions' Gram matrix holds the cosines of the angle gaps
+        if np.abs(np.cos(angles[:, None] - angles) - np.eye(len(angles))).max() > 1e-9:
+            raise ValueError(f"--{flag} {text!r} needs pairwise perpendicular "
+                             "directions: one angle, or two 90 degrees apart")
+        return angles
     raise ValueError(f"--{flag} {text!r} is not angles:A,B,..., basis or random")
 
 
 _COUNT = _checked("a positive integer", lambda v: type(v) is int and v >= 1)
+_TEXT = _checked("text", lambda v: isinstance(v, str))
 _POSITIVE = _checked("finite and positive", lambda v: type(v) in (int, float)
                      and math.isfinite(v) and v > 0)
 # the parser of each flag's value, from the command line or a config file
 PARSERS = {"s": _COUNT, "samples": _COUNT, "points": _COUNT, "tol": _POSITIVE,
            "radius": _POSITIVE, "grid": _grid, "dirs": _dirs,
+           "seed": _checked("an integer", lambda v: type(v) is int),
+           "surface": _TEXT, "metric": _TEXT, "out": _TEXT,
            "format": _checked("json or csv", lambda v: v in ("json", "csv")),
            "taylor": _checked("true or false", lambda v: type(v) is bool),
            "point": lambda flag, text: np.asarray(_numbers(flag, text))}
 
 
 def _resolve_dirs(im, rep, dirs, s, seed):
-    """The tangent direction rows of a ``--dirs`` value parsed by _dirs."""
+    """The tangent direction rows of a ``--dirs`` value parsed by _dirs;
+    ``s`` is --s or None (one row, or one per angle)."""
     if not isinstance(dirs, str):       # the angles, in radians
         if im.param_dim != 2:
             raise ValueError("--dirs angles:... needs a 2-parameter surface")
+        if s not in (None, len(dirs)):
+            raise ValueError(f"--s {s} is not the number of --dirs angles, {len(dirs)}")
         e1, e2 = rep.tangent_frame
         return np.stack([np.cos(a) * e1 + np.sin(a) * e2 for a in dirs])
+    s = s or 1
     if dirs == "random":
         rng = np.random.default_rng([seed, 7])
         return verifier._random_tangent_dirs(rep, [rng], s)[0]
@@ -169,12 +181,11 @@ def cmd_analyze(args):
 def cmd_slice(args):
     im = resolve(args.surface).obj
     q = im.domain.mean(axis=1) if args.point is None else args.point
-    s = args.s or 1
-    if s > im.param_dim:
-        raise ValueError(f"--s {s} exceeds the surface dimension {im.param_dim}")
+    if (args.s or 1) > im.param_dim:
+        raise ValueError(f"--s {args.s} exceeds the surface dimension {im.param_dim}")
     rep = shape_report(im, q)
     dirs = _resolve_dirs(im, rep, "basis" if args.dirs is None else args.dirs,
-                         s, args.seed)
+                         args.s, args.seed)
     spec = make_slice_spec(im, rep, dirs)
     radius = args.radius
     if radius is None:

@@ -252,9 +252,9 @@ def _kappa_scale(rep):
     return max(scale, 1e-12)
 
 
-def trace_slices(im, specs, radius=None, samples_per_dim=8):
+def trace_slices(im, specs, radius, samples_per_dim=8):
     """Trace S = Sigma intersected with the slice plane around q for specs
-    of one s; ``radius`` is one or one per spec (None: default_trace_radius).
+    of one s; ``radius`` is one or one per spec.
 
     Returns an iterator over each spec's SliceResult or error, in order.
     The specs are traced a block of up to BATCH_SAMPLES samples at a time,
@@ -270,8 +270,7 @@ def trace_slices(im, specs, radius=None, samples_per_dim=8):
     specs = list(specs)
     if np.ndim(radius) == 0:
         radius = [radius] * len(specs)
-    radii = [default_trace_radius(sp.report) if r is None else float(r)
-             for sp, r in zip(specs, radius, strict=True)]
+    radii = [float(r) for _sp, r in zip(specs, radius, strict=True)]
     size = len(_ball_grid(specs[0].s, 1.0, samples_per_dim)) if specs else 1
     grids = {}          # radius -> ball grid, shared by the blocks
     return (res for block in _blocks(range(len(specs)), size)
@@ -350,7 +349,7 @@ def _trace_block(im, specs, radii, samples_per_dim, grids):
     return out
 
 
-def trace_slice(im, spec, radius=None, samples_per_dim=8):
+def trace_slice(im, spec, radius, samples_per_dim=8):
     """The one-spec trace_slices; raises the spec's error."""
     return release(next(trace_slices(im, [spec], radius, samples_per_dim)))
 

@@ -28,6 +28,7 @@ from .slicer import (MAX_ROWS, fit_quadrics, make_slice_specs, slice_shapes,
                      taylor_trace_radius, trace_slices)
 
 DEFECT_TOL_FLOOR = 1e-6
+TOL_RADIUS = 1e-6              # fitted vs catalog radius, characterizations
 UMBILIC_POINT_BALL = 0.05      # parameter distance counted as "at" a listed umbilic
 
 
@@ -84,11 +85,11 @@ def _report(started, suite_id, im, per_point, overall, tolerances, seed,
         extras={} if extras is None else extras)
 
 
-def _at_point(im, q, radius):
-    """(q, ShapeReport at q, trace radius) with the Taylor radius as default."""
+def _at_point(im, q):
+    """(q, ShapeReport at q, its Taylor trace radius)."""
     q = np.atleast_1d(np.asarray(q, dtype=float))
     rep = shape_report(im, q)
-    return q, rep, taylor_trace_radius(rep) if radius is None else radius
+    return q, rep, taylor_trace_radius(rep)
 
 
 def _implies(a, b):
@@ -169,13 +170,12 @@ def _h_spread(results):
 
 
 @_planned
-def verify_theorem2(im, q, s=1, n_subspace_draws=10, tol=1e-5, radius=None,
-                    seed=0):
+def verify_theorem2(im, q, s=1, n_subspace_draws=10, tol=1e-5, seed=0):
     """Same slice mean curvature across normal slices iff q is umbilic."""
     started = time.perf_counter()
     if not 1 <= s <= im.param_dim - 1 and not (s == 1 and im.param_dim == 1):
         raise ValueError("need 1 <= s <= m-1")
-    q, rep, radius = _at_point(im, q, radius)
+    q, rep, radius = _at_point(im, q)
     dir_sets = _random_tangent_dirs(rep, [np.random.default_rng([seed, 0])], s,
                                     n_subspace_draws)
     results, tol_prime = yield rep, dir_sets, radius
@@ -193,13 +193,13 @@ def verify_theorem2(im, q, s=1, n_subspace_draws=10, tol=1e-5, radius=None,
 
 
 @_planned
-def verify_corollary3(im, q, s=1, tol=1e-5, radius=None, seed=0):
+def verify_corollary3(im, q, s=1, tol=1e-5, seed=0):
     """Principal-basis slice family: equal mean curvatures iff umbilic,
     and at umbilic points the common value is the surface mean curvature."""
     started = time.perf_counter()
     if im.codim != 1:
         raise ValueError("corollary 3 applies to hypersurfaces")
-    q, rep, radius = _at_point(im, q, radius)
+    q, rep, radius = _at_point(im, q)
     dir_sets = [rep.principal_directions[list(subset)]
                 for subset in itertools.combinations(range(im.param_dim), s)]
     results, tol_prime = yield rep, dir_sets, radius
@@ -220,14 +220,14 @@ def verify_corollary3(im, q, s=1, tol=1e-5, radius=None, seed=0):
 
 
 @_planned
-def verify_remark4(im, tol=1e-6, radius=None):
+def verify_remark4(im, tol=1e-6):
     """Asymptotic slices of a zero-mean-curvature saddle: flat normal
     sections at a non-umbilic point, with vanishing mean curvature.
 
     The point is the chart midpoint (the origin for graph charts), so the
     suite also runs as a negative control on non-saddle surfaces."""
     started = time.perf_counter()
-    q, rep, radius = _at_point(im, im.domain.mean(axis=1), radius)
+    q, rep, radius = _at_point(im, im.domain.mean(axis=1))
     e1, e2 = rep.tangent_frame
     dirs = [np.array([(e1 + e2) / np.sqrt(2.0)]),
             np.array([(e1 - e2) / np.sqrt(2.0)])]
@@ -246,14 +246,13 @@ def verify_remark4(im, tol=1e-6, radius=None):
 
 
 @_planned
-def verify_corollary5(im, q, s=1, n_basis_draws=10, tol=1e-5, radius=None,
-                      seed=0):
+def verify_corollary5(im, q, s=1, n_basis_draws=10, tol=1e-5, seed=0):
     """Mean of the slice mean curvatures equals the surface mean curvature
     for every orthonormal basis, umbilic or not."""
     started = time.perf_counter()
     if im.codim != 1:
         raise ValueError("corollary 5 applies to hypersurfaces")
-    q, rep, radius = _at_point(im, q, radius)
+    q, rep, radius = _at_point(im, q)
     m = im.param_dim
     subsets = list(itertools.combinations(range(m), s))
     bases = _random_tangent_dirs(rep, [np.random.default_rng([seed, b])
@@ -270,15 +269,15 @@ def verify_corollary5(im, q, s=1, n_basis_draws=10, tol=1e-5, radius=None,
 
 
 @_planned
-def verify_theorem8(im, q, s=2, n_subspace_draws=10, tol=1e-5, radius=None,
-                    seed=0, mode="random"):
+def verify_theorem8(im, q, s=2, n_subspace_draws=10, tol=1e-5, seed=0,
+                    mode="random"):
     """Umbilic in every s-dimensional normal slice iff umbilic in the
     surface; mode "basis" uses subsets of one fixed (non-orthogonal) basis."""
     started = time.perf_counter()
     m = im.param_dim
     if not (m >= 3 and 2 <= s <= m - 1):
         raise ValueError("theorem 8 needs m >= 3 and 2 <= s <= m-1")
-    q, rep, radius = _at_point(im, q, radius)
+    q, rep, radius = _at_point(im, q)
     rng = np.random.default_rng([seed, 0])
     if mode == "random":
         dir_sets = _random_tangent_dirs(rep, [rng], s, n_subspace_draws)
@@ -312,14 +311,14 @@ def verify_theorem8(im, q, s=2, n_subspace_draws=10, tol=1e-5, radius=None,
 
 
 @_planned
-def verify_theorem10(im, q, tol=1e-5, n_pairs=10, radius=None, seed=0):
+def verify_theorem10(im, q, tol=1e-5, n_pairs=10, seed=0):
     """Two umbilic normal hypersurface slices force an umbilic point; at
     non-umbilic points every drawn pair contains a non-umbilic slice."""
     started = time.perf_counter()
     m = im.param_dim
     if im.codim != 1 or m < 3:
         raise ValueError("theorem 10 needs a hypersurface with m >= 3")
-    q, rep, radius = _at_point(im, q, radius)
+    q, rep, radius = _at_point(im, q)
     rngs = [np.random.default_rng([seed, k]) for k in range(n_pairs)]
     results, tol_prime = yield rep, _random_tangent_dirs(rep, rngs, m - 1, 2), radius
     pairs = umbilicity_defect(np.stack([r.slice_II for r in results]))[0].reshape(-1, 2)
@@ -358,7 +357,7 @@ def _grid_points(im, grid, margin=0.15):
 
 
 # suite id -> (ambient signature index, 1 for Lorentzian hyperbolic fits, and
-# name; ground-truth flag of its surfaces; default trace radius; grid margin)
+# name; ground-truth flag of its surfaces; trace radius; grid margin)
 CHARACTERIZATIONS = {
     "sphere-characterization": (0, "Euclidean", "is_round_sphere", 0.5, 0.15),
     "hyperbolic-characterization":
@@ -366,15 +365,13 @@ CHARACTERIZATIONS = {
 }
 
 
-def verify_characterization(suite_id, im, grid=(5,), tol_fit=1e-6, radius=None,
-                            seed=0, expect=None, expect_radius=None,
-                            tol_radius=1e-6):
-    """Two random normal hyperplane slices per grid point must fit the
-    suite's model (see CHARACTERIZATIONS), with the expected radius in
-    radius mode; an "error" point fails the report whatever ``expect``."""
+def verify_characterization(suite_id, im, grid=(5,), tol_fit=1e-6, seed=0,
+                            expect=None, expect_radius=None):
+    """Two random normal hyperplane slices per grid point, traced on the
+    suite's window, must fit its model (see CHARACTERIZATIONS) and radius
+    (to TOL_RADIUS); an "error" point fails the report whatever ``expect``."""
     started = time.perf_counter()
-    index, ambient, _flag, window, margin = CHARACTERIZATIONS[suite_id]
-    radius = window if radius is None else radius
+    index, ambient, _flag, radius, margin = CHARACTERIZATIONS[suite_id]
     if im.ambient.signature.index != index:
         raise ValueError(f"{suite_id.split('-')[0]} characterization runs in "
                          f"{ambient} ambients")
@@ -399,7 +396,7 @@ def verify_characterization(suite_id, im, grid=(5,), tol_fit=1e-6, radius=None,
             try:
                 _c, fitted_r, rms = release(next(fitted))
                 radii.append(fitted_r)
-                if expect_radius is not None and abs(fitted_r - expect_radius) > tol_radius:
+                if expect_radius is not None and abs(fitted_r - expect_radius) > TOL_RADIUS:
                     point_ok = False
                     residuals[f"radius_gap_{draw}"] = abs(fitted_r - expect_radius)
             except UmbilicLabError as exc:
@@ -421,7 +418,7 @@ def verify_characterization(suite_id, im, grid=(5,), tol_fit=1e-6, radius=None,
     return _report(
         started, suite_id, im, per_point,
         overall and not any(p.note for p in per_point),
-        {"tol_fit": tol_fit, "radius": radius, "tol_radius": tol_radius}, seed,
+        {"tol_fit": tol_fit, "radius": radius, "tol_radius": TOL_RADIUS}, seed,
         {"passes_slice_test": all_ok, "expected_to_pass": expect,
          "max_fit_residual": max_residual,
          "fitted_radii_range": [float(min(radii)), float(max(radii))]

@@ -127,7 +127,7 @@ def test_criterion_4_sphere_characterization():
         sphere = verifier.verify_characterization(
             "sphere-characterization",
             catalog.resolve("sphere:1").obj, grid=(5, 5), seed=42,
-            expect=True, expect_radius=1.0, tol_radius=1e-6)
+            expect=True, expect_radius=1.0)
         assert sphere.overall and sphere.extras["passes_slice_test"]
         assert sphere.extras["max_fit_residual"] <= 1e-8
         lo, hi = sphere.extras["fitted_radii_range"]
@@ -151,7 +151,7 @@ def test_criterion_5_hyperbolic_characterization():
         sheet = verifier.verify_characterization(
             "hyperbolic-characterization",
             catalog.resolve("hyperboloid-sheet:1").obj, grid=(5, 5), seed=42,
-            expect=True, expect_radius=1.0, tol_radius=1e-6)
+            expect=True, expect_radius=1.0)
         assert sheet.overall and sheet.extras["passes_slice_test"]
         assert sheet.extras["max_fit_residual"] <= 1e-8
         lo, hi = sheet.extras["fitted_radii_range"]

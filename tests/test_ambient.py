@@ -7,13 +7,13 @@ import pytest
 
 from umbilic_lab import catalog
 from umbilic_lab.ambient import (AmbientSpace, MetricSignature, _symmetrized,
-                                 cartan_audit, christoffel, exp_map, geodesic,
+                                 cartan_audit, christoffel, geodesic,
                                  k_difference_identity, riemann,
-                                 sectional_curvature, tg_patch)
+                                 sectional_curvature)
 from umbilic_lab.errors import (CausalCharacterMismatch, DegeneratePlane,
-                                DegenerateSubspace, InvalidMetric, LeftDomain,
-                                NonFiniteValue, SamplingExhausted,
-                                SingularMetric, UmbilicLabError)
+                                InvalidMetric, LeftDomain, NonFiniteValue,
+                                SamplingExhausted, SingularMetric,
+                                UmbilicLabError)
 from umbilic_lab.expressions import ExpressionMap
 from umbilic_lab.frames import MAX_RAPIDITY, draw_pseudo_orthonormal
 from umbilic_lab.numdiff import central_diff4
@@ -236,47 +236,6 @@ def test_geodesic_preconditions():
         geodesic(EUCLID3, np.zeros(3), np.zeros(3), 1.0)
     with pytest.raises(ValueError):
         geodesic(EUCLID3, np.zeros(3), np.ones(3), 1.0, steps=4)
-
-
-# --- exp map and patches ---
-
-def test_exp_map_flat():
-    v = np.array([0.3, -0.4, 0.5])
-    assert np.max(np.abs(exp_map(EUCLID3, np.zeros(3), v) - v)) <= 1e-12
-
-
-def test_tg_patch_flat_affine():
-    basis = [np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])]
-    pts = tg_patch(EUCLID3, np.zeros(3), basis, radius=1.0, grid=5)
-    assert np.max(np.abs(pts[:, 2])) <= 1e-10
-    norms = np.linalg.norm(pts[:, :2], axis=1)
-    assert np.max(norms) <= 1.0 + 1e-9
-
-
-def test_tg_patch_timelike_plane_minkowski():
-    basis = [np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])]
-    pts = tg_patch(MINK3, np.zeros(3), basis, radius=0.5, grid=3)
-    assert np.max(np.abs(pts[:, 1])) <= 1e-10
-
-
-def test_tg_patch_great_circle_arc():
-    space = catalog.resolve("sphere:1", kind="ambient").obj
-    p = np.array([np.pi / 2, 1.0, 1.0])
-    pts = tg_patch(space, p, [np.array([1.0, 0.0, 0.0])], radius=0.4, grid=5)
-    # meridian arc: only the colatitude moves
-    assert np.max(np.abs(pts[:, 1] - 1.0)) < 1e-9
-    assert np.max(np.abs(pts[:, 2] - 1.0)) < 1e-9
-    assert np.min(pts[:, 0]) == pytest.approx(np.pi / 2 - 0.4, abs=1e-9)
-
-
-def test_tg_patch_degenerate_subspace():
-    null = np.array([1.0, 0.0, 1.0])
-    with pytest.raises(DegenerateSubspace):
-        tg_patch(MINK3, np.zeros(3), [null], radius=0.5, grid=3)
-    with pytest.raises(DegenerateSubspace):
-        tg_patch(EUCLID3, np.zeros(3),
-                 [np.array([1.0, 0.0, 0.0]), np.array([2.0, 0.0, 0.0])],
-                 radius=0.5, grid=3)
 
 
 # --- cartan audit ---

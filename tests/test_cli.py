@@ -450,12 +450,25 @@ def test_analyze_still_takes_seed(capsys):
       "--grid", "2x"], "--grid"),
     (["slice", "--surface", "sphere:1", "--dirs", "bogus"], "--dirs"),
     (["slice", "--surface", "sphere:1,3", "--dirs", "angles:45"], "--dirs"),
+    # angles that are not at right angles failed as degenerate-subspace
+    (["slice", "--surface", "sphere:1", "--dirs", "angles:30,60"], "--dirs"),
+    (["slice", "--surface", "sphere:1", "--dirs", "angles:0,90,180"], "--dirs"),
+    # --s was ignored next to angles
+    (["slice", "--surface", "sphere:1", "--s", "2", "--dirs", "angles:30"], "--s"),
 ])
 def test_unparseable_numbers_name_their_flag(capsys, argv, flag):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     diag = one_strict_json_line(err)
     assert diag["code"] == "invalid-input" and flag in diag["message"]
+
+
+@pytest.mark.parametrize("s", [[], ["--s", "2"]])
+def test_slice_angles_at_right_angles_trace_one_slice_of_each(capsys, s):
+    code, out, _ = run_cli(capsys, "slice", "--surface", "sphere:1", "--samples",
+                           "2", "--dirs", "angles:30,120", *s)
+    assert code == 0
+    assert len(json.loads(out)["spec"]["tangent_directions"]) == 2
 
 
 @pytest.mark.parametrize("conf,flag", [({"grid": 3}, "--grid"),
@@ -547,9 +560,12 @@ def test_config_dirs_gives_the_flag_spec(capsys, tmp_path):
 @pytest.mark.parametrize("conf,flag", [({"format": "xml"}, "--format"),
                                        ({"taylor": "no"}, "--taylor"),
                                        ({"taylor": 1}, "--taylor"),
-                                       ({"dirs": 30}, "--dirs")])
+                                       ({"dirs": 30}, "--dirs"),
+                                       ({"seed": 1.5}, "--seed"),
+                                       ({"out": 3}, "--out")])
 def test_config_values_take_the_flag_choices(capsys, tmp_path, conf, flag):
-    # "xml" came out as JSON, and "no" turned the Taylor window on
+    # "xml" came out as JSON, "no" turned the Taylor window on, a float
+    # seed ended in a numpy traceback and 3 was opened as a file descriptor
     path = tmp_path / "conf.json"
     path.write_text(json.dumps(conf))
     code, out, err = run_cli(capsys, "slice", "--surface", "sphere:1",
@@ -557,6 +573,17 @@ def test_config_values_take_the_flag_choices(capsys, tmp_path, conf, flag):
     assert code == 2 and out == ""
     diag = one_strict_json_line(err)
     assert diag["code"] == "invalid-input" and flag in diag["message"]
+
+
+def test_config_surface_must_be_text(capsys, tmp_path):
+    # verify is the one command whose --surface a config file can set;
+    # {"surface": 5} ended in an AttributeError traceback
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps({"surface": 5}))
+    code, out, err = run_cli(capsys, "verify", "theorem2", "--config", str(path))
+    assert code == 2 and out == ""
+    diag = one_strict_json_line(err)
+    assert diag["code"] == "invalid-input" and "--surface" in diag["message"]
 
 
 # per subcommand: arguments it runs with, a malformed value, and the

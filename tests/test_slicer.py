@@ -168,7 +168,7 @@ def test_trace_sample_plane_membership():
         for u in random_params(im, 3, seed=13):
             rep, dirs = tangent_dirs(im, u, rng, 1)
             spec = make_slice_spec(im, rep, dirs)
-            res = trace_slice(im, spec)
+            res = trace_slice(im, spec, slicer.default_trace_radius(rep))
             d = res.points - spec.q
             g = im.ambient.metric_at(spec.q)
             off = d @ (res.complement @ g).T
@@ -529,10 +529,9 @@ def test_trace_slices_equals_one_spec_traces(sid, s):
     assert len(batch) == len(specs)
     for spec, radius, got in zip(specs, radii, batch):
         assert_same_trace(got, trace_slice(im, spec, radius=radius))
-    # None is each spec's default radius, alone or in a list
-    for got in (list(slicer.trace_slices(im, specs[:2]))[1],
-                list(slicer.trace_slices(im, specs[:2], [0.01, None]))[1]):
-        assert_same_trace(got, batch[1])
+    # each spec of a list takes its own radius
+    got = list(slicer.trace_slices(im, specs[:2], [0.01, radii[1]]))[1]
+    assert_same_trace(got, batch[1])
 
 
 def test_trace_slices_halves_only_the_specs_that_failed(monkeypatch):
@@ -578,7 +577,8 @@ def test_newton_failures_are_counted_by_reason():
         im = surface(sid)
         specs = [make_slice_spec(im, *tangent_dirs(im, u, rng, 1))
                  for u in random_params(im, 5, seed=2)]
-        for res in slicer.trace_slices(im, specs):
+        radii = [slicer.default_trace_radius(sp.report) for sp in specs]
+        for res in slicer.trace_slices(im, specs, radii):
             if isinstance(res, Exception):
                 continue
             reasons = res.provenance["failures_by_reason"]
@@ -694,7 +694,8 @@ def test_trace_slices_checks_the_ambient_before_any_block():
     im = coord_sheet(catalog.sphere_metric(1.0, dim=3))
     rep = shape_report(im, [1.0, 1.0])
     with pytest.raises(UnsupportedAmbient):     # at the call, not at next()
-        slicer.trace_slices(im, [make_slice_spec(im, rep, rep.tangent_frame[:1])])
+        slicer.trace_slices(im, [make_slice_spec(im, rep, rep.tangent_frame[:1])],
+                            slicer.default_trace_radius(rep))
 
 
 # --- stacked spec checks, result assembly and quadric fits ---

@@ -213,6 +213,8 @@ def test_sphere_characterization_accepts_sphere():
     r = verify_characterization(SPHERE, ent.obj, grid=(4, 4), seed=1,
                                 expect=True, expect_radius=1.0)
     assert r.overall and r.extras["passes_slice_test"]
+    # traced on the suite's own window; radii checked to a fixed 1e-6
+    assert r.tolerances == {"tol_fit": 1e-6, "radius": 0.5, "tol_radius": 1e-6}
     assert r.extras["max_fit_residual"] <= 1e-8
     lo, hi = r.extras["fitted_radii_range"]
     assert abs(lo - 1.0) <= 1e-6 and abs(hi - 1.0) <= 1e-6
@@ -242,6 +244,8 @@ def test_hyperbolic_characterization_accepts_sheet():
     r = verify_characterization(HYPERBOLIC, ent.obj, grid=(4, 4), seed=1,
                                 expect=True, expect_radius=1.0)
     assert r.overall and r.extras["passes_slice_test"]
+    # traced on the suite's own window; radii checked to a fixed 1e-6
+    assert r.tolerances == {"tol_fit": 1e-6, "radius": 0.7, "tol_radius": 1e-6}
     assert r.extras["max_fit_residual"] <= 1e-8
     lo, hi = r.extras["fitted_radii_range"]
     assert abs(lo - 1.0) <= 1e-6 and abs(hi - 1.0) <= 1e-6
