@@ -110,11 +110,12 @@ _POSITIVE = _checked("finite and positive", lambda v: type(v) in (int, float)
 # the parser of each flag's value, from the command line or a config file
 PARSERS = {"s": _COUNT, "samples": _COUNT, "points": _COUNT, "tol": _POSITIVE,
            "radius": _POSITIVE, "grid": _grid, "dirs": _dirs,
-           "seed": _checked("an integer", lambda v: type(v) is int),
+           "seed": _checked("a non-negative integer", lambda v: type(v) is int and v >= 0),
            "surface": _TEXT, "metric": _TEXT, "out": _TEXT,
            "format": _checked("json or csv", lambda v: v in ("json", "csv")),
            "taylor": _checked("true or false", lambda v: type(v) is bool),
            "point": lambda flag, text: np.asarray(_numbers(flag, text))}
+REQUIRED = {"analyze": "surface", "slice": "surface", "audit-cartan": "metric"}
 
 
 def _resolve_dirs(im, rep, dirs, s, seed):
@@ -252,13 +253,13 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="umbilicity report over a parameter grid")
-    p.add_argument("--surface", required=True)
+    p.add_argument("--surface", help="catalog id; required, here or in --config")
     p.add_argument("--grid", default=None, help="AxB or A, default 10 per axis")
     p.add_argument("--format", choices=("json", "csv"), default=None)
     _add_common(p)      # analyze draws nothing, but scripts pass --seed
 
     p = sub.add_parser("slice", help="trace one normal slice and fit models")
-    p.add_argument("--surface", required=True)
+    p.add_argument("--surface", help="catalog id; required, here or in --config")
     p.add_argument("--point", default=None, help="parameter point, e.g. 0.5,0.3")
     p.add_argument("--dirs", default=None,
                    help="basis | random | angles:a,b,...")
@@ -279,7 +280,7 @@ def build_parser():
     _add_common(p)
 
     p = sub.add_parser("audit-cartan", help="constant-curvature audit of a metric")
-    p.add_argument("--metric", required=True)
+    p.add_argument("--metric", help="catalog id; required, here or in --config")
     p.add_argument("--points", type=int, default=None)
     p.add_argument("--samples", type=int, default=None,
                    help="triples per point")
@@ -306,6 +307,8 @@ def _apply_config(args):
     for flag, parse in PARSERS.items():
         if getattr(args, flag, None) is not None:
             setattr(args, flag, parse(flag, getattr(args, flag)))
+        elif REQUIRED.get(args.command) == flag:
+            raise ValueError(f"--{flag} is required, on the command line or in --config")
     if getattr(args, "seed", None) is None:
         args.seed = 42
     return args

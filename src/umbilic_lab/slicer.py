@@ -199,19 +199,20 @@ def _newton_trace(im, rows, q, targets, seeds):
         if not idx.size:
             break
         steps[idx] += 1
-        jf = rows[idx] @ im.jacobian_at(u[idx])
+        live = slice(None) if idx.size == len(u) else idx   # all live: no copies
+        jf = rows[live] @ im.jacobian_at(u[live])
         try:
-            du = np.linalg.solve(jf, -f[idx][..., None])[..., 0]
+            du = np.linalg.solve(jf, -f[live][..., None])[..., 0]
         except np.linalg.LinAlgError:
             # a singular system must not sink the batch: retire only the
             # samples whose LU meets a zero pivot, as solve's does
             singular = np.linalg.slogdet(jf)[0] == 0
             retired[idx[singular]] = SINGULAR
-            idx, jf = idx[~singular], jf[~singular]
-            du = np.linalg.solve(jf, -f[idx][..., None])[..., 0]
-        u_live, f_live, step = u[idx], fnorm[idx], np.ones(idx.size)
+            live = idx = idx[~singular]
+            du = np.linalg.solve(jf[~singular], -f[idx][..., None])[..., 0]
+        u_live, f_live, step = u[live], fnorm[live], np.ones(idx.size)
         new_u = u_live + du
-        nf, nx = residual(new_u, idx)
+        nf, nx = residual(new_u, live)
         n_norm = np.max(np.abs(nf), axis=1)
         for _damp in range(8):      # halve the steps that made things worse
             worse = np.flatnonzero(n_norm > f_live)
@@ -221,7 +222,7 @@ def _newton_trace(im, rows, q, targets, seeds):
             new_u[worse] = u_live[worse] + du[worse] * step[worse, None]
             nf[worse], nx[worse] = residual(new_u[worse], idx[worse])
             n_norm[worse] = np.max(np.abs(nf[worse]), axis=1)
-        u[idx], f[idx], x[idx], fnorm[idx] = new_u, nf, nx, n_norm
+        u[live], f[live], x[live], fnorm[live] = new_u, nf, nx, n_norm
         retired[idx[~im.in_domain(new_u)]] = LEFT_DOMAIN
     good = (retired == 0) & (fnorm <= NEWTON_ACCEPT)
     return u, x, fnorm, retired, steps, good
@@ -271,17 +272,8 @@ def trace_slices(im, specs, radius, samples_per_dim=8):
     if np.ndim(radius) == 0:
         radius = [radius] * len(specs)
     radii = [float(r) for _sp, r in zip(specs, radius, strict=True)]
-    size = len(_ball_grid(specs[0].s, 1.0, samples_per_dim)) if specs else 1
-    grids = {}          # radius -> ball grid, shared by the blocks
-    return (res for block in _blocks(range(len(specs)), size)
-            for res in _trace_block(im, [specs[k] for k in block],
-                                    [radii[k] for k in block], samples_per_dim,
-                                    grids))
-
-
-def _trace_block(im, specs, radii, samples_per_dim, grids):
-    """The SliceResult or error of each of ``specs`` (see trace_slices);
-    ``grids`` holds the ball grid of each radius, filled as needed."""
+    if not specs:
+        return iter(())
     g, s = im.ambient.metric_at(specs[0].q), specs[0].s     # flat: one g
     spans = np.stack([np.concatenate([sp.tangent_directions, sp.report.normal_frame])
                       for sp in specs])
@@ -292,6 +284,16 @@ def _trace_block(im, specs, radii, samples_per_dim, grids):
     # the rows that give a sample's (t, w) from its offset x - q
     tw_rows = spans * np.array([[1.0] * s + list(sp.report.normal_signs)
                                 for sp in specs])[..., None] @ g
+    size = len(_ball_grid(s, 1.0, samples_per_dim))
+    grids = {}          # radius -> ball grid, shared by the blocks
+    return (res for block in _blocks(list(zip(specs, radii, comps, tw_rows)), size)
+            for res in _trace_block(im, *zip(*block), samples_per_dim, grids))
+
+
+def _trace_block(im, specs, radii, comps, tw_rows, samples_per_dim, grids):
+    """The SliceResult or error of each spec from its radius, complement (or
+    its error) and (t, w) rows (see trace_slices); ``grids`` maps radii to ball grids."""
+    g, s = im.ambient.metric_at(specs[0].q), specs[0].s
     out, steps, last = list(comps), np.zeros(len(specs), int), {}
     todo = [k for k, c in enumerate(comps) if not isinstance(c, Exception)]
     for attempt in range(5):
@@ -320,7 +322,7 @@ def _trace_block(im, specs, radii, samples_per_dim, grids):
         steps[todo] += np.maximum.reduceat(took, np.cumsum(sizes) - sizes)
         # the converged samples, spec after spec
         u, x, fnorm, pick = u[good], x[good], fnorm[good], pick[good]
-        tw = (tw_rows[todo][pick] @ (x - qs[good])[..., None])[..., 0]
+        tw = (np.array(tw_rows)[todo][pick] @ (x - qs[good])[..., None])[..., 0]
         ends = np.cumsum(np.bincount(pick, minlength=len(todo)))
         batch, todo = todo, []
         for j, (k, sp, rad) in enumerate(zip(batch, live, r)):
@@ -388,13 +390,12 @@ def slice_shapes(results):
         group = [out[k] for k in idx]
         rho = np.array([max(res.radius, 1e-300) for res in group])
         t_hat = np.stack([res.t for res in group]) / rho[:, None, None]
-        design = _poly_columns(t_hat, s)
-        cond2 = np.linalg.cond(design) ** 2
+        # QR, not the normal equations (they square the condition); cond(R) = cond(design)
+        q_fac, r_fac = np.linalg.qr(_poly_columns(t_hat, s))
+        cond2 = np.linalg.cond(r_fac) ** 2
         fit = cond2 <= 1e10
-        # QR, not the normal equations: they would square the condition
-        q_fac, r_fac = np.linalg.qr(design[fit])
         w = np.stack([res.w for res in group])[fit]
-        coeff = np.linalg.solve(r_fac, q_fac.mT @ w) / rho[fit, None, None] ** 2
+        coeff = np.linalg.solve(r_fac[fit], q_fac[fit].mT @ w) / rho[fit, None, None] ** 2
         q_mat, (i, j) = np.zeros((len(coeff), s, s, n)), np.triu_indices(s)
         q_mat[:, i, j] = q_mat[:, j, i] = coeff[:, :len(i)] * (1.0 + (i == j))[:, None]
         # the surface II at q restricted to each slice's directions

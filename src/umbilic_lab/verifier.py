@@ -85,11 +85,9 @@ def _report(started, suite_id, im, per_point, overall, tolerances, seed,
         extras={} if extras is None else extras)
 
 
-def _at_point(im, q):
-    """(q, ShapeReport at q, its Taylor trace radius)."""
-    q = np.atleast_1d(np.asarray(q, dtype=float))
-    rep = shape_report(im, q)
-    return q, rep, taylor_trace_radius(rep)
+def _at_point(held):
+    """(the ShapeReport at q, held as ``held``, and its Taylor trace radius)."""
+    return release(held), taylor_trace_radius(release(held))
 
 
 def _implies(a, b):
@@ -97,10 +95,10 @@ def _implies(a, b):
     return ("pass" if b else "fail") if a else "not exercised"
 
 
-def _one_point(started, suite_id, im, q, seed, tol, radius, residuals,
+def _one_point(started, suite_id, im, rep, seed, tol, radius, residuals,
                directions, passed, extras):
-    """One-point report; it holds ``tol_prime`` when the residuals do."""
-    point = PointVerdict(parameter=[float(c) for c in q], residuals=residuals,
+    """One-point report at rep.u, holding ``tol_prime`` if the residuals do."""
+    point = PointVerdict(parameter=rep.u.tolist(), residuals=residuals,
                          passed=passed, directions=directions)
     calibrated = ({"tol_prime": residuals["tol_prime"]}
                   if "tol_prime" in residuals else {})
@@ -164,18 +162,27 @@ def _planned(suite):
     return verify
 
 
+def _pointwise(plan):
+    """One-point suite at q of ``plan``, which takes q as its held report; kept as .plan."""
+    @functools.wraps(plan)
+    def verify(im, q, *args, **kwargs):
+        return _run_plans(im, [plan(im, hold(shape_report, im, q), *args, **kwargs)])[0]
+    verify.plan = plan
+    return verify
+
+
 def _h_spread(results):
     h = np.array([r.slice_H_coeff for r in results])
     return float(np.linalg.norm(h[:, None] - h[None], axis=-1).max(initial=0.0))
 
 
-@_planned
+@_pointwise
 def verify_theorem2(im, q, s=1, n_subspace_draws=10, tol=1e-5, seed=0):
     """Same slice mean curvature across normal slices iff q is umbilic."""
     started = time.perf_counter()
     if not 1 <= s <= im.param_dim - 1 and not (s == 1 and im.param_dim == 1):
         raise ValueError("need 1 <= s <= m-1")
-    q, rep, radius = _at_point(im, q)
+    rep, radius = _at_point(q)
     dir_sets = _random_tangent_dirs(rep, [np.random.default_rng([seed, 0])], s,
                                     n_subspace_draws)
     results, tol_prime = yield rep, dir_sets, radius
@@ -183,7 +190,7 @@ def verify_theorem2(im, q, s=1, n_subspace_draws=10, tol=1e-5, seed=0):
     slice_umbilic = spread <= tol
     umbilic = rep.umbilicity_defect <= tol_prime
     return _one_point(
-        started, "theorem2", im, q, seed, tol, radius,
+        started, "theorem2", im, rep, seed, tol, radius,
         {"slice_h_spread": spread, "defect": rep.umbilicity_defect,
          "tol_prime": tol_prime},
         {"slice-umbilic-implies-umbilic": _implies(slice_umbilic, umbilic),
@@ -192,14 +199,14 @@ def verify_theorem2(im, q, s=1, n_subspace_draws=10, tol=1e-5, seed=0):
         {"s": s, "draws": n_subspace_draws})
 
 
-@_planned
+@_pointwise
 def verify_corollary3(im, q, s=1, tol=1e-5, seed=0):
     """Principal-basis slice family: equal mean curvatures iff umbilic,
     and at umbilic points the common value is the surface mean curvature."""
     started = time.perf_counter()
     if im.codim != 1:
         raise ValueError("corollary 3 applies to hypersurfaces")
-    q, rep, radius = _at_point(im, q)
+    rep, radius = _at_point(q)
     dir_sets = [rep.principal_directions[list(subset)]
                 for subset in itertools.combinations(range(im.param_dim), s)]
     results, tol_prime = yield rep, dir_sets, radius
@@ -208,7 +215,7 @@ def verify_corollary3(im, q, s=1, tol=1e-5, seed=0):
     umbilic = rep.umbilicity_defect <= tol_prime
     mean_gap = abs(float(values.mean()) - rep.mean_curvature)
     return _one_point(
-        started, "corollary3", im, q, seed, tol, radius,
+        started, "corollary3", im, rep, seed, tol, radius,
         {"value_spread": float(values.max() - values.min()),
          "defect": rep.umbilicity_defect, "tol_prime": tol_prime,
          "mean_gap": mean_gap},
@@ -227,7 +234,7 @@ def verify_remark4(im, tol=1e-6):
     The point is the chart midpoint (the origin for graph charts), so the
     suite also runs as a negative control on non-saddle surfaces."""
     started = time.perf_counter()
-    q, rep, radius = _at_point(im, im.domain.mean(axis=1))
+    rep, radius = _at_point(shape_report(im, im.domain.mean(axis=1)))
     e1, e2 = rep.tangent_frame
     dirs = [np.array([(e1 + e2) / np.sqrt(2.0)]),
             np.array([(e1 - e2) / np.sqrt(2.0)])]
@@ -238,21 +245,21 @@ def verify_remark4(im, tol=1e-6):
     defect = rep.umbilicity_defect
     passed = max_asymptotic <= tol and defect >= 1.0 and h_abs <= tol
     return _one_point(
-        started, "remark4", im, q, 0, tol, radius,
+        started, "remark4", im, rep, 0, tol, radius,
         {"max_asymptotic_slice_curvature": max_asymptotic,
          "mean_curvature_abs": h_abs, "defect": defect},
         {"zero-normal-sections-but-not-umbilic": _implies(True, passed)},
         passed, {"asymptotic_slice_curvatures": curvatures})
 
 
-@_planned
+@_pointwise
 def verify_corollary5(im, q, s=1, n_basis_draws=10, tol=1e-5, seed=0):
     """Mean of the slice mean curvatures equals the surface mean curvature
     for every orthonormal basis, umbilic or not."""
     started = time.perf_counter()
     if im.codim != 1:
         raise ValueError("corollary 5 applies to hypersurfaces")
-    q, rep, radius = _at_point(im, q)
+    rep, radius = _at_point(q)
     m = im.param_dim
     subsets = list(itertools.combinations(range(m), s))
     bases = _random_tangent_dirs(rep, [np.random.default_rng([seed, b])
@@ -262,13 +269,13 @@ def verify_corollary5(im, q, s=1, n_basis_draws=10, tol=1e-5, seed=0):
     worst = float(np.max(np.abs(values.mean(axis=1) - rep.mean_curvature)))
     passed = worst <= tol
     return _one_point(
-        started, "corollary5", im, q, seed, tol, radius,
+        started, "corollary5", im, rep, seed, tol, radius,
         {"max_mean_gap": worst},
         {"mean-of-means-identity": _implies(True, passed)},
         passed, {"s": s, "basis_draws": n_basis_draws})
 
 
-@_planned
+@_pointwise
 def verify_theorem8(im, q, s=2, n_subspace_draws=10, tol=1e-5, seed=0,
                     mode="random"):
     """Umbilic in every s-dimensional normal slice iff umbilic in the
@@ -277,7 +284,7 @@ def verify_theorem8(im, q, s=2, n_subspace_draws=10, tol=1e-5, seed=0,
     m = im.param_dim
     if not (m >= 3 and 2 <= s <= m - 1):
         raise ValueError("theorem 8 needs m >= 3 and 2 <= s <= m-1")
-    q, rep, radius = _at_point(im, q)
+    rep, radius = _at_point(q)
     rng = np.random.default_rng([seed, 0])
     if mode == "random":
         dir_sets = _random_tangent_dirs(rep, [rng], s, n_subspace_draws)
@@ -301,7 +308,7 @@ def verify_theorem8(im, q, s=2, n_subspace_draws=10, tol=1e-5, seed=0,
     all_umbilic = worst <= tol_prime and spread <= tol
     umbilic = rep.umbilicity_defect <= tol_prime
     return _one_point(
-        started, "theorem8", im, q, seed, tol, radius,
+        started, "theorem8", im, rep, seed, tol, radius,
         {"max_slice_defect": worst, "slice_h_spread": spread,
          "defect": rep.umbilicity_defect, "tol_prime": tol_prime},
         {"slices-umbilic-implies-umbilic": _implies(all_umbilic, umbilic),
@@ -310,7 +317,7 @@ def verify_theorem8(im, q, s=2, n_subspace_draws=10, tol=1e-5, seed=0,
         {"s": s, "mode": mode, "draws": len(dir_sets)})
 
 
-@_planned
+@_pointwise
 def verify_theorem10(im, q, tol=1e-5, n_pairs=10, seed=0):
     """Two umbilic normal hypersurface slices force an umbilic point; at
     non-umbilic points every drawn pair contains a non-umbilic slice."""
@@ -318,7 +325,7 @@ def verify_theorem10(im, q, tol=1e-5, n_pairs=10, seed=0):
     m = im.param_dim
     if im.codim != 1 or m < 3:
         raise ValueError("theorem 10 needs a hypersurface with m >= 3")
-    q, rep, radius = _at_point(im, q)
+    rep, radius = _at_point(q)
     rngs = [np.random.default_rng([seed, k]) for k in range(n_pairs)]
     results, tol_prime = yield rep, _random_tangent_dirs(rep, rngs, m - 1, 2), radius
     pairs = umbilicity_defect(np.stack([r.slice_II for r in results]))[0].reshape(-1, 2)
@@ -327,7 +334,7 @@ def verify_theorem10(im, q, tol=1e-5, n_pairs=10, seed=0):
     # umbilic: every slice should be umbilic; else every pair needs a non-umbilic one
     all_hit, no_hit = bool(forward_hits.all()), not forward_hits.any()
     return _one_point(
-        started, "theorem10", im, q, seed, tol, radius,
+        started, "theorem10", im, rep, seed, tol, radius,
         {"defect": rep.umbilicity_defect, "tol_prime": tol_prime,
          "max_pair_min_defect": pairs.min(axis=1).max(),
          "max_slice_defect": pairs.max()},
@@ -474,9 +481,13 @@ def _point_suite(suite_id, entry, n_points, seed, **kwargs):
     started = time.perf_counter()
     points = _suite_points(entry, n_points, seed)
     per_point, tols = [], []
+    # one batched report, or one held report per point when the batch raises
+    reps = hold(shape_report, entry.obj, np.array(points))
+    reps = ([hold(shape_report, entry.obj, q) for q in points]
+            if isinstance(reps, Exception) else map(reps.row, range(len(points))))
     subs = _run_plans(entry.obj, [
-        POINT_SUITES[suite_id].plan(entry.obj, q, seed=seed + i, **kwargs)
-        for i, q in enumerate(points)])
+        POINT_SUITES[suite_id].plan(entry.obj, rep, seed=seed + i, **kwargs)
+        for i, rep in enumerate(reps)])
     for q, sub in zip(points, subs):
         verdict = sub.per_point[0]
         tols.append(sub.tolerances)

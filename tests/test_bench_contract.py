@@ -80,6 +80,22 @@ def test_traced_small_pass_makes_no_finite_difference_call(name):
     assert {n: layers[f"{n}.calls"] for n in leaves} == dict.fromkeys(leaves, 0)
 
 
+def test_traced_small_verify_all_pass_makes_one_report_and_stack_per_task():
+    # each task makes one (batched) shape report, whose normal frames take
+    # one complement stack, and one trace_slices call, which takes another
+    workload = workloads.VerifyAll(42, small=True)
+    tasks = workload.tasks()
+    t = tracer.Tracer()
+    t.install()
+    try:
+        workloads.run_pass(tasks, t)
+    finally:
+        t.uninstall()
+    layers = t.pass_metrics()
+    assert layers["immersion.shape_report.calls"] == len(tasks)
+    assert layers["frames.complement_basis.calls"] == 2 * len(tasks)
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_small_cartan_audit_pass_has_no_failures(seed):
     workload = workloads.CartanAudit(seed, small=True)

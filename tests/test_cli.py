@@ -576,7 +576,6 @@ def test_config_values_take_the_flag_choices(capsys, tmp_path, conf, flag):
 
 
 def test_config_surface_must_be_text(capsys, tmp_path):
-    # verify is the one command whose --surface a config file can set;
     # {"surface": 5} ended in an AttributeError traceback
     path = tmp_path / "conf.json"
     path.write_text(json.dumps({"surface": 5}))
@@ -623,3 +622,40 @@ def test_cli_contract_of_the_top_level_parser(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "", argv
         assert one_strict_json_line(err)["code"] == "invalid-input", argv
+
+
+@pytest.mark.parametrize("command, conf, argv", [
+    ("analyze", {"surface": "sphere:1"}, ["--grid", "2"]),
+    ("slice", {"surface": "sphere:1"}, ["--samples", "2"]),
+    ("audit-cartan", {"metric": "sphere:1"}, ["--points", "1"]),
+])
+def test_config_supplies_a_required_flag(capsys, tmp_path, command, conf, argv):
+    # argparse required the flag on the command line: these exited 2
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(conf))
+    code, out, _ = run_cli(capsys, command, *argv, "--config", str(path))
+    assert code == 0 and json.loads(out)
+    path.write_text("{}")
+    code, out, err = run_cli(capsys, command, *argv, "--config", str(path))
+    assert code == 2 and out == ""
+    diag = one_strict_json_line(err)
+    assert diag["code"] == "invalid-input"
+    assert f"--{next(iter(conf))}" in diag["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--surface", "sphere:1", "--grid", "2"],
+    ["slice", "--surface", "sphere:1", "--dirs", "random", "--samples", "2"],
+    ["verify", "theorem2", "--surface", "sphere:1", "--samples", "1"],
+    ["audit-cartan", "--metric", "sphere:1", "--points", "1"],
+])
+def test_a_negative_seed_is_refused_naming_the_flag(capsys, tmp_path, argv):
+    # numpy refused it without naming --seed, and analyze took it
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps({"seed": -1}))
+    for extra in (["--seed", "-1"], ["--config", str(path)]):
+        code, out, err = run_cli(capsys, *argv, *extra)
+        assert code == 2 and out == "", extra
+        diag = one_strict_json_line(err)
+        assert diag["code"] == "invalid-input" and "--seed" in diag["message"]
+    assert run_cli(capsys, *argv, "--seed", "0")[0] == 0

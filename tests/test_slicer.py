@@ -627,6 +627,50 @@ def test_trace_slices_complement_stack_falls_back_per_spec(monkeypatch):
     assert list(slicer.trace_slices(im, [], 0.05)) == []
 
 
+def test_trace_slices_builds_all_complements_in_one_stack(monkeypatch):
+    im = surface("ellipsoid:1,2,3")
+    rng = np.random.default_rng(5)
+    specs = [make_slice_spec(im, *tangent_dirs(im, u, rng, 1))
+             for u in random_params(im, 5, seed=2)]
+    want = list(slicer.trace_slices(im, specs, 0.05))
+    stacks, original = [], slicer.complement_basis
+
+    def counting(span, g):
+        stacks.append(np.shape(span))
+        return original(span, g)
+
+    monkeypatch.setattr(slicer, "complement_basis", counting)
+    monkeypatch.setattr(slicer, "BATCH_SAMPLES", 2 * 17)   # three blocks
+    for got, ref in zip(slicer.trace_slices(im, specs, 0.05), want, strict=True):
+        assert_same_trace(got, ref)
+    assert stacks == [(5, 2, 3)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fit_condition_number_is_the_designs(seed):
+    # clustered tangent coordinates make nearly dependent design columns:
+    # the condition number read off R is the design's, and over 1e10
+    # (squared) the fit is refused
+    from umbilic_lab.slicer import _poly_columns
+    im = surface("ellipsoid:1,2,3")
+    rng = np.random.default_rng(seed)
+    specs = [make_slice_spec(im, *tangent_dirs(im, u, rng, 1))
+             for u in random_params(im, 6, seed=seed)]
+    results = list(slicer.trace_slices(im, specs, 0.05))
+    spreads = 10.0 ** rng.uniform(-7, -1, len(results))
+    for res, spread in zip(results, spreads):
+        res.t = res.radius * (0.5 + spread * rng.random(res.t.shape))
+    fitted = slicer.slice_shapes(results)
+    for res, got, spread in zip(results, fitted, spreads):
+        want = np.linalg.cond(_poly_columns(res.t / res.radius, 1)) ** 2
+        if want > 1e10:
+            assert isinstance(got, IllConditionedFit), spread
+            assert got.context["cond"] == pytest.approx(want, rel=1e-8)
+        else:
+            assert got is res and np.isfinite(res.identity_residual), spread
+    assert any(isinstance(got, IllConditionedFit) for got in fitted)
+
+
 def test_stacked_slice_shape_equals_one_result_fits():
     rng = np.random.default_rng(17)
     for sid, s in [("ellipsoid:1,2,3", 1), ("torus:2,0.5", 1),

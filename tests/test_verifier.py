@@ -468,8 +468,11 @@ def test_point_suite_raises_the_first_error_in_point_order(monkeypatch):
         return specs
 
     def failing_report(im, u):
-        planned.append(np.asarray(u, dtype=float))
-        if np.array_equal(planned[-1], points[3]):
+        # the batch fails at its row 3 and is made again point by point
+        rows = np.atleast_2d(np.asarray(u, dtype=float))
+        if np.ndim(u) == 1:
+            planned.append(rows[0])
+        if any(np.array_equal(row, points[3]) for row in rows):
             raise LeftDomain("injected at point 3")
         return report(im, u)
 
@@ -480,6 +483,43 @@ def test_point_suite_raises_the_first_error_in_point_order(monkeypatch):
                   n_subspace_draws=3)[0]
     assert err.value.context == {"point": 2}
     assert len(planned) == len(points)  # every point was planned first
+
+
+@pytest.mark.parametrize("sid, target, kwargs", [
+    ("theorem2", "ellipsoid:1,2,3", {"n_subspace_draws": 3}),
+    ("corollary3", "elliptic-paraboloid:1,3", {}),
+    ("corollary5", "torus:2,0.5", {"n_basis_draws": 2}),
+    ("theorem8", "ellipsoid:1,1.3,1.7,2.1", {"n_subspace_draws": 2}),
+    ("theorem10", "sphere:1,3", {"n_pairs": 2}),
+])
+def test_point_suite_verdicts_equal_the_one_point_suites(sid, target, kwargs):
+    # the suite's batched report hands each plan its row: point i of a
+    # suite with seed 7 is the one-point suite at it with seed 7 + i
+    entry = catalog.resolve(target)
+    points = verifier._suite_points(entry, 2, 7)
+    report = run_suite(sid, target, n_points=2, seed=7, **kwargs)[0]
+    assert report.points_tested == len(points)
+    for i, (q, got) in enumerate(zip(points, report.per_point)):
+        want = verifier.POINT_SUITES[sid](entry.obj, q, seed=7 + i,
+                                          **kwargs).per_point[0]
+        assert got.parameter == want.parameter == q.tolist()
+        assert got.residuals == want.residuals
+        assert got.directions == want.directions
+        assert got.passed == (want.passed and "ground-truth" not in got.note)
+
+
+def test_point_suite_makes_one_shape_report_call(monkeypatch):
+    shapes = []
+    report = verifier.shape_report
+
+    def counting(im, u):
+        shapes.append(np.shape(u))
+        return report(im, u)
+
+    monkeypatch.setattr(verifier, "shape_report", counting)
+    r = run_suite("theorem2", "ellipsoid:1,2,3", n_points=3, seed=42,
+                  n_subspace_draws=2)[0]
+    assert r.points_tested == 7 and shapes == [(7, 2)]
 
 
 def test_point_suite_makes_one_newton_batch(monkeypatch):
