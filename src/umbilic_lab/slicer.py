@@ -3,8 +3,8 @@
 A slice plane through q spans the full normal space of the immersion plus
 a chosen set of tangent directions.  The intersection curve/surface is
 traced by Newton continuation from tangent-plane seeds, its second
-fundamental form is recovered by a local quadratic fit (with cubic guard
-terms), and sphere / hyperbolic-space models are fitted to the samples.
+fundamental form is read off the quadratic terms of a local quartic fit,
+and sphere / hyperbolic-space models are fitted to the samples.
 
 Slicing runs in flat ambients.  When the surface lies on a central
 quadric whose radial direction is normal to it (sphere, hyperboloid
@@ -12,6 +12,7 @@ model), the same planes pass through the center, so they are exactly the
 central linear sections that are totally geodesic in the quadric.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -30,6 +31,7 @@ MAX_FAIL_FRACTION = 0.20
 BATCH_SAMPLES = 1024    # samples per Newton batch or stacked fit: bounds memory
 MAX_ROWS = 100_000      # points a parameter grid or a slice's seed grid may ask for
 SINGULAR, LEFT_DOMAIN = 1, 2        # why _newton_trace retired a sample (0: it did not)
+TAYLOR_SAMPLES = 3      # samples per half-axis on a Taylor window: 7 at s = 1, 29 at s = 2
 
 
 @dataclass
@@ -191,7 +193,7 @@ def _newton_trace(im, rows, q, targets, seeds):
 
     u = seeds.copy()
     f, x = residual(u, slice(None))
-    fnorm = np.max(np.abs(f), axis=1)
+    fnorm = np.linalg.norm(f, axis=1)       # the rows are g-orthonormal: basis-free
     retired = np.where(im.in_domain(u), 0, LEFT_DOMAIN)
     steps = np.zeros(len(u), dtype=int)
     for _ in range(NEWTON_MAX_ITER):
@@ -213,7 +215,7 @@ def _newton_trace(im, rows, q, targets, seeds):
         u_live, f_live, step = u[live], fnorm[live], np.ones(idx.size)
         new_u = u_live + du
         nf, nx = residual(new_u, live)
-        n_norm = np.max(np.abs(nf), axis=1)
+        n_norm = np.linalg.norm(nf, axis=1)
         for _damp in range(8):      # halve the steps that made things worse
             worse = np.flatnonzero(n_norm > f_live)
             if not worse.size:
@@ -221,7 +223,7 @@ def _newton_trace(im, rows, q, targets, seeds):
             step[worse] *= 0.5
             new_u[worse] = u_live[worse] + du[worse] * step[worse, None]
             nf[worse], nx[worse] = residual(new_u[worse], idx[worse])
-            n_norm[worse] = np.max(np.abs(nf[worse]), axis=1)
+            n_norm[worse] = np.linalg.norm(nf[worse], axis=1)
         u[live], f[live], x[live], fnorm[live] = new_u, nf, nx, n_norm
         retired[idx[~im.in_domain(new_u)]] = LEFT_DOMAIN
     good = (retired == 0) & (fnorm <= NEWTON_ACCEPT)
@@ -234,14 +236,12 @@ def default_trace_radius(rep):
 
 
 def taylor_trace_radius(rep):
-    """Small window for Taylor-accurate quadric fits.
+    """Small window for Taylor-accurate slice fits, at TAYLOR_SAMPLES.
 
-    The quadratic+cubic model has an O(radius^2) even-order bias (the
-    quartic term of the slice graph leaks into the recovered Hessian), so
-    comparisons against analytic second fundamental forms at 1e-5
-    tolerance need a window of order 1e-3.
-    """
-    return 1e-3 * min(1.0, 1.0 / _kappa_scale(rep))
+    On the symmetric ball grid slice_shapes' quartic block takes up the
+    graph's quartic term: the Hessian bias is O(radius^4), not O(radius^2),
+    and rounding grows as radius^-2; 3e-3 gives residuals near 1e-9."""
+    return 3e-3 * min(1.0, 1.0 / _kappa_scale(rep))
 
 
 def _kappa_scale(rep):
@@ -304,22 +304,29 @@ def _trace_block(im, specs, radii, comps, tw_rows, samples_per_dim, grids):
         for rad in set(r) - set(grids):
             grids[rad] = _ball_grid(s, rad, samples_per_dim)
         sizes = np.array([len(grids[rad]) for rad in r])
+        starts = np.cumsum(sizes) - sizes
         pick = np.repeat(np.arange(len(todo)), sizes)
         rows = np.stack([np.concatenate([comps[k], specs[k].tangent_directions])
                          for k in todo]) @ g
-        pulls = [sp.coords @ sp.report.tangent_params for sp in live]  # (s, m)
+        pulls = (np.stack([sp.coords for sp in live])       # (L, s, m)
+                 @ np.stack([sp.report.tangent_params for sp in live]))
+        q_params = np.stack([sp.q_param for sp in live])
+        seeds = np.empty((len(pick), im.param_dim))
         qs = np.stack([sp.q for sp in live])[pick]
         targets = np.concatenate([grids[rad] for rad in r])
+        for rad in set(r):      # the specs at one radius share its grid
+            on = np.flatnonzero(np.array(r) == rad)
+            seeds[starts[on, None] + np.arange(len(grids[rad]))] = (
+                q_params[on, None] + grids[rad] @ pulls[on])
         u, x, fnorm, retired, took, good = _newton_trace(
             im, rows[pick], qs,
             np.concatenate([np.zeros((len(pick), im.param_dim - s)), targets], axis=1),
-            np.concatenate([sp.q_param + grids[rad] @ pull
-                            for sp, rad, pull in zip(live, r, pulls)]))
+            seeds)
         # per spec: failures, failures by reason, most Newton steps of a sample
         reasons = np.bincount(pick[~good] * 3 + retired[~good],
                               minlength=3 * len(todo)).reshape(-1, 3)
         failed = reasons.sum(axis=1)
-        steps[todo] += np.maximum.reduceat(took, np.cumsum(sizes) - sizes)
+        steps[todo] += np.maximum.reduceat(took, starts)
         # the converged samples, spec after spec
         u, x, fnorm, pick = u[good], x[good], fnorm[good], pick[good]
         tw = (np.array(tw_rows)[todo][pick] @ (x - qs[good])[..., None])[..., 0]
@@ -356,13 +363,18 @@ def trace_slice(im, spec, radius, samples_per_dim=8):
     return release(next(trace_slices(im, [spec], radius, samples_per_dim)))
 
 
+@functools.cache
+def _monomials(s):
+    """The (degree, count) index tables of the quadratic (np.triu_indices(s)),
+    cubic and quartic monomials in s coordinates, in lexicographic order."""
+    return tuple(np.array(list(itertools.combinations_with_replacement(range(s), d))).T
+                 for d in (2, 3, 4))
+
+
 def _poly_columns(t_hat, s):
-    """The quadratic monomials t_i t_j, i <= j, then the cubic ones, in
-    lexicographic order."""
-    i, j = np.triu_indices(s)
-    a, b, c = np.array(list(itertools.combinations_with_replacement(range(s), 3))).T
-    return np.concatenate([t_hat[..., i] * t_hat[..., j],
-                           t_hat[..., a] * t_hat[..., b] * t_hat[..., c]], axis=-1)
+    """The quadratic monomials t_i t_j, i <= j, then the cubic and quartic ones."""
+    return np.concatenate([t_hat[..., idx].prod(axis=-2) for idx in _monomials(s)],
+                          axis=-1)
 
 
 def slice_shapes(results):
@@ -370,8 +382,9 @@ def slice_shapes(results):
     local least squares: stacked QR solves over results of one (s, sample
     count), up to BATCH_SAMPLES samples each.
 
-    Model per transverse direction: w = sum quadratic + cubic monomials in
-    the tangent coordinates; only the quadratic block is read off.  The
+    Model per transverse direction: w = sum quadratic + cubic + quartic
+    monomials in the tangent coordinates; only the quadratic block is read
+    off, and the quartic one keeps the graph's quartic term out of it.  The
     identity residual is the max entrywise gap between the fitted slice II
     and the restricted surface II at q (the Gauss formula, run as a test).
     Returns each result, or its fit's error; held errors pass through."""
@@ -381,10 +394,10 @@ def slice_shapes(results):
             groups.setdefault((res.spec.s,) + res.w.shape, []).append(k)
     for (s, count, n), idx in [(key, b) for key, group in groups.items()
                                for b in _blocks(group, key[1])]:
-        k_min = (s + 1) * (s + 2) // 2 + s
+        k_min = sum(cols.shape[1] for cols in _monomials(s))     # one sample per column
         if count < k_min:
             for k in idx:
-                out[k] = DegenerateFit("too few slice samples for the quadratic fit",
+                out[k] = DegenerateFit("too few slice samples for the polynomial fit",
                                        needed=k_min, got=count)
             continue
         group = [out[k] for k in idx]
@@ -392,11 +405,12 @@ def slice_shapes(results):
         t_hat = np.stack([res.t for res in group]) / rho[:, None, None]
         # QR, not the normal equations (they square the condition); cond(R) = cond(design)
         q_fac, r_fac = np.linalg.qr(_poly_columns(t_hat, s))
-        cond2 = np.linalg.cond(r_fac) ** 2
+        with np.errstate(over="ignore"):        # a collapsed quartic block: inf
+            cond2 = np.linalg.cond(r_fac) ** 2
         fit = cond2 <= 1e10
         w = np.stack([res.w for res in group])[fit]
         coeff = np.linalg.solve(r_fac[fit], q_fac[fit].mT @ w) / rho[fit, None, None] ** 2
-        q_mat, (i, j) = np.zeros((len(coeff), s, s, n)), np.triu_indices(s)
+        q_mat, (i, j) = np.zeros((len(coeff), s, s, n)), _monomials(s)[0]
         q_mat[:, i, j] = q_mat[:, j, i] = coeff[:, :len(i)] * (1.0 + (i == j))[:, None]
         # the surface II at q restricted to each slice's directions
         a = np.stack([res.spec.coords for res in group])[fit]
@@ -407,7 +421,7 @@ def slice_shapes(results):
         for k, res, c2 in zip(idx, group, cond2):
             if not c2 <= 1e10:
                 out[k] = IllConditionedFit(
-                    "quadratic fit normal equations ill conditioned", cond=float(c2))
+                    "polynomial fit normal equations ill conditioned", cond=float(c2))
                 continue
             res.slice_II, res.slice_H_coeff, gap_k = next(fitted)
             res.slice_H = res.slice_H_coeff @ res.spec.report.normal_frame

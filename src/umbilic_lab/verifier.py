@@ -24,8 +24,8 @@ from .catalog import resolve
 from .errors import FlatSlice, UmbilicLabError, hold, hold_each, release
 from .frames import pseudo_gram_schmidt
 from .immersion import shape_report, umbilicity_defect
-from .slicer import (MAX_ROWS, fit_quadrics, make_slice_specs, slice_shapes,
-                     taylor_trace_radius, trace_slices)
+from .slicer import (MAX_ROWS, TAYLOR_SAMPLES, fit_quadrics, make_slice_specs,
+                     slice_shapes, taylor_trace_radius, trace_slices)
 
 DEFECT_TOL_FLOOR = 1e-6
 TOL_RADIUS = 1e-6              # fitted vs catalog radius, characterizations
@@ -117,30 +117,30 @@ def _random_tangent_dirs(rep, rngs, s, draws=1):
     return (q_mat @ frame).reshape(-1, s, frame.shape[-1])
 
 
-def _traced(im, requests):
+def _traced(im, requests, samples_per_dim=8):
     """The SliceResult or error of every direction set of the (ShapeReport,
-    direction sets, radius) requests, in order, from one trace_slices call:
-    a block of slices is traced when its first result is asked for."""
+    direction sets, radius) requests, in order, from one ``samples_per_dim``
+    trace_slices call: a block is traced when its first result is asked for."""
     specs = [spec for rep, dir_sets, _r in requests
              for spec in make_slice_specs(im, rep, dir_sets)]
     radii = [radius for _rep, dir_sets, radius in requests for _d in dir_sets]
     ok = [k for k, spec in enumerate(specs) if not isinstance(spec, Exception)]
     traced = hold_each(trace_slices, im, [specs[k] for k in ok],
-                       [radii[k] for k in ok])
+                       [radii[k] for k in ok], samples_per_dim)
     return (spec if isinstance(spec, Exception) else next(traced)
             for spec in specs)
 
 
 def _run_plans(im, plans):
     """Plan, trace, judge: each plan (a suite generator at one point) yields
-    one request (see _traced) and takes back its fitted results and the
-    threshold calibrated from their identity residuals.  Every plan is made
-    first and all their slices are traced as one stream; each plan is then
-    fitted and judged as soon as its slices are traced, so a suite holds
-    one block of samples.  An error is raised where a point-by-point run
-    meets it."""
+    one request (see _traced, at TAYLOR_SAMPLES) and takes back its fitted
+    results and the threshold calibrated from their identity residuals.
+    Every plan is made first and all their slices are traced as one stream;
+    each plan is then fitted and judged as soon as its slices are traced, so
+    a suite holds one block of samples.  An error is raised where a
+    point-by-point run meets it."""
     asks = [hold(next, plan) for plan in plans]
-    traced = _traced(im, [ask for ask in asks if not isinstance(ask, Exception)])
+    traced = _traced(im, [a for a in asks if not isinstance(a, Exception)], TAYLOR_SAMPLES)
     reports = []
     for plan, ask in zip(plans, asks):
         results = [release(res) for res in slice_shapes(

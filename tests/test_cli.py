@@ -466,9 +466,17 @@ def test_unparseable_numbers_name_their_flag(capsys, argv, flag):
 @pytest.mark.parametrize("s", [[], ["--s", "2"]])
 def test_slice_angles_at_right_angles_trace_one_slice_of_each(capsys, s):
     code, out, _ = run_cli(capsys, "slice", "--surface", "sphere:1", "--samples",
-                           "2", "--dirs", "angles:30,120", *s)
+                           "3", "--dirs", "angles:30,120", *s)
     assert code == 0
     assert len(json.loads(out)["spec"]["tangent_directions"]) == 2
+
+
+def test_slice_s2_on_two_samples_per_axis_is_an_ill_conditioned_fit(capsys):
+    # a 5 x 5 ball grid cannot determine the quartic model of an s = 2 slice
+    code, out, err = run_cli(capsys, "slice", "--surface", "sphere:1", "--s", "2",
+                             "--samples", "2")
+    assert code == 2 and out == ""
+    assert one_strict_json_line(err)["code"] == "ill-conditioned-fit"
 
 
 @pytest.mark.parametrize("conf,flag", [({"grid": 3}, "--grid"),

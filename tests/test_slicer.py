@@ -340,10 +340,12 @@ def test_slice_shape_needs_enough_samples():
     rep = shape_report(im, u)
     spec = make_slice_spec(im, rep, rep.tangent_frame[:1])
     res = trace_slice(im, spec, radius=0.3, samples_per_dim=8)
-    res.points = res.points[:3]
-    res.t, res.w = res.t[:3], res.w[:3]
-    with pytest.raises(DegenerateFit):
+    # one sample fewer than the s = 1 model's t^2, t^3 and t^4 columns
+    res.points = res.points[:2]
+    res.t, res.w = res.t[:2], res.w[:2]
+    with pytest.raises(DegenerateFit) as caught:
         slice_shape(res)
+    assert caught.value.context == {"needed": 3, "got": 2}
 
 
 def test_slice_result_serialization():
@@ -683,7 +685,7 @@ def test_stacked_slice_shape_equals_one_result_fits():
         single = list(slicer.trace_slices(im, specs, radii))
         # one too-small sample set and one collapsed design in the stack
         for res in (stacked[1], single[1]):
-            res.points, res.t, res.w = res.points[:3], res.t[:3], res.w[:3]
+            res.points, res.t, res.w = res.points[:2], res.t[:2], res.w[:2]
         for res in (stacked[2], single[2]):
             res.t = np.zeros_like(res.t) + 1e-16
         fitted = slicer.slice_shapes(stacked)
@@ -853,3 +855,26 @@ def test_stacked_quadric_fits_match_one_cloud_fits(lorentzian):
         assert got[2] == pytest.approx(want[2], rel=0, abs=1e-12)
     assert {"tuple", "FlatSlice", "DegenerateFit"} <= kinds
     assert ({"WrongCausalType", "DegenerateSubspace"} <= kinds) == lorentzian
+
+
+def test_quartic_block_takes_up_the_quartic_term_of_the_slice_graph():
+    # w = kappa t^2 / 2 + c t^4 on the Taylor window and grid: the fit reads
+    # kappa off exactly, where a quadratic + cubic fit is off by ~1.8 c r^2
+    from umbilic_lab.slicer import TAYLOR_SAMPLES, _poly_columns
+    im = surface("ellipsoid:1,2,3")
+    rep = shape_report(im, np.array([0.7, 0.4]))
+    spec = make_slice_spec(im, rep, rep.tangent_frame[:1])
+    kappa = np.einsum("ip,pqa,jq->ija", spec.coords, rep.second_form,
+                      spec.coords)[0, 0, 0]
+    r = taylor_trace_radius(rep)
+    res = trace_slice(im, spec, radius=r, samples_per_dim=TAYLOR_SAMPLES)
+    c, t = 1.0, res.t[:, 0]
+    assert len(t) == 2 * TAYLOR_SAMPLES + 1 and res.radius == r
+    res.w = (kappa * t ** 2 / 2 + c * t ** 4)[:, None]
+    slice_shape(res)
+    assert res.identity_residual <= 1e-8
+    assert abs(res.slice_II[0, 0, 0] - kappa) <= 1e-8
+    even_odd = _poly_columns(res.t / r, 1)[:, :2]        # t^2, t^3
+    coef = np.linalg.lstsq(even_odd, res.w[:, 0], rcond=None)[0]
+    miss = abs(2 * coef[0] / r ** 2 - kappa)
+    assert c * r ** 2 < miss < 2 * c * r ** 2

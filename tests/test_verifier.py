@@ -436,7 +436,9 @@ def test_cylinder_negative_control_survives_near_axial_slices(seed):
     assert all(p.directions["slice-model-fit"] != "error" for p in r.per_point)
 
 
-def test_point_suite_tolerances_cover_every_point():
+def test_point_suite_tolerances_cover_every_point(monkeypatch):
+    # below the floor, so that each point's tol_prime is its own
+    monkeypatch.setattr(verifier, "DEFECT_TOL_FLOOR", 1e-12)
     entry = catalog.resolve("ellipsoid:1,2,3")
     r = run_suite("theorem2", entry.id, n_points=2, seed=3,
                   n_subspace_draws=2)[0]
@@ -535,8 +537,8 @@ def test_point_suite_makes_one_newton_batch(monkeypatch):
     r = run_suite("theorem2", "ellipsoid:1,2,3", n_points=3, seed=42,
                   s=1, n_subspace_draws=4)[0]
     assert r.overall and r.points_tested == 7   # 4 listed umbilics + 3
-    # 7 points x 4 slices x 17 samples, no radius halved
-    assert sizes == [7 * 4 * 17]
+    # 7 points x 4 slices x 7 samples (3 per half-axis), no radius halved
+    assert sizes == [7 * 4 * 7]
 
 
 def test_point_suite_judges_each_point_once_its_slices_are_traced(monkeypatch):
@@ -558,9 +560,9 @@ def test_point_suite_judges_each_point_once_its_slices_are_traced(monkeypatch):
 
     monkeypatch.setattr(slicer, "_newton_trace", tracing)
     monkeypatch.setattr(verifier, "_h_spread", judging)
-    monkeypatch.setattr(slicer, "BATCH_SAMPLES", 4 * 17)
+    monkeypatch.setattr(slicer, "BATCH_SAMPLES", 4 * 7)
     got = run_suite("theorem2", "ellipsoid:1,2,3", **args)[0].to_dict()
-    assert events == [("trace", 4 * 17), ("judge", 4)] * 7
+    assert events == [("trace", 4 * 7), ("judge", 4)] * 7
     assert {**got, "runtime_ms": 0} == {**want, "runtime_ms": 0}
 
 
@@ -646,3 +648,11 @@ def test_a_loaded_immersion_reports_custom_immersion():
                verify_characterization(SPHERE, im, grid=(2,))]
     for r in reports:
         assert r.to_dict()["surface_id"] == "custom-immersion", r.suite_id
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_verify_all_pairs_at_full_size_hold(seed):
+    # the verify-all benchmark's pairs: 5 points per surface and a 5 x 5 grid
+    reports = run_suite("all", n_points=5, seed=seed, grid=(5, 5))
+    assert len(reports) == 21
+    assert [r.suite_id for r in reports if not r.overall] == []
