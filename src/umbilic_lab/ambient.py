@@ -88,10 +88,10 @@ class AmbientSpace:
             raise NonFiniteValue("metric is not finite", point=list(x))
         if abs(g - g.T).max() > 1e-12 * max(1.0, scale):
             raise InvalidMetric("metric not symmetric", point=list(x))
-        eig = np.linalg.eigvalsh(g)
-        if abs(eig).min() < DET_TOL * max(1.0, float(abs(eig).max())):
+        eig = np.linalg.eigvalsh(g).tolist()
+        if min(map(abs, eig)) < DET_TOL * max(1.0, *map(abs, eig)):
             raise SingularMetric("metric degenerate", point=list(x))
-        negatives = int(np.count_nonzero(eig < 0))
+        negatives = sum(e < 0 for e in eig)
         if negatives != self.signature.index:
             raise InvalidMetric("metric signature mismatch",
                                 point=list(x), negatives=negatives)
@@ -111,8 +111,8 @@ class AmbientSpace:
         return tuple(map(_symmetrized, self.jet(np.asarray(x, dtype=float))))
 
     def in_box(self, x):
-        return bool(np.all(x >= self.box[:, 0] - 1e-9)
-                    and np.all(x <= self.box[:, 1] + 1e-9))
+        return all(lo - 1e-9 <= c <= hi + 1e-9 for c, (lo, hi) in
+                   zip(np.asarray(x, dtype=float).tolist(), self.box.tolist()))
 
 
 def _symmetrized(d):
@@ -131,6 +131,7 @@ class CurvatureSample:
     metric: np.ndarray          # g[i, j]
     christoffel: np.ndarray     # gamma[k, i, j]
     riemann_lowered: np.ndarray  # lowered[i, j, k, l] = g(R(e_i,e_j)e_l, e_k)
+    eigh: tuple                 # (eig, vec) = np.linalg.eigh(g)
 
 
 @dataclass
@@ -165,13 +166,12 @@ def _margin(tol, value):
     return math.log10(ratio) if 0.0 < ratio < math.inf else None
 
 
-def _inverse(g, x):
-    """g^-1; SingularMetric when max|g| max|g^-1| (|eigenvalue| max / min
-    for a diagonal g) exceeds 1 / DET_TOL, a test relative to g's scale."""
-    try:
-        ginv = np.linalg.inv(g)
-    except np.linalg.LinAlgError:       # exactly singular
-        ginv = np.full_like(g, np.inf)
+def _inverse(g, x, eigh=None):
+    """g^-1 from g's eigendecomposition ``eigh`` = (eig, vec), taken here
+    unless passed; SingularMetric when max|g| max|g^-1| (|eigenvalue| max /
+    min for a diagonal g) exceeds 1 / DET_TOL, a test relative to g's scale."""
+    eig, vec = np.linalg.eigh(g) if eigh is None else eigh
+    ginv = (vec / eig) @ vec.T if eig.all() else np.full_like(g, np.inf)
     cond = float(abs(g).max() * abs(ginv).max())
     if not cond * DET_TOL < 1.0:        # a NaN fails too
         raise SingularMetric("metric singular for its scale", cond=cond, point=list(x))
@@ -192,40 +192,37 @@ def christoffel(space, x, g=None, dg=None, ginv=None):
         ginv = _inverse(g, x)
     if dg is None:
         dg = space.metric_jet_at(x)[0]
-    # Gamma_l,ij = d_i g_jl + d_j g_il - d_l g_ij, up to the factor 1/2
-    low = dg.transpose(1, 2, 0) + dg.transpose(1, 0, 2) - dg.transpose(2, 0, 1)
-    gamma = 0.5 * (ginv @ low.reshape(n, -1)).reshape(n, n, n)
-    return 0.5 * (gamma + gamma.transpose(0, 2, 1))
+    gamma = (ginv @ _first_kind(dg).reshape(n, -1)).reshape(n, n, n)
+    # the 1/2 of the first kind and that of the symmetrization, as one exact 1/4
+    return 0.25 * (gamma + gamma.transpose(0, 2, 1))
+
+
+def _first_kind(dg):
+    """2 Gamma_l,ij = d_i g_jl + d_j g_il - d_l g_ij as [l, i, j] (first kind)."""
+    return dg.transpose(1, 2, 0) + dg.transpose(1, 0, 2) - dg.transpose(2, 0, 1)
 
 
 def riemann(space, x):
-    """Curvature tensor at x as a CurvatureSample, with dGamma exact:
-        d_m Gamma^k_ij = g^kl (d_m Gamma_l,ij - d_m g_la Gamma^a_ij),
-        d_m Gamma_l,ij = (d_m d_i g_jl + d_m d_j g_il - d_m d_l g_ij) / 2.
+    """Curvature tensor at x as a CurvatureSample, lowered in closed form
+    from the exact metric jet:
+        lowered[i, j, k, l] = Y[i, j, k, l] - Y[j, i, k, l],
+        Y[i, j, k, l] = (d_i d_l g_kj - d_i d_k g_lj) / 2 + Gamma_a,jk Gamma^a_il,
+    the first kind Gamma_a,jk taken from dg, not lowered by g.
     """
-    x = np.asarray(x, dtype=float)
-    n = space.dimension
+    x, n = np.asarray(x, dtype=float), space.dimension
     g = space.metric_at(x)
+    eigh = np.linalg.eigh(g)
     if space.is_constant:
-        gamma, dgamma = christoffel(space, x, g), np.zeros((n,) * 4)
-    else:
-        dg, ddg = space.metric_jet_at(x)
-        ginv = _inverse(g, x)
-        gamma = christoffel(space, x, g, dg, ginv)
-        # d_m Gamma_l,ij - d_m g_la Gamma^a_ij, as dlow[l, i, j, m]
-        dlow = 0.5 * (ddg.transpose(1, 2, 0, 3) + ddg.transpose(1, 0, 2, 3)
-                      - ddg.transpose(2, 0, 1, 3))
-        dlow -= (dg.transpose(0, 2, 1).reshape(n * n, n) @ gamma.reshape(n, -1)
-                 ).reshape(n, n, n, n).transpose(0, 2, 3, 1)
-        dgamma = (ginv @ dlow.reshape(n, -1)).reshape(n, n, n, n)
-    # p[a, i, j, b] = Gamma^a_ip Gamma^p_jb
-    p = (gamma.reshape(n * n, n) @ gamma.reshape(n, -1)).reshape(n, n, n, n)
-    riem_up = (dgamma.transpose(0, 2, 3, 1)         # d_i gamma[a, j, b]
-               - dgamma.transpose(0, 2, 1, 3)       # d_j gamma[a, i, b]
-               + p.transpose(0, 3, 1, 2) - p.transpose(0, 3, 2, 1))
-    low = (g @ riem_up.reshape(n, -1)).reshape(n, n, n, n).transpose(2, 3, 0, 1)
+        return CurvatureSample(point=x, metric=g, christoffel=christoffel(space, x, g),
+                               riemann_lowered=np.zeros((n,) * 4), eigh=eigh)
+    dg, ddg = space.metric_jet_at(x)
+    gamma = christoffel(space, x, g, dg, _inverse(g, x, eigh))
+    # quad[j, k, i, l] = 2 Gamma_a,jk Gamma^a_il
+    quad = (_first_kind(dg).reshape(n, -1).T @ gamma.reshape(n, -1)).reshape(n, n, n, n)
+    y = 0.5 * (ddg.transpose(2, 1, 0, 3) - ddg.transpose(2, 1, 3, 0)
+               + quad.transpose(2, 0, 1, 3))
     return CurvatureSample(point=x, metric=g, christoffel=gamma,
-                           riemann_lowered=low)
+                           riemann_lowered=y - y.transpose(1, 0, 2, 3), eigh=eigh)
 
 
 # the planes span{e_a, e_b}, a < b, of a 2- or 3-frame, np.triu_indices order
@@ -300,50 +297,59 @@ _CODAZZI = np.array([30 * a + 9 * b + c
 
 def cartan_audit(space, points, triples_per_point=10, seed=0, tol=None):
     """Constant-curvature audit over sampled points and orthonormal triples;
-    ``tol`` (default 1e-6) bounds the Codazzi obstruction and the spread.
+    ``points`` is a count (>= 1) drawn from ``space.sample_box`` or a
+    nonempty list of points in ``space.box``; ``tol`` (default 1e-6)
+    bounds the Codazzi obstruction and the spread.
 
     Deterministic for a given seed; point i uses rng seeded [seed, i + 1].
     """
-    if triples_per_point < 10:
-        raise ValueError("triples_per_point must be >= 10")
+    if not isinstance(triples_per_point, (int, np.integer)) or triples_per_point < 10:
+        raise ValueError("triples_per_point must be an integer >= 10")
     tol = 1e-6 if tol is None else tol
 
-    if isinstance(points, (int, np.integer)):
+    n, index = space.dimension, space.signature.index
+    if np.isscalar(points):     # a count; one that is not an integer draws none
         rng = np.random.default_rng([seed, 0])
         lo, hi = space.sample_box[:, 0], space.sample_box[:, 1]
-        pts = [lo + rng.random(space.dimension) * (hi - lo) for _ in range(points)]
-    else:
-        pts = [np.asarray(p, dtype=float) for p in points]
+        points = [lo + rng.random(n) * (hi - lo) for _ in
+                  range(points if isinstance(points, (int, np.integer)) else 0)]
+    pts = [np.asarray(p, dtype=float) for p in points]
+    if not pts or any(x.shape != (n,) for x in pts):
+        raise ValueError(f"points must be a count >= 1 or a nonempty list of {n}-vectors")
+    for x in pts:
+        if not space.in_box(x):         # a NaN fails too
+            raise (LeftDomain("point outside the coordinate box", point=x.tolist())
+                   if np.isfinite(x).all() else
+                   NonFiniteValue("point is not finite", point=x.tolist()))
 
     # causal characters the signature can hold; triple t takes pattern t % len
-    n, index = space.dimension, space.signature.index
     patterns = [(1, 1, 1)] * (n - index >= 3) + [(1, 1, -1)] * (index >= 1 and n >= 3)
     if not patterns:
         raise DegenerateSubspace("dimension too small for orthonormal triples")
-    rows = np.resize(patterns, (triples_per_point, 3))
+    rows = np.array((patterns * triples_per_point)[:triples_per_point])
     per_point = []
+    max_obstruction = max_spread = 0.0
     for i, x in enumerate(pts):
         sample = riemann(space, x)
         triples = draw_pseudo_orthonormal(np.random.default_rng([seed, i + 1]),
-                                          sample.metric, rows)
+                                          sample.metric, rows, sample.eigh)
         comp, curvatures = _frame_curvature(sample.riemann_lowered,
                                             sample.metric, triples)
         # Codazzi obstruction: max |g(R(a,b)c, a)| over triples and assignments
         obstruction = abs(comp.reshape(triples_per_point, -1)[:, _CODAZZI]).max()
+        spread = curvatures.max() - curvatures.min()
+        # np.maximum, unlike max, lets a NaN through to fail the verdict
+        max_obstruction = np.maximum(max_obstruction, obstruction)
+        max_spread = np.maximum(max_spread, spread)
         per_point.append({"point": x.tolist(),
                           "codazzi_obstruction": float(obstruction),
-                          "sectional_spread": float(curvatures.max()
-                                                    - curvatures.min())})
-    # np.max, unlike max, lets a NaN through to fail the verdict
-    max_obstruction, max_spread = (
-        float(np.max([p[key] for p in per_point], initial=0.0))
-        for key in ("codazzi_obstruction", "sectional_spread"))
+                          "sectional_spread": float(spread)})
 
     compatible = max_obstruction <= tol and max_spread <= tol
     return CartanAuditReport(
         points=pts,
-        max_codazzi_obstruction=max_obstruction,
-        sectional_spread=max_spread,
+        max_codazzi_obstruction=float(max_obstruction),
+        sectional_spread=float(max_spread),
         verdict="ConstantCurvatureCompatible" if compatible else "Obstructed",
         seed=seed,
         tolerances={"codazzi": tol, "spread": tol},

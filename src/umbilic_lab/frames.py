@@ -59,22 +59,26 @@ def complement_basis(span, g):
     return basis[..., k:, :], signs[..., k:]
 
 
-def draw_pseudo_orthonormal(rng, g, signs_wanted):
+def draw_pseudo_orthonormal(rng, g, signs_wanted, eigh=None):
     """Draw g-orthonormal tuples with prescribed causal characters.
 
     ``signs_wanted`` is one pattern (k,) of +/-1 or a (T, k) batch; returns
-    rows (k, N) or (T, k, N).  By construction: eigenvectors of g scaled to
-    a g-orthonormal frame, a Haar rotation of its spacelike block (QR with
-    sign fix), and on a Lorentzian g a boost of rapidity uniform in
-    [-MAX_RAPIDITY, MAX_RAPIDITY] along the first rotated spacelike vector.
-    A pattern's +1 entries take the spacelike vectors in order, a -1 the
-    timelike one, so every vector has Euclidean norm at most
+    rows (k, N) or (T, k, N); ``eigh`` is np.linalg.eigh(g), taken here
+    unless passed.  By construction: eigenvectors of g scaled to a
+    g-orthonormal frame, a Haar rotation of its spacelike block, and on a
+    Lorentzian g a boost of rapidity uniform in [-MAX_RAPIDITY, MAX_RAPIDITY]
+    along the first rotated spacelike vector.  Only the k rotated vectors
+    used are made (k the most +1 entries of a pattern, at least 1 for the
+    boost): two-pass Gram-Schmidt of the first k columns of a (p, p)
+    Gaussian block, the same k columns as its QR with R's diagonal made
+    positive.  A pattern's +1 entries take the spacelike vectors in order,
+    a -1 the timelike one, so every vector has Euclidean norm at most
     exp(MAX_RAPIDITY) / sqrt(min |eigenvalue of g|).  Raises
     SamplingExhausted up front when g cannot hold a pattern.
     """
     pattern = np.asarray(signs_wanted)
     rows = pattern.reshape(-1, pattern.shape[-1])
-    eig, vec = np.linalg.eigh(g)            # ascending: timelike rows first
+    eig, vec = np.linalg.eigh(g) if eigh is None else eigh  # ascending
     n, m = len(eig), int(np.searchsorted(eig, 0.0))     # m eigenvalues < 0
     p = n - int(np.searchsorted(eig, 0.0, "right"))     # p eigenvalues > 0
     frame = (vec / np.sqrt(abs(eig))).T                 # g-orthonormal rows
@@ -86,17 +90,21 @@ def draw_pseudo_orthonormal(rng, g, signs_wanted):
         raise SamplingExhausted(
             "signature cannot hold the requested causal characters",
             pattern=rows[bad.argmax()].tolist())
-    t = len(rows)
-    q, r = np.linalg.qr(rng.standard_normal((t, p, p)))
-    haar = q * np.sign(r.diagonal(axis1=1, axis2=2))[:, None]
-    basis = np.empty((t, p + m, n))                     # (T, N, N) rows
-    basis[:, :p], basis[:, p:] = haar.mT @ spacelike, timelike
-    if m:                   # boost the plane of rows 0 and p
+    t, k = len(rows), int(max(rank[:, -1].max(), m > 0))
+    haar = rng.standard_normal((t, p, p))[..., :k].mT   # (T, k, p) columns
+    for j in range(k):      # the second pass keeps the rows orthonormal to roundoff
+        w, done = haar[:, j], haar[:, :j]
+        for _ in range(2 if j else 0):
+            w -= np.vecmat(np.matvec(done, w), done)
+        w /= np.sqrt(np.vecdot(w, w))[:, None]
+    basis = np.empty((t, k + m, n))         # k spacelike rows, then timelike
+    basis[:, :k], basis[:, k:] = haar @ spacelike, timelike
+    if m:                   # boost the plane of rows 0 and k
         phi = rng.uniform(-MAX_RAPIDITY, MAX_RAPIDITY, (t, 1))
         ch, sh, s0, e0 = np.cosh(phi), np.sinh(phi), basis[:, 0], timelike[0]
-        basis[:, 0], basis[:, p] = ch * s0 + sh * e0, sh * s0 + ch * e0
-    # the j-th +1 of a pattern takes spacelike row j, a -1 the timelike row p
-    pick = np.where(plus, rank - 1, p)
+        basis[:, 0], basis[:, k] = ch * s0 + sh * e0, sh * s0 + ch * e0
+    # the j-th +1 of a pattern takes spacelike row j, a -1 the timelike row k
+    pick = np.where(plus, rank - 1, k)
     return basis[np.arange(t)[:, None], pick].reshape(pattern.shape + (n,))
 
 

@@ -3,8 +3,8 @@
 import numpy as np
 
 from umbilic_lab.errors import (DegenerateFit, DegenerateSubspace, FlatSlice,
-                                WrongCausalType)
-from umbilic_lab.frames import pseudo_gram_schmidt
+                                SamplingExhausted, WrongCausalType)
+from umbilic_lab.frames import MAX_RAPIDITY, pseudo_gram_schmidt
 
 
 def inner(space, x, u, v):
@@ -106,3 +106,32 @@ def svd_complement(span, g, dim, tol=1e-12):
                                  expected=dim,
                                  got=int(np.extract(got != dim, got)[0]))
     return pseudo_gram_schmidt(vh[..., n - dim:, :], g)
+
+
+def qr_pseudo_orthonormal(rng, g, signs_wanted):
+    """frames.draw_pseudo_orthonormal with the whole (p, p) Haar rotation
+    from np.linalg.qr with the sign fix (R's diagonal made positive), from
+    the same generator draws."""
+    pattern = np.asarray(signs_wanted)
+    rows = pattern.reshape(-1, pattern.shape[-1])
+    eig, vec = np.linalg.eigh(g)
+    n, m = len(eig), int(np.searchsorted(eig, 0.0))
+    p = n - int(np.searchsorted(eig, 0.0, "right"))
+    frame = (vec / np.sqrt(abs(eig))).T
+    spacelike, timelike = frame[n - p:], frame[:m]
+    plus = rows > 0
+    rank = plus.cumsum(axis=1)
+    bad = (rank[:, -1] > p) | (rows.shape[1] - rank[:, -1] > m)
+    if bad.any():
+        raise SamplingExhausted("signature cannot hold the requested causal characters")
+    t = len(rows)
+    q, r = np.linalg.qr(rng.standard_normal((t, p, p)))
+    haar = q * np.sign(r.diagonal(axis1=1, axis2=2))[:, None]
+    basis = np.empty((t, p + m, n))
+    basis[:, :p], basis[:, p:] = haar.mT @ spacelike, timelike
+    if m:
+        phi = rng.uniform(-MAX_RAPIDITY, MAX_RAPIDITY, (t, 1))
+        ch, sh, s0, e0 = np.cosh(phi), np.sinh(phi), basis[:, 0], timelike[0]
+        basis[:, 0], basis[:, p] = ch * s0 + sh * e0, sh * s0 + ch * e0
+    pick = np.where(plus, rank - 1, p)
+    return basis[np.arange(t)[:, None], pick].reshape(pattern.shape + (n,))

@@ -314,6 +314,53 @@ def test_cartan_audit_rejects_few_triples():
         cartan_audit(MINK4, 2, triples_per_point=5, seed=0)
 
 
+def test_cartan_audit_rejects_a_non_integer_triple_count():
+    with pytest.raises(ValueError, match="integer"):
+        cartan_audit(MINK4, 2, triples_per_point=10.0, seed=0)
+
+
+@pytest.mark.parametrize("points", [0, -3, [], 2.0])
+def test_cartan_audit_rejects_no_points(points):
+    # no evidence must not read ConstantCurvatureCompatible
+    space = catalog.resolve("perturbed-minkowski:0.1", kind="ambient").obj
+    with pytest.raises(ValueError):
+        cartan_audit(space, points, seed=0)
+
+
+def test_cartan_audit_rejects_a_point_of_the_wrong_length():
+    space = catalog.resolve("perturbed-minkowski:0.1", kind="ambient").obj
+    with pytest.raises(ValueError, match="4-vectors"):
+        cartan_audit(space, [np.zeros(4), np.array([0.1, 0.5, 0.2])], seed=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_cartan_audit_rejects_a_non_finite_point(bad):
+    # the metric reads only x1, so a bad x0 reaches no other check
+    space = catalog.resolve("perturbed-minkowski:0.1", kind="ambient").obj
+    with pytest.raises(NonFiniteValue):
+        cartan_audit(space, [np.array([bad, 0.5, 0.2, 0.0])], seed=0)
+
+
+def test_cartan_audit_rejects_a_point_outside_the_box():
+    # the box of perturbed-minkowski is [-2, 2] on every axis
+    space = catalog.resolve("perturbed-minkowski:0.1", kind="ambient").obj
+    ok = np.array([0.1, 0.5, 0.2, 0.0])
+    with pytest.raises(LeftDomain):
+        cartan_audit(space, [ok, np.array([0.1, 5.5, 0.2, 0.0])], seed=0)
+    assert cartan_audit(space, [ok], seed=0).verdict == "Obstructed"
+
+
+@pytest.mark.parametrize("mid", ["sphere:1", "desitter:1", "hyperbolic:1"])
+@pytest.mark.parametrize("seed", range(5))
+def test_cartan_audit_codazzi_margin_is_seven_decades(mid, seed):
+    # two-pass Gram-Schmidt in the triple draw keeps the Codazzi roundoff
+    # near 1e-14 (margins of 7.94 decades and more); one pass leaves up to
+    # 2e-12 (margins from 5.7) and fails 10 of these 15 cases
+    space = catalog.resolve(mid, kind="ambient").obj
+    report = cartan_audit(space, 20, seed=seed)
+    assert report.to_dict()["margins"]["codazzi"] >= 7.0
+
+
 def test_sampling_exhausted_when_pattern_impossible():
     rng = np.random.default_rng(0)
     with pytest.raises(SamplingExhausted):

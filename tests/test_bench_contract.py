@@ -120,15 +120,27 @@ def test_traced_riemann_makes_one_christoffel_call():
     assert layers["numdiff.central_diff4.calls"] == 0
 
 
-def test_traced_one_point_cartan_audit_does_each_step_once():
-    # the per-point work of the benchmark's cartan-audit operation
+def test_traced_one_point_cartan_audit_does_each_step_once(monkeypatch):
+    # the per-point work of the benchmark's cartan-audit operation, with the
+    # np.linalg decompositions that ambient and frames call counted
     space = catalog.resolve("desitter:1", kind="ambient").obj
+    calls = dict.fromkeys(("eigh", "eigvalsh", "qr", "inv"), 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     t = tracer.Tracer()
     t.install()
     try:
         ambient.cartan_audit(space, [np.array([1.0, 1.2, 0.9, 0.3])], seed=7)
     finally:
         t.uninstall()
+    assert calls == {"eigh": 1, "eigvalsh": 1, "qr": 0, "inv": 0}
     layers = t.pass_metrics()
     assert layers["ambient.cartan_audit.calls"] == 1
     assert layers["ambient.riemann.calls"] == 1

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import svd_complement
+from helpers import qr_pseudo_orthonormal, svd_complement
+from umbilic_lab import catalog
 from umbilic_lab.errors import DegenerateSubspace
 from umbilic_lab.frames import complement_basis, draw_pseudo_orthonormal
 
@@ -54,3 +55,36 @@ def test_complement_basis_of_a_degenerate_span_raises():
         complement_basis(light, metric(3, True))
     with pytest.raises(DegenerateSubspace):
         complement_basis(np.stack([np.eye(3)[:1], light]), metric(3, True))
+
+
+PATTERN_MIXES = [[(1,)], [(-1,)], [(1, -1)], [(-1, 1)], [(1, 1)], [(1, 1, 1)],
+                 [(1, 1, -1)], [(-1, 1, 1)], [(1, 1, 1), (1, 1, -1)] * 5,
+                 [(1, 1, -1), (1, -1, 1), (-1, 1, 1)]]
+
+
+@pytest.mark.parametrize("mid", [mid for kind, ids in catalog.DEFAULT_LISTING
+                                 if kind == "ambient" for mid in ids]
+                         + ["minkowski:2", "desitter:1,3", "sphere:1,5"])
+def test_draw_matches_the_qr_reference(mid):
+    # Gram-Schmidt of the first k Gaussian columns against QR with the sign
+    # fix of the whole block: the same rows and the same generator state,
+    # also for a Lorentzian pattern with no +1 entry (k held at 1 for the boost)
+    space = catalog.resolve(mid, kind="ambient").obj
+    lo, hi = space.sample_box[:, 0], space.sample_box[:, 1]
+    n, index = space.dimension, space.signature.index
+    for seed in range(5):
+        g = space.metric_at(lo + np.random.default_rng(seed).random(n) * (hi - lo))
+        eigh = np.linalg.eigh(g)
+        for mix in PATTERN_MIXES:
+            if (max(sum(s > 0 for s in row) for row in mix) > n - index
+                    or max(sum(s < 0 for s in row) for row in mix) > index):
+                continue
+            ref_rng = np.random.default_rng([seed, 5])
+            ref = qr_pseudo_orthonormal(ref_rng, g, mix)
+            after = ref_rng.random()
+            for extra in ((), (eigh,)):
+                rng = np.random.default_rng([seed, 5])
+                drawn = draw_pseudo_orthonormal(rng, g, mix, *extra)
+                assert drawn.shape == ref.shape
+                assert np.max(np.abs(drawn - ref)) <= 1e-12
+                assert rng.random() == after
